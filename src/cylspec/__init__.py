@@ -22,7 +22,7 @@ from .mesh import (TriangulatedSurface, genus2_mesh, parametric_torus_mesh,
                    read_off, surface_from_triangles, triangulated_torus_mesh,
                    write_off)
 from .models import (DiracModel, I1, I2, I3, build_sl_model, build_torus_model,
-                     check_model, sl_laplacian_blocks, torus_kernel_fiber_basis)
+                     check_model, sl_laplacian_blocks)
 from .spectral import (Spectrum, eigendecompose, homogeneous_kernel,
                        indicial_roots, principal_angle_gap, spectrum_to_csv,
                        synthetic_spectrum)

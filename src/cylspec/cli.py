@@ -18,8 +18,7 @@ import numpy as np
 from . import dec, index, lattice, mesh, models, spectral
 from .cylinder import (CylinderOperator, make_perturbation,
                        perturbed_kernel_count, solve_cylinder)
-from .errors import (ConfigError, ConvergenceFailure, CriticalRate,
-                     CriticalWeight, CylspecError)
+from .errors import ConfigError, CriticalRate, CriticalWeight, CylspecError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,49 +65,46 @@ def _torus_from(cfg) -> lattice.FlatTorus:
     return lattice.FlatTorus(np.array(vals).reshape(2, 2))
 
 
-def _model_from(cfg) -> models.DiracModel:
-    kind = cfg.get("model", "torus")
+def _model(cfg, kind, role="model", grid=16, cutoff=2.5,
+           use_mesh=True) -> models.DiracModel:
+    """The torus or sl model named by kind; grid and cutoff are the defaults
+    for the config keys, and the sl model reads cfg["mesh"] only if use_mesh."""
     if kind == "torus":
-        cutoff = float(cfg.get("cutoff", 2.5))
-        if cutoff <= 0:
-            raise ConfigError("cutoff must be positive")
-        return models.build_torus_model(_torus_from(cfg), cutoff)
+        return models.build_torus_model(_torus_from(cfg), float(cfg.get("cutoff", cutoff)))
     if kind == "sl":
-        if cfg.get("mesh"):
+        if use_mesh and cfg.get("mesh"):
             path = cfg["mesh"]
             if not os.path.exists(path):
                 raise ConfigError(f"mesh file not found: {path}")
-            surface = mesh.read_off(path)
-            cc = dec.build_dec(surface)
+            cc = dec.build_dec(mesh.read_off(path))
         else:
-            n = int(cfg.get("grid", 16))
-            cc = dec.quad_torus_complex(_torus_from(cfg), n)
+            cc = dec.quad_torus_complex(_torus_from(cfg), int(cfg.get("grid", grid)))
         return models.build_sl_model(cc)
-    raise ConfigError(f"unknown model kind: {kind}")
+    raise ConfigError(f"unknown {role} kind: {kind}")
 
 
 def _end_spectra(cfg) -> index.EndSystem:
     names = str(cfg.get("ends", "torus")).split(",")
-    cutoff = float(cfg.get("cutoff", 2.5))
-    ends = []
-    for name in names:
-        name = name.strip()
-        if name == "torus":
-            model = models.build_torus_model(_torus_from(cfg), cutoff)
-        elif name == "sl":
-            n = int(cfg.get("grid", 8))
-            model = models.build_sl_model(dec.quad_torus_complex(_torus_from(cfg), n))
-        else:
-            raise ConfigError(f"unknown end kind: {name}")
-        ends.append(spectral.eigendecompose(model))
-    return index.EndSystem(tuple(ends))
+    return index.EndSystem(tuple(
+        spectral.eigendecompose(_model(cfg, name.strip(), "end", grid=8, use_mesh=False))
+        for name in names))
+
+
+def _cylinder_end(cfg):
+    """Spectrum of the torus end (cutoff default 1.5) and the time grid (T, h)."""
+    spec = spectral.eigendecompose(_model(cfg, "torus", cutoff=1.5))
+    t_final = float(cfg.get("T", 30.0))
+    h = float(cfg.get("h", 0.01))
+    if t_final <= 0 or h <= 0 or h > t_final:
+        raise ConfigError("need 0 < h <= T")
+    return spec, t_final, h
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_spectrum(cfg) -> int:
-    model = _model_from(cfg)
+    model = _model(cfg, cfg.get("model", "torus"))
     spec = spectral.eigendecompose(model)
     out = cfg.get("out", ".")
     os.makedirs(out, exist_ok=True)
@@ -131,7 +127,7 @@ def cmd_spectrum(cfg) -> int:
 
 
 def cmd_indicial(cfg) -> int:
-    model = _model_from(cfg)
+    model = _model(cfg, cfg.get("model", "torus"))
     spec = spectral.eigendecompose(model)
     lo, hi = _parse_floats(cfg.get("window", "-1.2,1.2"), 2)
     roots = spectral.indicial_roots(spec, (lo, hi))
@@ -175,15 +171,10 @@ def cmd_wallcross(cfg) -> int:
 
 
 def cmd_cylinder_solve(cfg) -> int:
-    model = models.build_torus_model(_torus_from(cfg), float(cfg.get("cutoff", 1.5)))
-    spec = spectral.eigendecompose(model)
+    spec, t_final, h = _cylinder_end(cfg)
     weight = float(cfg.get("weight", -0.5))
-    t_final = float(cfg.get("T", 30.0))
-    h = float(cfg.get("h", 0.01))
     rate = float(cfg.get("profile_rate", -1.0))
     lam_target = float(cfg.get("mode_lambda", 1.0))
-    if t_final <= 0 or h <= 0 or h > t_final:
-        raise ConfigError("need 0 < h <= T")
     if rate >= weight:
         raise ConfigError("profile_rate must lie below the weight for a fair recovery")
     op = CylinderOperator(spec, t_final, h)
@@ -225,20 +216,15 @@ def cmd_cylinder_solve(cfg) -> int:
 
 
 def cmd_kernel_count(cfg) -> int:
-    model = models.build_torus_model(_torus_from(cfg), float(cfg.get("cutoff", 1.5)))
-    spec = spectral.eigendecompose(model)
+    spec, t_final, h = _cylinder_end(cfg)
     weight = float(cfg.get("weight", 0.5))
     eps = float(cfg.get("eps", 0.0))
     mu_pert = float(cfg.get("mu_pert", -1.0))
     seed = int(cfg.get("seed", 0))
-    t_final = float(cfg.get("T", 30.0))
-    h = float(cfg.get("h", 0.01))
     if eps < 0:
         raise ConfigError("eps must be >= 0")
     if eps > 0 and mu_pert >= 0:
         raise ConfigError("mu_pert must be negative (decaying coupling)")
-    if t_final <= 0 or h <= 0 or h > t_final:
-        raise ConfigError("need 0 < h <= T")
     bnd = cfg.get("boundary", "negative")
     if bnd == "negative":
         s_set = [int(j) for j in np.flatnonzero(spec.eigenvalues < -spec.cluster_tol)]
@@ -408,10 +394,7 @@ def main(argv=None) -> int:
     except (CriticalRate, CriticalWeight) as exc:
         _err("CRITICAL_RATE", str(exc))
         return EXIT_CRITICAL
-    except ConvergenceFailure as exc:
-        _err("NUMERIC", str(exc))
-        return EXIT_NUMERIC
-    except CylspecError as exc:
+    except (CylspecError, np.linalg.LinAlgError) as exc:
         _err("NUMERIC", str(exc))
         return EXIT_NUMERIC
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -160,7 +160,7 @@ def homogeneous_apply(spectrum: Spectrum, lam: float, j: int, nu: np.ndarray,
         raise ValueError("t_samples must be uniform")
     nu = np.asarray(nu, dtype=float)
     jmat = spectrum.jmat
-    dsig = -jmat @ np.diag(spectrum.eigenvalues)
+    dsig = CylinderOperator(spectrum).dirac_sigma()
 
     profile = np.exp(lam * t) * t**j
     u = nu[:, None] * profile[None, :]
@@ -402,6 +402,35 @@ class KernelCount:
         }, sort_keys=True)
 
 
+def _decaying_frame(op: CylinderOperator, cols: np.ndarray) -> np.ndarray:
+    """Frame at t = 0 of the solutions that start at t = T on the mode columns
+    cols, marched backward by RK4 with periodic re-orthonormalization."""
+    z = np.zeros((op.dim, cols.size))
+    z[cols, np.arange(cols.size)] = 1.0
+    pert = op.perturbation
+    if pert is None:
+        return z   # for eps = 0 the subspace is invariant: the mode frame itself
+    lams = op.base.eigenvalues
+    g = op.base.jmat @ pert.coupling
+
+    def flow(t):
+        return np.diag(lams) + (pert.eps * np.exp(pert.mu_pert * t)) * g
+
+    t = op.tgrid
+    h = op.step
+    for k in range(t.size - 1, 0, -1):
+        tk = t[k]
+        k1 = flow(tk) @ z
+        k2 = flow(tk - 0.5 * h) @ (z - 0.5 * h * k1)
+        k3 = flow(tk - 0.5 * h) @ (z - 0.5 * h * k2)
+        k4 = flow(tk - h) @ (z - h * k3)
+        z = z - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if k % 10 == 0:
+            z, _ = np.linalg.qr(z)
+    z, _ = np.linalg.qr(z)
+    return z
+
+
 def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set,
                            rank_threshold: float = 1e-6) -> KernelCount:
     """Dimension of weighted-decaying solutions of the (possibly perturbed)
@@ -429,43 +458,13 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set,
             raise PerturbationTooLarge(
                 f"eps = {pert.eps:.3g} is not small against the weight gap {gap:.3g}")
 
-    if p == 0:
-        return KernelCount(0, 0, np.zeros(0), tuple(s_idx.tolist()), float(weight),
-                           eps, 0.0 if pert is None else pert.mu_pert,
-                           None if pert is None else pert.seed)
-
-    z = np.zeros((op.dim, p))
-    z[cols, np.arange(p)] = 1.0
-    if pert is not None:
-        g = op.base.jmat @ pert.coupling
-
-        def flow(t):
-            return np.diag(lams) + (pert.eps * np.exp(pert.mu_pert * t)) * g
-
-        t = op.tgrid
-        h = op.step
-        for k in range(t.size - 1, 0, -1):
-            tk = t[k]
-            k1 = flow(tk) @ z
-            k2 = flow(tk - 0.5 * h) @ (z - 0.5 * h * k1)
-            k3 = flow(tk - 0.5 * h) @ (z - 0.5 * h * k2)
-            k4 = flow(tk - h) @ (z - h * k3)
-            z = z - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if k % 10 == 0:
-                z, _ = np.linalg.qr(z)
-        z, _ = np.linalg.qr(z)
-    # for eps = 0 the subspace is invariant: z at t=0 is the mode frame itself
-
-    if s_idx.size == 0:
-        rank = 0
-        svals = np.zeros(0)
-    else:
-        block = z[s_idx, :]
+    rank = 0
+    svals = np.zeros(0)
+    if p and s_idx.size:
+        block = _decaying_frame(op, cols)[s_idx, :]
         svals = np.linalg.svd(block, compute_uv=False)
         smax = float(svals.max(initial=0.0))
-        if smax == 0.0:
-            rank = 0
-        else:
+        if smax > 0.0:
             thr = rank_threshold * smax
             kept = svals[svals >= thr]
             rank = int(kept.size)

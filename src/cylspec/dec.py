@@ -48,8 +48,7 @@ class CochainComplex:
         return (2 - (self.n0 - self.n1 + self.n2)) // 2
 
     def __post_init__(self):
-        dd = (self.d1 @ self.d0).toarray()
-        if np.any(dd != 0):
+        if (self.d1 @ self.d0).count_nonzero():
             raise ValueError("d1 @ d0 != 0; inconsistent incidence")
         for name, s in (("star0", self.star0), ("star1", self.star1), ("star2", self.star2)):
             if np.any(np.asarray(s) <= 0):
@@ -69,6 +68,16 @@ class SymmetricOperator:
     def symmetry_residual(self) -> float:
         m = sparse.diags(self.mass) @ self.matrix
         return float(np.abs((m - m.T).toarray()).max())
+
+
+def _incidence_d0(edges, n0: int) -> sparse.csr_matrix:
+    """Signed vertex-edge incidence: row e is -1 at the tail and +1 at the head
+    of the directed edge edges[e] = (tail, head)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n1 = edges.shape[0]
+    rows = np.repeat(np.arange(n1), 2)
+    vals = np.tile(np.array([-1, 1], dtype=np.int64), n1)
+    return sparse.csr_matrix((vals, (rows, edges.ravel())), shape=(n1, n0), dtype=np.int64)
 
 
 def _triangle_geometry(surface: TriangulatedSurface):
@@ -104,13 +113,7 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
     n0, n1, n2 = surface.n_vertices, surface.n_edges, surface.n_triangles
     tris, tedges, edges = surface.triangles, surface.triangle_edges, surface.edges
 
-    rows, cols, vals = [], [], []
-    for e in range(n1):
-        u, v = edges[e]
-        rows.extend((e, e))
-        cols.extend((int(u), int(v)))
-        vals.extend((-1, 1))
-    d0 = sparse.csr_matrix((vals, (rows, cols)), shape=(n1, n0), dtype=np.int64)
+    d0 = _incidence_d0(edges, n0)
 
     rows, cols, vals = [], [], []
     for t in range(n2):
@@ -191,16 +194,9 @@ def quad_torus_complex(torus: FlatTorus, n: int, m: int | None = None) -> Cochai
     he = lambda i, j: (j % m) * n + (i % n)            # horizontal edge (i,j)->(i+1,j)
     ve = lambda i, j: nm + (j % m) * n + (i % n)       # vertical edge (i,j)->(i,j+1)
 
-    rows, cols, vals = [], [], []
-    for j in range(m):
-        for i in range(n):
-            rows.extend((he(i, j), he(i, j)))
-            cols.extend((vid(i, j), vid(i + 1, j)))
-            vals.extend((-1, 1))
-            rows.extend((ve(i, j), ve(i, j)))
-            cols.extend((vid(i, j), vid(i, j + 1)))
-            vals.extend((-1, 1))
-    d0 = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * nm, nm), dtype=np.int64)
+    j, i = np.divmod(np.arange(nm), n)                 # edges he(i, j), then ve(i, j)
+    d0 = _incidence_d0(np.concatenate([np.column_stack([vid(i, j), vid(i + 1, j)]),
+                                       np.column_stack([vid(i, j), vid(i, j + 1)])]), nm)
 
     rows, cols, vals = [], [], []
     for j in range(m):
@@ -243,12 +239,7 @@ def genus2_quad_complex() -> CochainComplex:
             cols1.append(e)
             vals1.append(1 if (u, v) == edges[e] else -1)
     n1 = len(edges)
-    rows0, cols0, vals0 = [], [], []
-    for e, (u, v) in enumerate(edges):
-        rows0.extend((e, e))
-        cols0.extend((u, v))
-        vals0.extend((-1, 1))
-    d0 = sparse.csr_matrix((vals0, (rows0, cols0)), shape=(n1, n0), dtype=np.int64)
+    d0 = _incidence_d0(edges, n0)
     d1 = sparse.csr_matrix((vals1, (rows1, cols1)), shape=(n2, n1), dtype=np.int64)
 
     deg = np.zeros(n0)
@@ -294,6 +285,19 @@ def numeric_kernel_dim(eigenvalues: np.ndarray, gap_factor: float = 1e-6) -> int
     return int(np.count_nonzero(ev < gap_factor * above[0]))
 
 
+def mass_eigh(sym: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense eigenpairs of an operator that is symmetric for the diagonal mass
+    M, given as its conjugate sym = M^{1/2} A M^{-1/2}, or M^{-1/2} K M^{-1/2}
+    for a stiffness pencil K v = lam M v.  sym is symmetrised before the solve;
+    eigenvalues are ascending and eigenvectors M-orthonormal columns."""
+    sym = 0.5 * (sym + sym.T)
+    try:
+        vals, y = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    return vals, y / np.sqrt(mass)[:, None]
+
+
 def smallest_eigenvalues(op: SymmetricOperator, k: int) -> np.ndarray:
     """The k smallest eigenvalues of a mass-symmetric operator, ascending."""
     n = op.matrix.shape[0]
@@ -302,9 +306,7 @@ def smallest_eigenvalues(op: SymmetricOperator, k: int) -> np.ndarray:
     if k >= n - 1 or n <= 600:
         dense = stiff.toarray()
         rt = 1.0 / np.sqrt(op.mass)
-        sym = rt[:, None] * dense * rt[None, :]
-        vals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-        return vals[:k]
+        return mass_eigh(rt[:, None] * dense * rt[None, :], op.mass)[0][:k]
     mass = sparse.diags(op.mass).tocsc()
     sigma = -1e-6 * max(1.0, abs(stiff.diagonal()).max() / op.mass.max())
     try:

@@ -22,7 +22,8 @@ class DegenerateTriangle(CylspecError):
 
 
 class ConvergenceFailure(CylspecError):
-    """An iterative eigensolver exceeded its iteration cap."""
+    """A numerical solve failed: a dense or iterative eigensolver did not converge,
+    or its result failed a residual or separation check."""
 
 
 class WindowExceedsCutoff(CylspecError):

@@ -140,13 +140,22 @@ def _require_noncritical(rv: RateVector, ends: EndSystem, tol: float | None = No
             f"end {i}: rate {rv.rates[i]:.6g} is within {dist:.3e} of root {root:.6g}")
 
 
-def _interior_roots(spec: Spectrum, rate: float) -> list[tuple[float, int]]:
-    lo, hi = (0.0, rate) if rate >= 0 else (rate, 0.0)
-    out = []
-    for c in spec.clusters:
-        if lo < c.lam < hi and c.dim > 0:
-            out.append((c.lam, c.dim))
-    return out
+def _index(rv: RateVector, ends: EndSystem) -> IndexReport:
+    """The index formula at a rate vector already checked to be non-critical."""
+    per_end = []
+    for i, r in enumerate(rv.rates):
+        spec = ends.ends[i]
+        d0 = spec.d0()
+        if d0 % 2 != 0:
+            raise OddKernelDimension(f"end {i}: d_0 = {d0} is odd")
+        crossed = spec.roots_between(min(0.0, r), max(0.0, r))
+        interior = sum(d for _, d in crossed)
+        contribution = d0 // 2 + interior
+        if r < 0:
+            contribution = -contribution
+        per_end.append(PerEndContribution(i, r, contribution, tuple(crossed)))
+    total = sum(p.contribution for p in per_end)
+    return IndexReport(rv, total, tuple(per_end), WEIGHTED_TAG)
 
 
 def fredholm_index(rate, ends: EndSystem, tol: float | None = None) -> IndexReport:
@@ -157,20 +166,7 @@ def fredholm_index(rate, ends: EndSystem, tol: float | None = None) -> IndexRepo
     """
     rv = _as_rates(rate, ends.m)
     _require_noncritical(rv, ends, tol)
-    per_end = []
-    for i, r in enumerate(rv.rates):
-        spec = ends.ends[i]
-        d0 = spec.d0()
-        if d0 % 2 != 0:
-            raise OddKernelDimension(f"end {i}: d_0 = {d0} is odd")
-        crossed = _interior_roots(spec, r)
-        interior = sum(d for _, d in crossed)
-        contribution = d0 // 2 + interior
-        if r < 0:
-            contribution = -contribution
-        per_end.append(PerEndContribution(i, r, contribution, tuple(crossed)))
-    total = sum(p.contribution for p in per_end)
-    return IndexReport(rv, total, tuple(per_end), WEIGHTED_TAG)
+    return _index(rv, ends)
 
 
 def wall_crossing(rate1, rate2, ends: EndSystem,
@@ -187,14 +183,10 @@ def wall_crossing(rate1, rate2, ends: EndSystem,
         raise NotOrdered("need rate1 < rate2 componentwise")
     _require_noncritical(rv1, ends, tol)
     _require_noncritical(rv2, ends, tol)
-    crossed = []
-    jump = 0
-    for i in range(ends.m):
-        roots = [(c.lam, c.dim) for c in ends.ends[i].clusters
-                 if rv1.rates[i] < c.lam < rv2.rates[i]]
-        crossed.append(roots)
-        jump += sum(d for _, d in roots)
-    diff = fredholm_index(rv2, ends, tol).index - fredholm_index(rv1, ends, tol).index
+    crossed = [spec.roots_between(lo, hi)
+               for spec, lo, hi in zip(ends.ends, rv1.rates, rv2.rates)]
+    jump = sum(d for roots in crossed for _, d in roots)
+    diff = _index(rv2, ends).index - _index(rv1, ends).index
     if diff != jump:
         raise AssertionError(f"wall-crossing mismatch: index diff {diff} != jump {jump}")
     return jump, crossed

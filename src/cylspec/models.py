@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .dec import CochainComplex, laplacian0, laplacian0_dual, laplacian1
+from .dec import CochainComplex, laplacian0, laplacian0_dual, laplacian1, mass_eigh
 from .errors import ConvergenceFailure
 from .lattice import FlatTorus, dual_lattice_points
 
@@ -125,24 +125,13 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
                       fiber_dim=4, area=area, meta=meta)
 
 
-def torus_kernel_fiber_basis() -> np.ndarray:
-    """The standard constant-section basis of the torus-model kernel (fiber R^4)."""
-    return np.eye(4)
-
-
 # ---------------------------------------------------------------------------
 # block model on a DEC complex
 
 def _mass_eigh(stiff: np.ndarray, mass: np.ndarray):
     """Eigenpairs of the mass-symmetric pencil: stiff v = lam * diag(mass) v."""
     rt = np.sqrt(mass)
-    sym = stiff / rt[:, None] / rt[None, :]
-    sym = 0.5 * (sym + sym.T)
-    try:
-        vals, y = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    return vals, y / rt[:, None]
+    return mass_eigh(stiff / rt[:, None] / rt[None, :], mass)
 
 
 def _face_cycle_rotation(cc: CochainComplex) -> np.ndarray:

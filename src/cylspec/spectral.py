@@ -7,11 +7,11 @@ eigenvalues carry the multiplicities d_lam that drive all index formulas.
 """
 
 import csv
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dec import mass_eigh
 from .errors import ConvergenceFailure, WindowExceedsCutoff
 from .models import DiracModel
 
@@ -69,12 +69,13 @@ class Spectrum:
                 best = c
         return best
 
+    def roots_between(self, lo: float, hi: float) -> list[tuple[float, int]]:
+        """Roots (lam, d_lam) with lam strictly inside (lo, hi), ascending."""
+        return [(c.lam, c.dim) for c in self.clusters if lo < c.lam < hi and c.dim > 0]
+
     def multiplicity_between(self, lo: float, hi: float) -> int:
         """Sum of d_lam over roots lam strictly inside (lo, hi)."""
-        lams = [c.lam for c in self.clusters]
-        a = bisect_right(lams, lo)
-        b = bisect_left(lams, hi)
-        return int(sum(self.clusters[i].dim for i in range(a, b)))
+        return sum(d for _, d in self.roots_between(lo, hi))
 
     def nearest_root(self, x: float) -> tuple[float, float]:
         lams = np.array([c.lam for c in self.clusters])
@@ -106,13 +107,7 @@ def eigendecompose(model: DiracModel, cluster_tol: float | None = None) -> Spect
     """
     a = model.composite()
     rt = np.sqrt(model.mass)
-    sym = (a * rt[:, None]) / rt[None, :]
-    sym = 0.5 * (sym + sym.T)
-    try:
-        vals, y = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    vecs = y / rt[:, None]
+    vals, vecs = mass_eigh((a * rt[:, None]) / rt[None, :], model.mass)
 
     radius = float(np.abs(vals).max()) if vals.size else 0.0
     resid = np.abs(a @ vecs - vecs * vals[None, :])

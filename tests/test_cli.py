@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 import cylspec as cs
 from cylspec.cli import main
 
@@ -146,3 +148,28 @@ def test_cylinder_solve_rejects_bad_grid(capsys):
     rc = main(["cylinder-solve", "--torus", SQ, "--cutoff", "1.5", "--weight=-0.5",
                "--h", "50", "--T", "10"])
     assert rc == 2
+
+
+def test_index_sl_and_torus_ends(capsys):
+    rc = main(["index", "--ends", "sl,torus", "--rates=0.7,-1.2", "--torus", SQ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "index = -8" in out
+    assert "varying-cross-section virtual dimension: +4" in out
+
+
+def test_wallcross_sl_end(capsys):
+    rc = main(["wallcross", "--ends", "sl", "--rate1=-1.2", "--rate2", "1.2", "--torus", SQ])
+    assert rc == 0
+    assert "index jump +20" in capsys.readouterr().out
+
+
+def test_linalg_error_is_numeric(monkeypatch, capsys):
+    # numpy's LinAlgError subclasses ValueError; it must still map to NUMERIC
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(cs.models, "build_torus_model", broken)
+    rc = main(["spectrum", "--torus", SQ, "--cutoff", "2.5"])
+    assert rc == 3
+    assert "ERR NUMERIC" in capsys.readouterr().err

@@ -320,3 +320,15 @@ def test_kernel_limits_feed_symplectic_verifier(op15):
     assert pairs, "some isotropic pair of limits must exist"
     a, b = pairs[0]
     assert cs.is_lagrangian(fiber[:, [a, b]], sk)
+
+
+def test_perturbed_count_no_decaying_modes(torus_spec_15):
+    # no eigenvalue lies below -1.3: the decaying subspace is empty
+    pert = cs.make_perturbation(torus_spec_15.dim, 1e-3, -1.0, seed=11)
+    for p in (None, pert):
+        op = CylinderOperator(torus_spec_15, 30.0, 0.01, p)
+        count = cs.perturbed_kernel_count(op, -1.3, [0, 1, 2])
+        assert count.dimension == 0
+        assert count.decaying_dim == 0
+        assert count.singular_values.size == 0
+        assert count.boundary_set == (0, 1, 2)

@@ -113,3 +113,12 @@ def test_numeric_kernel_gap_rule():
     assert cs.numeric_kernel_dim(np.array([1e-14, 1e-13, 0.5, 1.0])) == 2
     assert cs.numeric_kernel_dim(np.array([1e-3, 0.5, 1.0])) == 0
     assert cs.numeric_kernel_dim(np.array([1e-12, 1e-11])) == 2
+
+
+def test_inconsistent_incidence_rejected(square_t):
+    cc = cs.quad_torus_complex(square_t, 3)
+    bad_d1 = cc.d1.tolil()
+    bad_d1[0, 0] = 0          # a face boundary with one side missing
+    with pytest.raises(ValueError, match="d1 @ d0"):
+        cs.CochainComplex(cc.d0, bad_d1.tocsr(), cc.star0, cc.star1, cc.star2,
+                          cc.star_mode, cc.meta)

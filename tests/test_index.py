@@ -225,3 +225,17 @@ def test_is_lagrangian():
     assert not cs.is_lagrangian(np.eye(4)[:, :1], sk)      # dim 1 != 2
     # span{1, k} pairs to <k*1, k> = |k|^2 = 1: not isotropic
     assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]], sk)
+
+
+def test_wall_crossing_checks_each_rate_once(ends2, monkeypatch):
+    calls = []
+    real = cs.index.is_critical
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cs.index, "is_critical", counting)
+    jump, crossed = cs.wall_crossing([-0.5, -1.2], [0.5, 1.2], ends2)
+    assert jump == 4 + 20
+    assert len(calls) == 2

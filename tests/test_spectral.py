@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cylspec as cs
 from cylspec.errors import WindowExceedsCutoff
@@ -121,3 +123,16 @@ def test_csv_export(tmp_path, torus_spec_15):
 def test_sl_zero_window(sl16_spec):
     roots = cs.indicial_roots(sl16_spec, (-1e-6, 1e-6))
     assert roots == [(0.0, 4)]   # 2 + 2 genus
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.floats(min_value=-5.0, max_value=5.0),
+                       st.integers(min_value=0, max_value=6), max_size=12),
+       st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=-6.0, max_value=6.0))
+def test_roots_between_matches_brute_force(roots, a, b):
+    lo, hi = min(a, b), max(a, b)
+    spec = cs.synthetic_spectrum(list(roots.items()), 6.0)
+    brute = sorted((lam, d) for lam, d in roots.items() if lo < lam < hi and d > 0)
+    assert spec.roots_between(lo, hi) == brute
+    count = int(np.count_nonzero((spec.eigenvalues > lo) & (spec.eigenvalues < hi)))
+    assert spec.multiplicity_between(lo, hi) == count
