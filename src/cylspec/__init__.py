@@ -21,8 +21,8 @@ from .lattice import FlatTorus, dual_lattice_points, square_torus, torus_fourier
 from .mesh import (TriangulatedSurface, genus2_mesh, parametric_torus_mesh,
                    read_off, surface_from_triangles, triangulated_torus_mesh,
                    write_off)
-from .models import (DiracModel, I1, I2, I3, build_sl_model, build_torus_model,
-                     check_model, sl_laplacian_blocks)
+from .models import (DiracModel, Eigenbasis, I1, I2, I3, build_sl_model,
+                     build_torus_model, check_model, sl_laplacian_blocks)
 from .spectral import (Spectrum, eigendecompose, homogeneous_kernel,
                        indicial_roots, principal_angle_gap, spectrum_to_csv,
                        synthetic_spectrum)

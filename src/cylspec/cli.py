@@ -84,10 +84,11 @@ def _model(cfg, kind, role="model", grid=16, cutoff=2.5,
 
 
 def _end_spectra(cfg) -> index.EndSystem:
-    names = str(cfg.get("ends", "torus")).split(",")
-    return index.EndSystem(tuple(
-        spectral.eigendecompose(_model(cfg, name.strip(), "end", grid=8, use_mesh=False))
-        for name in names))
+    """One spectrum per listed end; a repeated end name is solved once."""
+    names = [name.strip() for name in str(cfg.get("ends", "torus")).split(",")]
+    spectra = {name: spectral.eigendecompose(_model(cfg, name, "end", grid=8, use_mesh=False))
+               for name in dict.fromkeys(names)}
+    return index.EndSystem(tuple(spectra[name] for name in names))
 
 
 def _cylinder_end(cfg):
@@ -262,19 +263,20 @@ def cmd_reproduce(cfg) -> int:
         spec = spectral.eigendecompose(model)
         ends = index.EndSystem((spec,))
         diag = models.check_model(model)
-        sym = all(spec.cluster_at(-c.lam) is not None
-                  and spec.cluster_at(-c.lam).dim == c.dim for c in spec.clusters)
+        mirrors = [spec.cluster_at(-c.lam) for c in spec.clusters]
+        sym = all(m is not None and m.dim == c.dim for m, c in zip(mirrors, spec.clusters))
         d_sqrt2_cluster = spec.cluster_at(np.sqrt(2.0), tol=1e-6)
         d_sqrt2 = 0 if d_sqrt2_cluster is None else d_sqrt2_cluster.dim
+        d0, d1 = spec.d0(), spec.cluster_at(1.0).dim
+        ind_minus = index.fredholm_index(-0.5, ends).index
+        ind_plus = index.fredholm_index(0.5, ends).index
         checks = [
             ("model axioms", diag.passed, f"residuals {diag.residuals}"),
-            ("d0 = 4", spec.d0() == 4, f"d0 = {spec.d0()}"),
-            ("d1 = 8", spec.cluster_at(1.0).dim == 8, f"d1 = {spec.cluster_at(1.0).dim}"),
+            ("d0 = 4", d0 == 4, f"d0 = {d0}"),
+            ("d1 = 8", d1 == 8, f"d1 = {d1}"),
             ("spectrum symmetric", sym, "d_lambda = d_{-lambda} for all clusters"),
-            ("index -0.5 -> -2", index.fredholm_index(-0.5, ends).index == -2,
-             f"got {index.fredholm_index(-0.5, ends).index}"),
-            ("index +0.5 -> +2 = d0/2", index.fredholm_index(0.5, ends).index == 2,
-             f"got {index.fredholm_index(0.5, ends).index}"),
+            ("index -0.5 -> -2", ind_minus == -2, f"got {ind_minus}"),
+            ("index +0.5 -> +2 = d0/2", ind_plus == 2, f"got {ind_plus}"),
         ]
         print(f"note: d at sqrt(2) = {d_sqrt2} on the square 2*pi torus by antipodal-pair "
               "count; published tables also carry a count of 12 under a different, "

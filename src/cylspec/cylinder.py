@@ -329,9 +329,13 @@ def asymptotic_limit(sol: CylinderSolution, lam: float, lam1: float) -> Asymptot
 
     The coefficient is the cluster projection of e^{-lam t} u(t) averaged over
     the final quarter of the grid; the remainder rate comes from a log-linear
-    fit over the final half.  Needs lam1 < lam and a tail long enough to
-    separate the two rates (T >= 20 / (lam - lam1), at least 10 points and one
-    decay decade in the fit window), else InsufficientTail.
+    fit over the final half.  The fit keeps only points whose remainder norm
+    exceeds the rounding floor of the subtracted term,
+    1e-10 * ||coefficient|| * e^{lam t}: below it the remainder is rounding of
+    that subtraction, not decay.  The rate is None when fewer than 10 points
+    remain.  Needs lam1 < lam and a tail long enough to separate the two rates
+    (T >= 20 / (lam - lam1), at least 10 points and one decay decade in the fit
+    window), else InsufficientTail.
     """
     if not lam1 < lam:
         raise ValueError("need lam1 < lam")
@@ -356,7 +360,8 @@ def asymptotic_limit(sol: CylinderSolution, lam: float, lam1: float) -> Asymptot
     remainder = sol.coeffs - coeff[:, None] * np.exp(lam * t)[None, :]
     rnorm = np.linalg.norm(remainder[:, fitwin], axis=0)
     tfit = t[fitwin]
-    good = rnorm > 1e-280
+    floor = 1e-10 * np.linalg.norm(coeff) * np.exp(lam * tfit)
+    good = rnorm > np.maximum(floor, 1e-280)
     if good.sum() >= 10:
         slope = np.polyfit(tfit[good], np.log(rnorm[good]), 1)[0]
         rate = float(slope)

@@ -38,6 +38,16 @@ I3 = I1 @ I2
 
 
 @dataclass(frozen=True)
+class Eigenbasis:
+    """Eigenpairs of A = J D that a model knows from its own construction:
+    ascending ``values``, M-orthonormal ``vectors`` as aligned columns, and
+    ``jmat``, J expressed in that basis (V^T M J V)."""
+    values: np.ndarray    # (n,)
+    vectors: np.ndarray   # (n, n)
+    jmat: np.ndarray      # (n, n)
+
+
+@dataclass(frozen=True)
 class DiracModel:
     label: str
     mass: np.ndarray                # (n,) positive diagonal
@@ -47,6 +57,7 @@ class DiracModel:
     fiber_dim: int | None = None
     area: float | None = None
     meta: dict = field(default_factory=dict)
+    eigenbasis: Eigenbasis | None = None
 
     @property
     def dim(self) -> int:
@@ -75,10 +86,11 @@ def check_model(model: DiracModel,
                 anticommute_tol: float = 1e-10) -> ModelDiagnostics:
     """Max-norm residuals of the model axioms with pass/fail at the stated tolerances."""
     m = model.mass[:, None]
-    d, j = model.dirac, model.complex_structure
-    md = m * d
+    j = model.complex_structure
+    d = sparse.csr_matrix(model.dirac)
+    md = sparse.diags(model.mass) @ d
     res = {
-        "selfadjoint": float(np.abs(md - md.T).max()),
+        "selfadjoint": float(abs(md - md.T).max()),
         "j_square": float(np.abs(j @ j + np.eye(model.dim)).max()),
         "j_orthogonal": float(np.abs(j.T @ (m * j) - np.diag(model.mass)).max()),
         "anticommute": float(np.abs(d @ j + j @ d).max()),
@@ -234,6 +246,11 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     harmonic cochains carry the polar-corrected quarter-turn, and each
     eigenvector pair (+s, -s) of D is rotated into its chirality partner.
     The kernel has dimension 1 + 1 + 2*genus.
+
+    The same Laplacian eigenpairs diagonalise A = J D, carried as the model's
+    ``eigenbasis``: +sqrt(mu) on vertex functions (v, 0, 0) and -sqrt(mu) on
+    exact cochains (0, 0, e), e = d0 v / sqrt(mu); likewise +-sqrt(nu) on face
+    functions (0, w, 0) and coexact cochains (0, 0, c); 0 on the kernel.
     """
     n0, n1, n2 = cc.n0, cc.n1, cc.n2
     m0, m1 = cc.star0, cc.star1
@@ -300,6 +317,27 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     hfull[s2] = harm
     jmat += hfull @ (-jh) @ (hfull * mass[:, None]).T
 
+    # eigenbasis of A in ascending order; pos[i] is the sorted column of entry i
+    root_mu, root_nu = np.sqrt(mu), np.sqrt(nu)
+    values = np.concatenate([root_mu, -root_mu, root_nu, -root_nu,
+                             np.zeros(2 + harm.shape[1])])
+    order = np.argsort(values, kind="stable")
+    pos = np.empty(dim, dtype=int)
+    pos[order] = np.arange(dim)
+    p_v, p_e, p_w, p_c, p_k = np.split(pos, np.cumsum([mu.size, mu.size, nu.size, nu.size]))
+    vectors = np.zeros((dim, dim))
+    vectors[s0, p_v] = v0
+    vectors[s2, p_e] = e_vec
+    vectors[s1, p_w] = w0
+    vectors[s2, p_c] = c_vec
+    vectors[:, p_k] = np.column_stack([kf, kg, hfull])
+    # J v = -e, J e = v; J w = -c, J c = w; J kf = -kg, J kg = kf; -J_H on harmonics
+    jeig = np.zeros((dim, dim))
+    for p, q in ((p_v, p_e), (p_w, p_c), (p_k[:1], p_k[1:2])):
+        jeig[q, p] = -1.0
+        jeig[p, q] = 1.0
+    jeig[np.ix_(p_k[2:], p_k[2:])] = -jh
+
     radius = float(np.sqrt(max(vals0.max(), vals2.max())))
     meta = {
         "kind": "dec-block",
@@ -310,7 +348,8 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
         "complex_meta": dict(cc.meta),
     }
     return DiracModel("sl-block", mass, d, jmat, completeness_radius=radius,
-                      fiber_dim=None, area=area, meta=meta)
+                      fiber_dim=None, area=area, meta=meta,
+                      eigenbasis=Eigenbasis(values[order], vectors, jeig))
 
 
 def sl_laplacian_blocks(cc: CochainComplex) -> np.ndarray:

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import cylspec as cs
+
+# CI runs the property tests on hypothesis's fixed example sequence
+# (HYPOTHESIS_PROFILE=ci), so a run cannot fail on a newly drawn example.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -52,6 +52,22 @@ def test_index_two_ends(capsys):
     assert "index = -12" in capsys.readouterr().out
 
 
+def test_repeated_end_solved_once(monkeypatch, capsys):
+    calls = []
+    solve = cs.spectral.eigendecompose
+    monkeypatch.setattr(cs.spectral, "eigendecompose",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    rc = main(["index", "--ends", "torus,torus", "--rates=-0.5,-1.2", "--torus", SQ])
+    assert rc == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "index = -12   [weighted-end-sum]\n"
+        "  end 0: rate -0.5  contribution -2  interior roots: -\n"
+        "  end 1: rate -1.2  contribution -10  interior roots: -1 (d=8)\n"
+        "fixed-cross-section virtual dimension:   -12  [fixed-cross-section-index]\n"
+        "varying-cross-section virtual dimension: +4  [varying-cross-section-index]\n")
+
+
 def test_index_critical_rate(capsys):
     rc = main(["index", "--ends", "torus", "--rates", "0", "--torus", SQ])
     assert rc == 4
@@ -122,6 +138,18 @@ def test_reproduce_tori(capsys):
     assert "FAIL" not in out
     # both multiplicity conventions recorded, neither asserted
     assert "= 8" in out and "12" in out
+
+
+def test_reproduce_tori_evaluates_each_index_once(monkeypatch, capsys):
+    calls = []
+    fredholm = cs.index.fredholm_index
+    monkeypatch.setattr(cs.index, "fredholm_index",
+                        lambda *a, **k: calls.append(a[0]) or fredholm(*a, **k))
+    assert main(["reproduce", "tori"]) == 0
+    assert calls == [-0.5, 0.5]
+    out = capsys.readouterr().out
+    assert "PASS index -0.5 -> -2: got -2\n" in out
+    assert "PASS index +0.5 -> +2 = d0/2: got 2\n" in out
 
 
 def test_reproduce_sl(capsys):

@@ -161,6 +161,23 @@ def test_asymptotic_limit_two_term(op15):
     assert lim.fitted_rate == pytest.approx(-1.0, rel=0.1)
 
 
+def test_asymptotic_limit_rate_above_rounding_floor(torus_spec_15):
+    # at T = 30 the e^{-t} remainder sinks below the rounding of the subtracted
+    # constant; the fit must stop there instead of bending the slope
+    spec = torus_spec_15
+    t = CylinderOperator(spec, 30.0, 0.01).tgrid
+    rng = np.random.default_rng(35)
+    c0, c1 = spec.cluster_at(0.0), spec.cluster_at(-1.0)
+    nu0 = np.zeros(spec.dim)
+    nu0[c0.start:c0.stop] = rng.standard_normal(c0.dim)
+    u = np.zeros((spec.dim, t.size))
+    u[c0.start:c0.stop] = nu0[c0.start:c0.stop, None]
+    u[c1.start:c1.stop] = rng.standard_normal(c1.dim)[:, None] * np.exp(-t)[None, :]
+    lim = cs.asymptotic_limit(CylinderSolution(u, t, 0.0, 0.0, 0.0, spec), 0.0, -1.0)
+    assert np.abs(lim.coefficient - nu0).max() <= 1e-12
+    assert abs(lim.fitted_rate + 1.0) <= 1e-6
+
+
 def test_asymptotic_limit_fast_decay_maps_to_zero(op15):
     spec = op15.base
     t = op15.tgrid

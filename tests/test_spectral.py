@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
-from cylspec.errors import WindowExceedsCutoff
+from cylspec.dec import mass_eigh
+from cylspec.errors import ConvergenceFailure, WindowExceedsCutoff
 
 
 def jacobi_eigenvalues(sym, sweeps=30, tol=1e-14):
@@ -136,3 +139,63 @@ def test_roots_between_matches_brute_force(roots, a, b):
     assert spec.roots_between(lo, hi) == brute
     count = int(np.count_nonzero((spec.eigenvalues > lo) & (spec.eigenvalues < hi)))
     assert spec.multiplicity_between(lo, hi) == count
+
+
+def dense_reference(model):
+    """Eigenpairs of A = J D from one dense solve of the whole operator."""
+    a = model.composite()
+    rt = np.sqrt(model.mass)
+    return mass_eigh((a * rt[:, None]) / rt[None, :], model.mass)
+
+
+def assert_matches_dense(model):
+    spec = cs.eigendecompose(model)
+    vals, vecs = dense_reference(model)
+    radius = max(1.0, float(np.abs(vals).max()))
+    assert np.abs(spec.eigenvalues - vals).max() <= 1e-10 * radius
+    cuts = np.flatnonzero(np.diff(vals) > 1e-6 * radius) + 1
+    bounds = np.concatenate([[0], cuts, [vals.size]])
+    assert ([(c.start, c.stop, c.dim) for c in spec.clusters]
+            == [(int(a), int(b), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])])
+    v = spec.eigenvectors
+    for c in spec.clusters:
+        assert cs.principal_angle_gap(v[:, c.start:c.stop], vecs[:, c.start:c.stop],
+                                      model.mass) <= 1e-8
+    mv = model.mass[:, None] * v
+    assert np.abs(spec.jmat - mv.T @ (model.complex_structure @ v)).max() <= 1e-10
+    assert np.abs(v.T @ mv - np.eye(model.dim)).max() <= 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=3, max_value=12), st.integers(min_value=3, max_value=12),
+       st.floats(min_value=1.0, max_value=8.0), st.floats(min_value=1.0, max_value=8.0))
+def test_block_eigenbasis_matches_dense_on_grids(n, m, width, height):
+    torus = cs.FlatTorus(np.diag([width, height]))
+    assert_matches_dense(cs.build_sl_model(cs.quad_torus_complex(torus, n, m)))
+
+
+@pytest.mark.parametrize("make", [
+    cs.genus2_quad_complex,
+    lambda: cs.build_dec(cs.genus2_mesh()),
+    lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+], ids=["genus2-quad", "genus2-mesh", "donut-12x8"])
+def test_block_eigenbasis_matches_dense_on_meshes(make):
+    assert_matches_dense(cs.build_sl_model(make()))
+
+
+def test_block_spectrum_skips_the_dense_solve(monkeypatch, sl16):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense solve on a model that carries its eigenbasis")
+
+    monkeypatch.setattr(cs.spectral, "mass_eigh", dense)
+    assert cs.eigendecompose(sl16[1]).d0() == 4
+
+
+def test_corrupt_eigenbasis_fails_residual_check(sl16):
+    model = sl16[1]
+    values = model.eigenbasis.values.copy()
+    values[-1] *= 1.0 + 1e-6
+    bad = dataclasses.replace(model, eigenbasis=dataclasses.replace(model.eigenbasis,
+                                                                     values=values))
+    with pytest.raises(ConvergenceFailure):
+        cs.eigendecompose(bad)
