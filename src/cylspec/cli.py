@@ -45,6 +45,11 @@ def _merge_config(args):
             raise ConfigError(f"config file not found: {args.config}")
         with open(args.config, "r", encoding="ascii") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
+        for key, val in cfg.items():
+            if not isinstance(val, (str, int, float)):
+                raise ConfigError(f"config key {key!r} must hold a string or a number")
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -224,8 +229,6 @@ def cmd_kernel_count(cfg) -> int:
     seed = int(cfg.get("seed", 0))
     if eps < 0:
         raise ConfigError("eps must be >= 0")
-    if eps > 0 and mu_pert >= 0:
-        raise ConfigError("mu_pert must be negative (decaying coupling)")
     bnd = cfg.get("boundary", "negative")
     if bnd == "negative":
         s_set = [int(j) for j in np.flatnonzero(spec.eigenvalues < -spec.cluster_tol)]

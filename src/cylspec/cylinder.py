@@ -436,15 +436,14 @@ def _decaying_frame(op: CylinderOperator, cols: np.ndarray) -> np.ndarray:
     return z
 
 
-def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set,
-                           rank_threshold: float = 1e-6) -> KernelCount:
+def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) -> KernelCount:
     """Dimension of weighted-decaying solutions of the (possibly perturbed)
     cylinder equation vanishing on the boundary index set at t = 0.
 
     The admissible far-end subspace (modes with lam_j < weight) is marched
     backward to t = 0 with periodic re-orthonormalization; the count is
     (subspace dim) - rank(rows of the boundary set), with singular values
-    judged against rank_threshold * sigma_max.  For eps = 0 this reduces to
+    judged against 1e-6 * sigma_max.  For eps = 0 this reduces to
     #{j not in S : lam_j < weight}.
     """
     op.check_weight(weight)
@@ -470,7 +469,7 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set,
         svals = np.linalg.svd(block, compute_uv=False)
         smax = float(svals.max(initial=0.0))
         if smax > 0.0:
-            thr = rank_threshold * smax
+            thr = 1e-6 * smax
             kept = svals[svals >= thr]
             rank = int(kept.size)
             if kept.size and float(kept.min()) < 10.0 * thr:

@@ -275,14 +275,14 @@ def laplacian1(cc: CochainComplex) -> SymmetricOperator:
     return SymmetricOperator((up + down).tocsr(), cc.star1)
 
 
-def numeric_kernel_dim(eigenvalues: np.ndarray, gap_factor: float = 1e-6) -> int:
+def numeric_kernel_dim(eigenvalues: np.ndarray) -> int:
     """Scale-free count of the numerical kernel: eigenvalues below
-    gap_factor * (first eigenvalue above gap_factor)."""
+    1e-6 * (first eigenvalue above 1e-6)."""
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    above = ev[ev > gap_factor]
+    above = ev[ev > 1e-6]
     if above.size == 0:
         return int(ev.size)
-    return int(np.count_nonzero(ev < gap_factor * above[0]))
+    return int(np.count_nonzero(ev < 1e-6 * above[0]))
 
 
 def mass_eigh(sym: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -119,20 +119,19 @@ def _check_radius(rate: RateVector, ends: EndSystem):
                 f"end {i}: |rate| = {abs(r):.6g} exceeds completeness radius {radius:.6g}")
 
 
-def is_critical(rate, ends: EndSystem, tol: float | None = None) -> list[bool]:
-    """Per-end test: is rate_i within tol of that end's root set?"""
+def is_critical(rate, ends: EndSystem) -> list[bool]:
+    """Per-end test: is rate_i within ends.criticality_tol(i) of that end's root set?"""
     rv = _as_rates(rate, ends.m)
     _check_radius(rv, ends)
     out = []
     for i, r in enumerate(rv.rates):
-        t = ends.criticality_tol(i) if tol is None else tol
         _, dist = ends.ends[i].nearest_root(r)
-        out.append(bool(dist <= t))
+        out.append(bool(dist <= ends.criticality_tol(i)))
     return out
 
 
-def _require_noncritical(rv: RateVector, ends: EndSystem, tol: float | None = None):
-    flags = is_critical(rv, ends, tol)
+def _require_noncritical(rv: RateVector, ends: EndSystem):
+    flags = is_critical(rv, ends)
     if any(flags):
         i = flags.index(True)
         root, dist = ends.ends[i].nearest_root(rv.rates[i])
@@ -158,19 +157,18 @@ def _index(rv: RateVector, ends: EndSystem) -> IndexReport:
     return IndexReport(rv, total, tuple(per_end), WEIGHTED_TAG)
 
 
-def fredholm_index(rate, ends: EndSystem, tol: float | None = None) -> IndexReport:
+def fredholm_index(rate, ends: EndSystem) -> IndexReport:
     """Index of the weighted model operator at a non-critical rate vector.
 
     Per-end contribution: +(d_0/2 + interior multiplicities) for positive
     rates, the mirror-negative for negative rates.
     """
     rv = _as_rates(rate, ends.m)
-    _require_noncritical(rv, ends, tol)
+    _require_noncritical(rv, ends)
     return _index(rv, ends)
 
 
-def wall_crossing(rate1, rate2, ends: EndSystem,
-                  tol: float | None = None) -> tuple[int, list]:
+def wall_crossing(rate1, rate2, ends: EndSystem) -> tuple[int, list]:
     """Jump of the index between two componentwise-ordered non-critical rates.
 
     Returns (jump, crossed) where crossed lists, per end, the roots strictly
@@ -181,8 +179,8 @@ def wall_crossing(rate1, rate2, ends: EndSystem,
     rv2 = _as_rates(rate2, ends.m)
     if not all(a < b for a, b in zip(rv1.rates, rv2.rates)):
         raise NotOrdered("need rate1 < rate2 componentwise")
-    _require_noncritical(rv1, ends, tol)
-    _require_noncritical(rv2, ends, tol)
+    _require_noncritical(rv1, ends)
+    _require_noncritical(rv2, ends)
     crossed = [spec.roots_between(lo, hi)
                for spec, lo, hi in zip(ends.ends, rv1.rates, rv2.rates)]
     jump = sum(d for roots in crossed for _, d in roots)
@@ -192,13 +190,13 @@ def wall_crossing(rate1, rate2, ends: EndSystem,
     return jump, crossed
 
 
-def fixed_moduli_vdim(rate, ends: EndSystem, tol: float | None = None) -> int:
+def fixed_moduli_vdim(rate, ends: EndSystem) -> int:
     """Virtual dimension at fixed asymptotic cross-section and negative rate:
     -(sum d_{0,i}/2) - (sum of multiplicities in (mu_i, 0)); always <= 0."""
     rv = _as_rates(rate, ends.m)
     if any(r >= 0 for r in rv.rates):
         raise NonNegativeRate("fixed-asymptotics rates must be negative in every component")
-    report = fredholm_index(rv, ends, tol)
+    report = fredholm_index(rv, ends)
     value = 0
     for i, r in enumerate(rv.rates):
         spec = ends.ends[i]
@@ -247,14 +245,13 @@ class SymplecticKernel:
         return self.basis.shape[1]
 
 
-def symplectic_form(basis, pairing, area: float, kernel=None,
-                    tol: float = 1e-8) -> SymplecticKernel:
+def symplectic_form(basis, pairing, area: float, kernel=None) -> SymplecticKernel:
     """Integrate a pointwise skew pairing over constant sections.
 
     For constant sections the integral over the surface collapses to
     area * pairing(xi_a, xi_b).  When ``kernel`` (an orthonormal basis of the
     admissible fiber subspace) is supplied, every column of ``basis`` must lie
-    in its span or NotInKernel is raised.
+    in its span, to 1e-8 relative, or NotInKernel is raised.
     """
     basis = np.asarray(basis, dtype=float)
     pairing = np.asarray(pairing, dtype=float)
@@ -263,15 +260,16 @@ def symplectic_form(basis, pairing, area: float, kernel=None,
     if kernel is not None:
         kernel = np.asarray(kernel, dtype=float)
         proj = kernel @ (kernel.T @ basis)
-        if float(np.abs(basis - proj).max()) > tol * max(1.0, float(np.abs(basis).max())):
+        if float(np.abs(basis - proj).max()) > 1e-8 * max(1.0, float(np.abs(basis).max())):
             raise NotInKernel("basis vectors do not lie in the zero-rate kernel")
     form = float(area) * pairing
     gram = basis.T @ form @ basis
     return SymplecticKernel(basis, gram, float(area), form)
 
 
-def is_lagrangian(subspace, sk: SymplecticKernel, tol: float = 1e-9) -> bool:
-    """True iff the subspace is isotropic for Omega and has half the kernel dimension."""
+def is_lagrangian(subspace, sk: SymplecticKernel) -> bool:
+    """True iff the subspace is isotropic for Omega (to 1e-9 relative to the
+    area weight) and has half the kernel dimension."""
     if sk.kernel_dim % 2 != 0:
         raise OddKernelDimension(f"kernel dimension {sk.kernel_dim} is odd")
     s = np.asarray(subspace, dtype=float)
@@ -282,4 +280,4 @@ def is_lagrangian(subspace, sk: SymplecticKernel, tol: float = 1e-9) -> bool:
     if s.shape[1] != sk.kernel_dim // 2:
         return False
     restricted = s.T @ sk.form @ s
-    return bool(np.abs(restricted).max() <= tol * max(1.0, abs(sk.area_weight)))
+    return bool(np.abs(restricted).max() <= 1e-9 * max(1.0, abs(sk.area_weight)))

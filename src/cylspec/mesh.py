@@ -302,9 +302,13 @@ def read_off(path) -> TriangulatedSurface:
                 tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise ValueError("not an OFF file (missing OFF header)")
-    pos = 1
-    nv, nf = int(tokens[pos]), int(tokens[pos + 1])
-    pos += 3  # skip edge count
+    if len(tokens) < 4:
+        raise ValueError("truncated OFF file: missing the vertex, face and edge counts")
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4  # skip the edge count
+    if min(nv, nf) < 0 or len(tokens) < pos + 3 * nv + 4 * nf:
+        raise ValueError(f"truncated OFF file: {nv} vertices and {nf} triangles need "
+                         f"{pos + 3 * nv + 4 * nf} tokens, found {len(tokens)}")
     verts = np.asarray(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
     pos += 3 * nv
     tris = np.empty((nf, 3), dtype=int)
@@ -313,6 +317,9 @@ def read_off(path) -> TriangulatedSurface:
         if cnt != 3:
             raise ValueError(f"face {f} has {cnt} vertices; only triangles are supported")
         tris[f] = [int(t) for t in tokens[pos + 1:pos + 4]]
+        if tris[f].min() < 0 or tris[f].max() >= nv:
+            raise ValueError(f"face {f} has a vertex index outside [0, {nv}): "
+                             f"{tris[f].tolist()}")
         pos += 4
     return surface_from_triangles(verts, tris)
 

@@ -54,7 +54,6 @@ class DiracModel:
     dirac: np.ndarray               # (n, n)
     complex_structure: np.ndarray   # (n, n)
     completeness_radius: float
-    fiber_dim: int | None = None
     area: float | None = None
     meta: dict = field(default_factory=dict)
     eigenbasis: Eigenbasis | None = None
@@ -79,12 +78,13 @@ class ModelDiagnostics:
         return "\n".join(lines)
 
 
-def check_model(model: DiracModel,
-                selfadjoint_tol: float = 1e-10,
-                square_tol: float = 1e-12,
-                orthogonal_tol: float = 1e-10,
-                anticommute_tol: float = 1e-10) -> ModelDiagnostics:
-    """Max-norm residuals of the model axioms with pass/fail at the stated tolerances."""
+# max-norm tolerance of each model axiom
+_AXIOM_TOL = {"selfadjoint": 1e-10, "j_square": 1e-12,
+              "j_orthogonal": 1e-10, "anticommute": 1e-10}
+
+
+def check_model(model: DiracModel) -> ModelDiagnostics:
+    """Max-norm residuals of the model axioms with pass/fail at _AXIOM_TOL."""
     m = model.mass[:, None]
     j = model.complex_structure
     d = sparse.csr_matrix(model.dirac)
@@ -95,11 +95,7 @@ def check_model(model: DiracModel,
         "j_orthogonal": float(np.abs(j.T @ (m * j) - np.diag(model.mass)).max()),
         "anticommute": float(np.abs(d @ j + j @ d).max()),
     }
-    passed = (res["selfadjoint"] <= selfadjoint_tol
-              and res["j_square"] <= square_tol
-              and res["j_orthogonal"] <= orthogonal_tol
-              and res["anticommute"] <= anticommute_tol)
-    return ModelDiagnostics(res, passed)
+    return ModelDiagnostics(res, all(res[k] <= t for k, t in _AXIOM_TOL.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +130,7 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
 
     meta = {"modes": modes, "cutoff": float(cutoff)}
     return DiracModel("torus", mass, d, jmat, completeness_radius=float(np.sqrt(cutoff)),
-                      fiber_dim=4, area=area, meta=meta)
+                      area=area, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +237,18 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     """Block Dirac model on (vertex functions) + (face functions) + (1-cochains).
 
     D is assembled from d0, d1 and the mass operators; D^2 equals the direct
-    sum of the primal 0-form, dual 0-form and 1-form Laplacians exactly.  J is
-    assembled spectrally: the function constants are paired with each other,
-    harmonic cochains carry the polar-corrected quarter-turn, and each
-    eigenvector pair (+s, -s) of D is rotated into its chirality partner.
-    The kernel has dimension 1 + 1 + 2*genus.
+    sum of the primal 0-form, dual 0-form and 1-form Laplacians exactly.  The
+    kernel has dimension 1 + 1 + 2*genus.
 
-    The same Laplacian eigenpairs diagonalise A = J D, carried as the model's
+    The Laplacian eigenpairs diagonalise A = J D, carried as the model's
     ``eigenbasis``: +sqrt(mu) on vertex functions (v, 0, 0) and -sqrt(mu) on
     exact cochains (0, 0, e), e = d0 v / sqrt(mu); likewise +-sqrt(nu) on face
     functions (0, w, 0) and coexact cochains (0, 0, c); 0 on the kernel.
+    J is stated once, as a table of pairs (x, y) with J x = -y and J y = x:
+    vertex functions with exact cochains, face functions with coexact
+    cochains, and the two constants kf, kg.  The table fills the eigenbasis
+    vectors, J in that basis, and J's cochain blocks x (M y)^T and -y (M x)^T.
+    Harmonic cochains carry the polar-corrected quarter-turn -J_H.
     """
     n0, n1, n2 = cc.n0, cc.n1, cc.n2
     m0, m1 = cc.star0, cc.star1
@@ -280,42 +278,19 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
         raise ConvergenceFailure("complex is not connected (multi-dimensional constants)")
 
     area = float(m0.sum())
-    area_dual = float(m2d.sum())
-    kf = np.zeros(dim)
-    kf[s0] = 1.0 / np.sqrt(area)
-    kg = np.zeros(dim)
-    kg[s1] = 1.0 / np.sqrt(area_dual)
+    kf = np.full((n0, 1), 1.0 / np.sqrt(area))
+    kg = np.full((n2, 1), 1.0 / np.sqrt(float(m2d.sum())))
 
     harm = _harmonic_basis(cc)
     jh, jh_correction = _harmonic_complex_structure(harm, m1, cc)
 
-    # paired +s / -s eigenvectors of D:  u_+- = (v, 0, +-e)/sqrt2, e = d0 v / s
+    # eigenvectors of A = J D:  v, e = d0 v / sqrt(mu); w, c = M1^-1 d1^T w / sqrt(nu)
     mu = vals0[1:]
     v0 = vecs0[:, 1:]
     e_vec = (d0 @ v0) / np.sqrt(mu)[None, :]
     nu = vals2[1:]
     w0 = vecs2[:, 1:]
     c_vec = (d1.T @ w0) / m1[:, None] / np.sqrt(nu)[None, :]
-
-    k_plus = v0.shape[1] + w0.shape[1]
-    b_plus = np.zeros((dim, k_plus))
-    b_minus = np.zeros((dim, k_plus))
-    r = 1.0 / np.sqrt(2.0)
-    b_plus[s0, :v0.shape[1]] = r * v0
-    b_plus[s2, :v0.shape[1]] = r * e_vec
-    b_minus[s0, :v0.shape[1]] = r * v0
-    b_minus[s2, :v0.shape[1]] = -r * e_vec
-    b_plus[s1, v0.shape[1]:] = r * w0
-    b_plus[s2, v0.shape[1]:] = r * c_vec
-    b_minus[s1, v0.shape[1]:] = r * w0
-    b_minus[s2, v0.shape[1]:] = -r * c_vec
-
-    # J u_+ = u_-, J u_- = -u_+; J kf = -kg, J kg = kf; J|harmonic = -J_H
-    jmat = b_minus @ (b_plus * mass[:, None]).T - b_plus @ (b_minus * mass[:, None]).T
-    jmat -= np.outer(kg, kf * mass) - np.outer(kf, kg * mass)
-    hfull = np.zeros((dim, harm.shape[1]))
-    hfull[s2] = harm
-    jmat += hfull @ (-jh) @ (hfull * mass[:, None]).T
 
     # eigenbasis of A in ascending order; pos[i] is the sorted column of entry i
     root_mu, root_nu = np.sqrt(mu), np.sqrt(nu)
@@ -325,30 +300,30 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     pos = np.empty(dim, dtype=int)
     pos[order] = np.arange(dim)
     p_v, p_e, p_w, p_c, p_k = np.split(pos, np.cumsum([mu.size, mu.size, nu.size, nu.size]))
+
+    # J pairs x with y, J x = -y and J y = x; per pair: the blocks and masses
+    # of x and y, their columns and their sorted positions in the eigenbasis
+    pairs = ((s0, m0, v0, p_v, s2, m1, e_vec, p_e),           # vertex / exact
+             (s1, m2d, w0, p_w, s2, m1, c_vec, p_c),          # face / coexact
+             (s0, m0, kf, p_k[:1], s1, m2d, kg, p_k[1:2]))    # the constants
     vectors = np.zeros((dim, dim))
-    vectors[s0, p_v] = v0
-    vectors[s2, p_e] = e_vec
-    vectors[s1, p_w] = w0
-    vectors[s2, p_c] = c_vec
-    vectors[:, p_k] = np.column_stack([kf, kg, hfull])
-    # J v = -e, J e = v; J w = -c, J c = w; J kf = -kg, J kg = kf; -J_H on harmonics
     jeig = np.zeros((dim, dim))
-    for p, q in ((p_v, p_e), (p_w, p_c), (p_k[:1], p_k[1:2])):
-        jeig[q, p] = -1.0
-        jeig[p, q] = 1.0
+    jmat = np.zeros((dim, dim))
+    for sx, mx, x, px, sy, my, y, py in pairs:
+        vectors[sx, px] = x
+        vectors[sy, py] = y
+        jeig[py, px] = -1.0
+        jeig[px, py] = 1.0
+        jmat[sx, sy] = x @ (my[:, None] * y).T
+        jmat[sy, sx] = -y @ (mx[:, None] * x).T
+    # harmonic cochains: -J_H in the eigenbasis, -harm J_H harm^T M1 on cochains
+    vectors[s2, p_k[2:]] = harm
     jeig[np.ix_(p_k[2:], p_k[2:])] = -jh
+    jmat[s2, s2] = -harm @ jh @ (m1[:, None] * harm).T
 
     radius = float(np.sqrt(max(vals0.max(), vals2.max())))
-    meta = {
-        "kind": "dec-block",
-        "blocks": (n0, n2, n1),
-        "genus": cc.genus,
-        "harmonic_correction": jh_correction,
-        "self_dual": bool(cc.meta.get("self_dual", False)),
-        "complex_meta": dict(cc.meta),
-    }
-    return DiracModel("sl-block", mass, d, jmat, completeness_radius=radius,
-                      fiber_dim=None, area=area, meta=meta,
+    return DiracModel("sl-block", mass, d, jmat, completeness_radius=radius, area=area,
+                      meta={"harmonic_correction": jh_correction},
                       eigenbasis=Eigenbasis(values[order], vectors, jeig))
 
 
@@ -364,19 +339,3 @@ def sl_laplacian_blocks(cc: CochainComplex) -> np.ndarray:
     out[n0 + n2:, n0 + n2:] = l1
     return out
 
-
-# ---------------------------------------------------------------------------
-# export
-
-def export_model_json(model: DiracModel, path, eigendata_path=None):
-    import json
-
-    record = {"label": model.label, "dim": model.dim,
-              "eigendata_path": str(eigendata_path) if eigendata_path else None}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def operator_to_csv(matrix: np.ndarray, path):
-    np.savetxt(path, np.asarray(matrix), delimiter=",", fmt="%.17g")

@@ -59,9 +59,6 @@ class Spectrum:
                 return c.dim
         return 0
 
-    def roots(self) -> list[tuple[float, int]]:
-        return [(c.lam, c.dim) for c in self.clusters]
-
     def cluster_at(self, lam: float, tol: float | None = None):
         tol = self.cluster_tol if tol is None else tol
         best = None
@@ -98,7 +95,7 @@ def _cluster(eigs: np.ndarray, tol: float) -> tuple:
     return tuple(clusters)
 
 
-def eigendecompose(model: DiracModel, cluster_tol: float | None = None) -> Spectrum:
+def eigendecompose(model: DiracModel) -> Spectrum:
     """Full spectrum of A = J D with respect to the mass inner product.
 
     A model that carries an ``eigenbasis`` (the block model, from its own
@@ -106,8 +103,7 @@ def eigendecompose(model: DiracModel, cluster_tol: float | None = None) -> Spect
     model without one gets a dense symmetric solve on the mass-symmetrized
     operator.  Either way the per-pair residual ||A v - lam v||_M must come out
     below 1e-8 * max(1, spectral radius) or ConvergenceFailure is raised.
-    Clusters merge eigenvalues closer than cluster_tol (default
-    1e-6 * spectral radius).
+    Clusters merge eigenvalues closer than cluster_tol = 1e-6 * spectral radius.
     """
     basis = model.eigenbasis
     if basis is None:
@@ -126,8 +122,7 @@ def eigendecompose(model: DiracModel, cluster_tol: float | None = None) -> Spect
     if resid > 1e-8 * max(1.0, radius):
         raise ConvergenceFailure(f"eigenpair residual {resid:.2e} exceeds 1e-8")
 
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * max(radius, 1e-30)
+    cluster_tol = 1e-6 * max(radius, 1e-30)
     clusters = _cluster(vals, cluster_tol)
     return Spectrum(vals, clusters, model.completeness_radius, cluster_tol,
                     eigenvectors=vecs, mass=model.mass, jmat=jmat,

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import cylspec as cs
 from cylspec.cli import main
@@ -170,6 +171,29 @@ def test_kernel_count_rejects_negative_eps(capsys):
                "--eps=-0.1"])
     assert rc == 2
     assert "ERR CONFIG" in capsys.readouterr().err
+    # a growing coupling is rejected by Perturbation itself
+    rc = main(["kernel-count", "--eps", "1e-3", "--mu-pert", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "ERR CONFIG: mu_pert must be negative (decaying coupling)\n"
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("off", "OFF\n"),
+    ("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n"),
+    ("config", "[1, 2]"),
+    ("config", '{"cutoff": [1]}'),
+], ids=["truncated-off", "face-index-nv", "config-list", "config-list-value"])
+def test_malformed_input_is_config_error(tmp_path, capsys, kind, text):
+    path = tmp_path / ("in.off" if kind == "off" else "in.json")
+    path.write_text(text)
+    if kind == "off":
+        argv = ["spectrum", "--model", "sl", "--mesh", str(path), "--out", str(tmp_path)]
+    else:
+        argv = ["spectrum", "--config", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERR CONFIG: ") and err.count("\n") == 1
 
 
 def test_cylinder_solve_rejects_bad_grid(capsys):

@@ -66,6 +66,18 @@ def test_off_round_trip(tmp_path):
     assert m2.genus == 1
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_off_face_index_out_of_range(tmp_path, bad):
+    # a tetrahedron that names vertex 3 as -1 (which would wrap to a valid
+    # surface) or as nv (which would overflow)
+    faces = [[0, 2, 1], [0, 1, bad], [1, 2, bad], [0, bad, 2]]
+    path = tmp_path / "bad.off"
+    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    + "".join(f"3 {a} {b} {c}\n" for a, b, c in faces))
+    with pytest.raises(ValueError, match=r"face 1 has a vertex index outside \[0, 4\)"):
+        cs.read_off(path)
+
+
 def test_degenerate_triangle_rejected():
     from cylspec.errors import DegenerateTriangle
     # doubled triangle is combinatorially closed; collinear points kill the area

@@ -86,21 +86,6 @@ def test_sl_nonzero_spectrum_matches_laplacians(sl16):
     assert cluster.dim == 2 * a
 
 
-def test_model_export(tmp_path, square_t):
-    from cylspec.models import export_model_json, operator_to_csv
-
-    model = cs.build_torus_model(square_t, 1.5)
-    jpath = tmp_path / "model.json"
-    export_model_json(model, jpath, eigendata_path="spectrum.csv")
-    import json
-    rec = json.loads(jpath.read_text())
-    assert rec == {"label": "torus", "dim": 20, "eigendata_path": "spectrum.csv"}
-    cpath = tmp_path / "dirac.csv"
-    operator_to_csv(model.dirac, cpath)
-    back = np.loadtxt(cpath, delimiter=",")
-    assert np.abs(back - model.dirac).max() <= 1e-15
-
-
 def test_composite_self_adjoint_both_models(square_t, sl16):
     # A = J D satisfies A^T M = M A for both constructions
     for model in (cs.build_torus_model(square_t, 2.5), sl16[1]):
