@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,14 +97,11 @@ def _end_spectra(cfg) -> index.EndSystem:
     return index.EndSystem(tuple(spectra[name] for name in names))
 
 
-def _cylinder_end(cfg):
-    """Spectrum of the torus end (cutoff default 1.5) and the time grid (T, h)."""
+def _cylinder_end(cfg) -> CylinderOperator:
+    """Unperturbed operator on the torus end (cutoff default 1.5) and the time
+    grid (T, h); CylinderOperator rejects a grid that is not whole steps."""
     spec = spectral.eigendecompose(_model(cfg, "torus", cutoff=1.5))
-    t_final = float(cfg.get("T", 30.0))
-    h = float(cfg.get("h", 0.01))
-    if t_final <= 0 or h <= 0 or h > t_final:
-        raise ConfigError("need 0 < h <= T")
-    return spec, t_final, h
+    return CylinderOperator(spec, float(cfg.get("T", 30.0)), float(cfg.get("h", 0.01)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +175,13 @@ def cmd_wallcross(cfg) -> int:
 
 
 def cmd_cylinder_solve(cfg) -> int:
-    spec, t_final, h = _cylinder_end(cfg)
+    op = _cylinder_end(cfg)
+    spec = op.base
     weight = float(cfg.get("weight", -0.5))
     rate = float(cfg.get("profile_rate", -1.0))
     lam_target = float(cfg.get("mode_lambda", 1.0))
     if rate >= weight:
         raise ConfigError("profile_rate must lie below the weight for a fair recovery")
-    op = CylinderOperator(spec, t_final, h)
 
     cluster = spec.cluster_at(lam_target, tol=1e-6 * max(spec.spectral_radius, 1.0))
     if cluster is None:
@@ -209,7 +207,7 @@ def cmd_cylinder_solve(cfg) -> int:
     np.savetxt(csv_path, np.column_stack([t, sol.coeffs.T]), delimiter=",",
                header=header, comments="", fmt="%.17g")
     summary = {
-        "weight": weight, "T": t_final, "h": h,
+        "weight": weight, "T": op.t_final, "h": op.step,
         "mode_lambda": lam_target, "profile_rate": rate,
         "residual": sol.residual, "weighted_sup": sol.weighted_sup,
         "manufactured_relative_error": rel,
@@ -222,7 +220,8 @@ def cmd_cylinder_solve(cfg) -> int:
 
 
 def cmd_kernel_count(cfg) -> int:
-    spec, t_final, h = _cylinder_end(cfg)
+    op = _cylinder_end(cfg)
+    spec = op.base
     weight = float(cfg.get("weight", 0.5))
     eps = float(cfg.get("eps", 0.0))
     mu_pert = float(cfg.get("mu_pert", -1.0))
@@ -236,8 +235,8 @@ def cmd_kernel_count(cfg) -> int:
         s_set = []
     else:
         s_set = [int(x) for x in str(bnd).split(",")]
-    pert = make_perturbation(spec.dim, eps, mu_pert, seed) if eps > 0 else None
-    op = CylinderOperator(spec, t_final, h, pert)
+    if eps > 0:
+        op = replace(op, perturbation=make_perturbation(spec.dim, eps, mu_pert, seed))
     count = perturbed_kernel_count(op, weight, s_set)
     out = cfg.get("out", ".")
     os.makedirs(out, exist_ok=True)

@@ -91,6 +91,11 @@ class CylinderOperator:
     def __post_init__(self):
         if self.base.jmat is None:
             raise ValueError("cylinder operators need a spectrum with jmat attached")
+        if not 0 < self.step <= self.t_final < np.inf:
+            raise ValueError("need 0 < h <= T")
+        n = round(self.t_final / self.step)
+        if abs(self.t_final / self.step - n) > 1e-9 * n:
+            raise ValueError(f"T = {self.t_final:g} is not a whole number of steps h = {self.step:g}")
 
     @property
     def dim(self) -> int:
@@ -175,69 +180,47 @@ def homogeneous_apply(spectrum: Spectrum, lam: float, j: int, nu: np.ndarray,
 # ---------------------------------------------------------------------------
 # weighted Green solver
 
-def _lagrange_exp_weights(lam: float, h: float, offsets: np.ndarray) -> np.ndarray:
-    """Weights w_j with  integral_0^h e^{lam(h-tau)} g(tau) dtau ~ sum w_j g(offsets_j)
-    for the cubic interpolant of g through the offset nodes."""
-    moments = _exp_moments_stable(lam, h)
-    w = np.empty(offsets.size)
-    for jn, x in enumerate(offsets):
-        others = np.delete(offsets, jn)
-        poly = np.poly(others) / np.prod(x - others)   # highest power first
-        coeffs = poly[::-1]                            # c_p tau^p
-        w[jn] = float(coeffs @ moments[:coeffs.size])
-    return w
+def _exp_moments(lams: np.ndarray, h: float) -> np.ndarray:
+    """(dim, 4) table I_p(lam) = integral_0^h e^{lam (h - tau)} tau^p dtau, p = 0..3.
 
-
-def _exp_moments_stable(lam: float, h: float, pmax: int = 3) -> np.ndarray:
-    """I_p = integral_0^h e^{lam (h - tau)} tau^p dtau for p = 0..pmax.
-
-    Downward recurrence in the well-conditioned regime, series near lam*h = 0
-    where the recurrence cancels catastrophically."""
-    out = np.empty(pmax + 1)
-    z = lam * h
-    if abs(z) < 0.25:
-        for p in range(pmax + 1):
-            acc = 0.0
-            term = h ** (p + 1) / (p + 1)        # q = 0 term
-            q = 0
-            while True:
-                acc += term
-                if abs(term) < 1e-25 * max(abs(acc), h ** (p + 1)) or q > 40:
-                    break
-                q += 1
-                term *= z / (p + q + 1)
-            out[p] = acc
-    else:
-        out[0] = (np.exp(z) - 1.0) / lam
-        for p in range(1, pmax + 1):
-            out[p] = (p * out[p - 1] - h ** p) / lam
+    Downward recurrence where |lam h| >= 0.25; below that it cancels, so a
+    20-term series in z = lam h is used (term q shrinks by at least 0.25/q)."""
+    z = lams * h
+    out = np.empty((lams.size, 4))
+    small = np.abs(z) < 0.25
+    zs, lb = z[small], lams[~small]
+    for p in range(4):
+        term = np.full(zs.size, h ** (p + 1) / (p + 1))
+        acc = np.zeros(zs.size)
+        for q in range(20):
+            acc += term
+            term = term * (zs / (p + q + 2))
+        out[small, p] = acc
+    out[~small, 0] = (np.exp(z[~small]) - 1.0) / lb
+    for p in range(1, 4):
+        out[~small, p] = (p * out[~small, p - 1] - h ** p) / lb
     return out
 
 
-def _mode_step_integrals(lam: float, h: float, g: np.ndarray) -> np.ndarray:
-    """Q_k = integral over [t_k, t_{k+1}] of e^{lam(t_{k+1}-s)} g(s) ds for every step,
-    using cubic interpolation of g (4th-order accurate)."""
-    nt = g.size
-    if nt < 4:
-        raise ValueError("grid too short for the cubic interpolant")
-    q = np.empty(nt - 1)
-    w_int = _lagrange_exp_weights(lam, h, np.array([-h, 0.0, h, 2 * h]))
-    w_first = _lagrange_exp_weights(lam, h, np.array([0.0, h, 2 * h, 3 * h]))
-    w_last = _lagrange_exp_weights(lam, h, np.array([-2 * h, -h, 0.0, h]))
-    q[0] = w_first @ g[:4]
-    q[-1] = w_last @ g[-4:]
-    ks = np.arange(1, nt - 2)
-    q[1:nt - 2] = (w_int[0] * g[ks - 1] + w_int[1] * g[ks]
-                   + w_int[2] * g[ks + 1] + w_int[3] * g[ks + 2])
-    return q
+def _step_weights(moments: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(dim, 4) weights w with  integral_0^h e^{lam(h-tau)} g(tau) dtau ~ sum_j w_j g(offsets_j)
+    for the cubic interpolant of g through the offset nodes, one row per lam."""
+    table = np.empty((4, 4))   # table[j, p]: coefficient of tau^p in node j's Lagrange basis
+    for jn, x in enumerate(offsets):
+        others = np.delete(offsets, jn)
+        table[jn] = (np.poly(others) / np.prod(x - others))[::-1]
+    # summed over p in order: a matmul or einsum rounds differently in the last bit
+    return sum(moments[:, p, None] * table[:, p] for p in range(4))
 
 
-def solve_cylinder(op: CylinderOperator, rhs, weight: float) -> CylinderSolution:
+def solve_cylinder(op: CylinderOperator, rhs: np.ndarray, weight: float) -> CylinderSolution:
     """Weighted Green solve of the unperturbed cylinder equation.
 
-    rhs: array (dim, nt) of mode functions f_j(t_k), or a callable t -> (dim,).
-    Modes with lam_j < weight integrate forward from u(0) = 0; modes with
-    lam_j > weight integrate backward from u(T) = 0, so e^{-w t} u stays
+    rhs: array (dim, nt) of mode functions f_j(t_k) on ``op.tgrid``.  Each mode
+    steps by exponential quadrature: the exact propagator e^{lam h} plus the
+    integral of e^{lam(h - tau)} against the cubic interpolant of g on four
+    neighbouring nodes (4th order).  Modes with lam_j < weight step forward
+    from u(0) = 0, the rest backward from u(T) = 0, so e^{-w t} u stays
     bounded.  Raises CriticalWeight when the weight hits an eigenvalue.
     """
     if op.perturbation is not None:
@@ -246,27 +229,39 @@ def solve_cylinder(op: CylinderOperator, rhs, weight: float) -> CylinderSolution
     t = op.tgrid
     nt = t.size
     h = op.step
-    if callable(rhs):
-        f = np.stack([np.asarray(rhs(tk), dtype=float) for tk in t], axis=1)
-    else:
-        f = np.asarray(rhs, dtype=float)
+    f = np.asarray(rhs, dtype=float)
     if f.shape != (op.dim, nt):
         raise ValueError(f"rhs has shape {f.shape}, expected {(op.dim, nt)}")
+    if nt < 4:
+        raise ValueError("grid too short for the cubic interpolant")
 
     g = -(op.base.jmat @ f)
     lams = op.base.eigenvalues
-    u = np.zeros_like(g)
-    for jm in range(op.dim):
-        lam = float(lams[jm])
-        q = _mode_step_integrals(lam, h, g[jm])
-        if lam < weight:
-            grow = np.exp(lam * h)
-            for k in range(nt - 1):
-                u[jm, k + 1] = grow * u[jm, k] + q[k]
-        else:
-            shrink = np.exp(-lam * h)
-            for k in range(nt - 2, -1, -1):
-                u[jm, k] = shrink * (u[jm, k + 1] - q[k])
+    moments = _exp_moments(lams, h)
+    w_int, w_first, w_last = (_step_weights(moments, h * np.array(nodes, dtype=float))
+                              for nodes in ((-1, 0, 1, 2), (0, 1, 2, 3), (-2, -1, 0, 1)))
+    # q[k, j]: integral over the step ending at t_k of e^{lam_j (t_k - s)} g_j(s) ds.
+    # Row 0 is unused: at nt rows q has the size of every other grid array, so
+    # the allocator can reuse its block.  The one-sided end steps are per-mode
+    # 4-term dots.
+    q = np.empty((nt, op.dim))
+    q[1] = np.matmul(w_first[:, None, :], g[:, :4, None])[:, 0, 0]
+    q[-1] = np.matmul(w_last[:, None, :], g[:, -4:, None])[:, 0, 0]
+    gt = g.T
+    q[2:-1] = (w_int[:, 0] * gt[:-3] + w_int[:, 1] * gt[1:-2]
+               + w_int[:, 2] * gt[2:-1] + w_int[:, 3] * gt[3:])
+    # the eigenvalues ascend: the forward modes are the first nf columns
+    nf = int(np.count_nonzero(lams < weight))
+    ut = np.zeros((nt, op.dim))
+    grow = np.exp(lams[:nf] * h)
+    for k in range(1, nt):
+        ut[k, :nf] = grow * ut[k - 1, :nf] + q[k, :nf]
+    shrink = np.exp(-lams[nf:] * h)
+    for k in range(nt - 1, 0, -1):
+        ut[k - 1, nf:] = shrink * (ut[k, nf:] - q[k, nf:])
+    del q   # freed before the copy and the residual's temporaries
+    u = ut.T.copy()   # C order: the column norms below sum in memory order
+    del ut
 
     wfac = np.exp(-weight * t)
     du = differentiate(u, h)
@@ -415,19 +410,20 @@ def _decaying_frame(op: CylinderOperator, cols: np.ndarray) -> np.ndarray:
     pert = op.perturbation
     if pert is None:
         return z   # for eps = 0 the subspace is invariant: the mode frame itself
-    lams = op.base.eigenvalues
+    diag = np.diag(op.base.eigenvalues)
     g = op.base.jmat @ pert.coupling
 
     def flow(t):
-        return np.diag(lams) + (pert.eps * np.exp(pert.mu_pert * t)) * g
+        return diag + (pert.eps * np.exp(pert.mu_pert * t)) * g
 
     t = op.tgrid
     h = op.step
     for k in range(t.size - 1, 0, -1):
         tk = t[k]
+        mid = flow(tk - 0.5 * h)
         k1 = flow(tk) @ z
-        k2 = flow(tk - 0.5 * h) @ (z - 0.5 * h * k1)
-        k3 = flow(tk - 0.5 * h) @ (z - 0.5 * h * k2)
+        k2 = mid @ (z - 0.5 * h * k1)
+        k3 = mid @ (z - 0.5 * h * k2)
         k4 = flow(tk - h) @ (z - h * k3)
         z = z - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if k % 10 == 0:

@@ -202,6 +202,15 @@ def test_cylinder_solve_rejects_bad_grid(capsys):
     assert rc == 2
 
 
+def test_cylinder_solve_rejects_partial_step(tmp_path, capsys):
+    # T = 10 is not a whole number of steps h = 0.3; the grid would end at 9.9
+    rc = main(["cylinder-solve", "--torus", SQ, "--cutoff", "1.5", "--T", "10",
+               "--h", "0.3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("ERR CONFIG")
+    assert not (tmp_path / "cylinder_solve.json").exists()
+
+
 def test_index_sl_and_torus_ends(capsys):
     rc = main(["index", "--ends", "sl,torus", "--rates=0.7,-1.2", "--torus", SQ])
     assert rc == 0

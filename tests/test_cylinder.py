@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cylspec as cs
-from cylspec.cylinder import (CylinderOperator, CylinderSolution,
-                              _exp_moments_stable, differentiate)
+from cylspec.cylinder import (CylinderOperator, CylinderSolution, _decaying_frame,
+                              _exp_moments, differentiate)
 from cylspec.errors import (CriticalWeight, InsufficientTail,
                             PerturbationTooLarge)
 
@@ -27,12 +31,101 @@ def manufactured(spec, tgrid, mode, rate=-1.0):
     return u, spec.jmat @ g   # f = J g since g = -(J f)
 
 
+# ---------------------------------------------------------------------------
+# reference Green solve: one mode at a time, scalar moments, a double loop
+
+def _exp_moments_stable(lam: float, h: float, pmax: int = 3) -> np.ndarray:
+    out = np.empty(pmax + 1)
+    z = lam * h
+    if abs(z) < 0.25:
+        for p in range(pmax + 1):
+            acc = 0.0
+            term = h ** (p + 1) / (p + 1)        # q = 0 term
+            q = 0
+            while True:
+                acc += term
+                if abs(term) < 1e-25 * max(abs(acc), h ** (p + 1)) or q > 40:
+                    break
+                q += 1
+                term *= z / (p + q + 1)
+            out[p] = acc
+    else:
+        out[0] = (np.exp(z) - 1.0) / lam
+        for p in range(1, pmax + 1):
+            out[p] = (p * out[p - 1] - h ** p) / lam
+    return out
+
+
+def _lagrange_exp_weights(lam: float, h: float, offsets: np.ndarray) -> np.ndarray:
+    moments = _exp_moments_stable(lam, h)
+    w = np.empty(offsets.size)
+    for jn, x in enumerate(offsets):
+        others = np.delete(offsets, jn)
+        poly = np.poly(others) / np.prod(x - others)   # highest power first
+        coeffs = poly[::-1]                            # c_p tau^p
+        w[jn] = float(coeffs @ moments[:coeffs.size])
+    return w
+
+
+def _mode_step_integrals(lam: float, h: float, g: np.ndarray) -> np.ndarray:
+    nt = g.size
+    q = np.empty(nt - 1)
+    w_int = _lagrange_exp_weights(lam, h, np.array([-h, 0.0, h, 2 * h]))
+    w_first = _lagrange_exp_weights(lam, h, np.array([0.0, h, 2 * h, 3 * h]))
+    w_last = _lagrange_exp_weights(lam, h, np.array([-2 * h, -h, 0.0, h]))
+    q[0] = w_first @ g[:4]
+    q[-1] = w_last @ g[-4:]
+    ks = np.arange(1, nt - 2)
+    q[1:nt - 2] = (w_int[0] * g[ks - 1] + w_int[1] * g[ks]
+                   + w_int[2] * g[ks + 1] + w_int[3] * g[ks + 2])
+    return q
+
+
+def reference_solve(op: CylinderOperator, f: np.ndarray, weight: float) -> np.ndarray:
+    """Mode coefficients of the weighted Green solve, stepped mode by mode."""
+    g = -(op.base.jmat @ f)
+    h = op.step
+    nt = g.shape[1]
+    u = np.zeros_like(g)
+    for jm in range(op.dim):
+        lam = float(op.base.eigenvalues[jm])
+        q = _mode_step_integrals(lam, h, g[jm])
+        if lam < weight:
+            grow = np.exp(lam * h)
+            for k in range(nt - 1):
+                u[jm, k + 1] = grow * u[jm, k] + q[k]
+        else:
+            shrink = np.exp(-lam * h)
+            for k in range(nt - 2, -1, -1):
+                u[jm, k] = shrink * (u[jm, k + 1] - q[k])
+    return u
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5)),
+       h=st.sampled_from((0.01, 0.05, 0.3)), seed=st.integers(0, 2**32 - 1))
+def test_solve_matches_reference(torus_spec_15, torus_spec_25, data, cutoff, h, seed):
+    spec = torus_spec_15 if cutoff == 1.5 else torus_spec_25
+    steps = data.draw(st.integers(math.ceil(5.0 / h - 1e-9), math.floor(12.0 / h + 1e-9)))
+    radius = spec.completeness_radius
+    weight = data.draw(st.floats(-radius, radius))
+    assume(np.abs(spec.eigenvalues - weight).min() >= 1e-3)
+    op = CylinderOperator(spec, steps * h, h)
+    f = np.random.default_rng(seed).standard_normal((op.dim, op.tgrid.size))
+    sol = cs.solve_cylinder(op, f, weight)
+    ref = reference_solve(op, f, weight)
+    wfac = np.exp(-weight * op.tgrid)
+    err = (np.abs(sol.coeffs - ref).max(axis=0) * wfac).max()
+    scale = (np.abs(ref).max(axis=0) * wfac).max()
+    assert err <= 1e-14 * scale
+
+
 def test_exp_moments_match_quadrature():
     from scipy.integrate import quad
 
-    for lam in (-3.0, -0.01, 0.0, 1e-9, 0.02, 2.5):
-        for h in (0.01, 0.3):
-            mom = _exp_moments_stable(lam, h)
+    lams = np.array([-3.0, -0.01, 0.0, 1e-9, 0.02, 2.5])
+    for h in (0.01, 0.3):
+        for lam, mom in zip(lams, _exp_moments(lams, h)):
             for p in range(4):
                 ref = quad(lambda s: np.exp(lam * (h - s)) * s**p, 0.0, h,
                            epsabs=1e-15, epsrel=1e-13)[0]
@@ -349,3 +442,37 @@ def test_perturbed_count_no_decaying_modes(torus_spec_15):
         assert count.decaying_dim == 0
         assert count.singular_values.size == 0
         assert count.boundary_set == (0, 1, 2)
+
+
+def test_operator_rejects_partial_steps(torus_spec_15):
+    # tgrid rounds T/h, so a T that is not whole steps would move the grid's end
+    for t_final, h in ((10.0, 0.3), (25.0, 0.7), (10.0, 50.0), (0.0, 0.01),
+                       (10.0, -0.01), (float("nan"), 0.01)):
+        with pytest.raises(ValueError):
+            CylinderOperator(torus_spec_15, t_final, h)
+    for t_final, h in ((30.0, 0.01), (45.0, 0.01), (6.9, 0.3), (12.0, 0.05)):
+        assert CylinderOperator(torus_spec_15, t_final, h).tgrid[-1] == pytest.approx(t_final)
+
+
+@settings(max_examples=15, deadline=None)
+@given(eps=st.floats(0.0, 2e-2), seed=st.integers(0, 2**32 - 1),
+       weight=st.floats(-1.5, 0.0, exclude_min=True, exclude_max=True))
+def test_decaying_frame_is_isotropic(torus_spec_15, eps, seed, weight):
+    # Green's formula: omega(u, v) = <J u, v> is constant along solutions, and
+    # the decaying modes start isotropic, so the marched frame stays isotropic
+    spec = torus_spec_15
+    assume(np.abs(spec.eigenvalues - weight).min() >= 1e-3)
+    pert = cs.make_perturbation(spec.dim, eps, -1.0, seed) if eps > 0 else None
+    op = CylinderOperator(spec, 30.0, 0.01, pert)
+    z = _decaying_frame(op, np.flatnonzero(spec.eigenvalues < weight))
+    assert np.abs(z.T @ spec.jmat @ z).max(initial=0.0) <= 1e-12
+
+
+def test_decaying_frame_sees_kernel_pairing(torus_spec_15):
+    # control for the isotropy property: above the zero root the frame holds
+    # the kernel, on which omega is nondegenerate
+    spec = torus_spec_15
+    cols = np.flatnonzero(spec.eigenvalues < 0.5)
+    for pert in (None, cs.make_perturbation(spec.dim, 1e-3, -1.0, seed=11)):
+        z = _decaying_frame(CylinderOperator(spec, 30.0, 0.01, pert), cols)
+        assert np.linalg.matrix_rank(z.T @ spec.jmat @ z, tol=1e-8) == spec.d0() == 4
