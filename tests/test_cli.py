@@ -112,6 +112,15 @@ def test_kernel_count_command(tmp_path, capsys):
     assert rec["dimension"] == 4 and rec["seed"] == 11
 
 
+def test_kernel_count_unsettled_frame_is_numeric(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cs.cylinder, "_FRAME_TOL", 0.0)
+    rc = main(["kernel-count", "--torus", SQ, "--cutoff", "1.5", "--weight", "0.5",
+               "--eps", "1e-3", "--T", "5", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "ERR NUMERIC" in capsys.readouterr().err
+    assert not (tmp_path / "kernel_count.json").exists()
+
+
 def test_kernel_count_critical_weight(capsys):
     rc = main(["kernel-count", "--torus", SQ, "--cutoff", "1.5", "--weight", "1.0"])
     assert rc == 4

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import cylspec as cs
 from cylspec.cylinder import (CylinderOperator, CylinderSolution, _decaying_frame,
                               _exp_moments, differentiate)
-from cylspec.errors import (CriticalWeight, InsufficientTail,
+from cylspec.errors import (ConvergenceFailure, CriticalWeight, InsufficientTail,
                             PerturbationTooLarge)
 
 
@@ -476,3 +476,99 @@ def test_decaying_frame_sees_kernel_pairing(torus_spec_15):
     for pert in (None, cs.make_perturbation(spec.dim, 1e-3, -1.0, seed=11)):
         z = _decaying_frame(CylinderOperator(spec, 30.0, 0.01, pert), cols)
         assert np.linalg.matrix_rank(z.T @ spec.jmat @ z, tol=1e-8) == spec.d0() == 4
+
+
+# ---------------------------------------------------------------------------
+# reference frame: plain RK4 on the output grid, re-orthonormalized every 10 steps
+
+def reference_frame(op: CylinderOperator, cols: np.ndarray) -> np.ndarray:
+    """Orthonormal frame at t = 0 of the solutions that start at t = T on the
+    mode columns cols, marched backward by RK4 on ``op.tgrid``."""
+    z = np.zeros((op.dim, cols.size))
+    z[cols, np.arange(cols.size)] = 1.0
+    pert = op.perturbation
+    if pert is None:
+        return z
+    diag = np.diag(op.base.eigenvalues)
+    g = op.base.jmat @ pert.coupling
+
+    def flow(t):
+        return diag + (pert.eps * np.exp(pert.mu_pert * t)) * g
+
+    t = op.tgrid
+    h = op.step
+    for k in range(t.size - 1, 0, -1):
+        tk = t[k]
+        mid = flow(tk - 0.5 * h)
+        k1 = flow(tk) @ z
+        k2 = mid @ (z - 0.5 * h * k1)
+        k3 = mid @ (z - 0.5 * h * k2)
+        k4 = flow(tk - h) @ (z - h * k3)
+        z = z - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if k % 10 == 0:
+            z, _ = np.linalg.qr(z)
+    z, _ = np.linalg.qr(z)
+    return z
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5)), eps=st.floats(0.0, 2e-2),
+       seed=st.integers(0, 2**32 - 1))
+def test_decaying_frame_matches_reference(torus_spec_15, torus_spec_25, data, cutoff,
+                                          eps, seed):
+    spec = torus_spec_15 if cutoff == 1.5 else torus_spec_25
+    radius = spec.completeness_radius
+    weight = data.draw(st.floats(-radius, radius))
+    gap = np.abs(spec.eigenvalues - weight).min()
+    assume(gap >= 1e-3 and eps < 0.5 * gap)
+    cols = np.flatnonzero(spec.eigenvalues < weight)
+    assume(cols.size)
+    pert = cs.make_perturbation(spec.dim, eps, -1.0, seed) if eps > 0 else None
+    op = CylinderOperator(spec, 30.0, 0.01, pert)
+    s = negative_modes(spec)
+    z, ref = _decaying_frame(op, cols), reference_frame(op, cols)
+    # largest principal-angle sine between the two frames
+    assert np.linalg.norm(z - ref @ (ref.T @ z), 2) <= 1e-8
+    sv, sv_ref = (np.linalg.svd(f[s], compute_uv=False) for f in (z, ref))
+    assert np.abs(sv - sv_ref).max() <= 1e-10
+    count = cs.perturbed_kernel_count(op, weight, s)
+    assert count.dimension == cols.size - np.count_nonzero(sv_ref >= 1e-6 * sv_ref.max())
+    # the march's step count and estimate ride along but stay out of the JSON
+    assert count.march_estimate <= 1e-9
+    assert (count.march_steps > 0) == (pert is not None)
+    assert "march" not in count.to_json()
+
+
+@pytest.mark.parametrize("eps", (1e-3, 5e-4))
+def test_lagrangian_boundary_halves_kernel(torus_spec_15, eps):
+    # a boundary set Lagrangian in the whole fiber: the negative modes plus the
+    # zero modes along span{1, i} (isotropic by C12).  Above the zero root the
+    # bounded kernel is then a d0/2-dimensional isotropic slice of the zero cluster
+    spec = torus_spec_15
+    c0 = spec.cluster_at(0.0)
+    zero = np.arange(c0.start, c0.stop)
+    # the zero modes are the constant sections: pick those along fiber axes 0 and 1
+    along = np.argmax(np.abs(spec.eigenvectors[:4, zero]), axis=1)
+    s = negative_modes(spec) + zero[along[:2]].tolist()
+    omega0 = spec.jmat[np.ix_(zero, zero)]
+    pert = cs.make_perturbation(spec.dim, eps, -1.0, seed=11)
+    op = CylinderOperator(spec, 30.0, 0.01, pert)
+    count = cs.perturbed_kernel_count(op, 0.5, s)
+    assert count.dimension == spec.d0() // 2 == 2
+    z = _decaying_frame(op, np.flatnonzero(spec.eigenvalues < 0.5))
+    # kernel elements at t = 0: the frame combinations that vanish on s
+    _, sv, vt = np.linalg.svd(z[s])
+    kernel = z @ vt[sv.size:].T
+    image = kernel[zero]
+    assert np.linalg.svd(image, compute_uv=False).min() >= 0.5
+    assert np.abs(image.T @ omega0 @ image).max() <= 1e-12
+
+
+def test_frame_march_cap_raises(torus_spec_15, monkeypatch):
+    # a tolerance no march can meet trips the halving cap: a typed failure,
+    # not the last frame
+    monkeypatch.setattr(cs.cylinder, "_FRAME_TOL", 0.0)
+    pert = cs.make_perturbation(torus_spec_15.dim, 1e-3, -1.0, seed=11)
+    op = CylinderOperator(torus_spec_15, 5.0, 0.01, pert)
+    with pytest.raises(ConvergenceFailure):
+        cs.perturbed_kernel_count(op, 0.5, negative_modes(torus_spec_15))
