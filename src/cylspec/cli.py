@@ -180,7 +180,7 @@ def cmd_cylinder_solve(cfg) -> int:
     weight = float(cfg.get("weight", -0.5))
     rate = float(cfg.get("profile_rate", -1.0))
     lam_target = float(cfg.get("mode_lambda", 1.0))
-    if rate >= weight:
+    if not rate < weight:   # also rejects a NaN rate
         raise ConfigError("profile_rate must lie below the weight for a fair recovery")
 
     cluster = spec.cluster_at(lam_target, tol=1e-6 * max(spec.spectral_radius, 1.0))
@@ -226,7 +226,7 @@ def cmd_kernel_count(cfg) -> int:
     eps = float(cfg.get("eps", 0.0))
     mu_pert = float(cfg.get("mu_pert", -1.0))
     seed = int(cfg.get("seed", 0))
-    if eps < 0:
+    if not eps >= 0:   # also rejects NaN
         raise ConfigError("eps must be >= 0")
     bnd = cfg.get("boundary", "negative")
     if bnd == "negative":

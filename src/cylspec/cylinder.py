@@ -70,7 +70,7 @@ class Perturbation:
     coupling: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.mu_pert >= 0:
+        if not self.mu_pert < 0:   # also rejects NaN
             raise ValueError("mu_pert must be negative (decaying coupling)")
 
 
@@ -117,6 +117,8 @@ class CylinderOperator:
         return 1e-8 * max(self.base.spectral_radius, 1e-30)
 
     def check_weight(self, weight: float):
+        if not np.isfinite(weight):
+            raise ValueError(f"weight must be finite, got {weight}")
         gap = float(np.abs(self.base.eigenvalues - weight).min())
         if gap <= self.weight_tol():
             raise CriticalWeight(

@@ -67,6 +67,8 @@ def _as_rates(rate, m: int) -> RateVector:
         rv = RateVector(tuple(rate))
     if len(rv) != m:
         raise ValueError(f"rate vector has {len(rv)} components, system has {m} ends")
+    if not np.all(np.isfinite(rv.rates)):
+        raise ValueError(f"rates must be finite, got {list(rv.rates)}")
     return rv
 
 

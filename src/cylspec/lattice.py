@@ -36,8 +36,8 @@ class FlatTorus:
         return abs(float(np.linalg.det(self.basis)))
 
 
-def square_torus(side: float = TWO_PI) -> FlatTorus:
-    return FlatTorus(np.diag([side, side]))
+def square_torus() -> FlatTorus:
+    return FlatTorus(np.diag([TWO_PI, TWO_PI]))
 
 
 def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:

@@ -58,7 +58,7 @@ class TriangulatedSurface:
         """Per-triangle side lengths, aligned with ``triangle_edges``; shape (n2, 3)."""
         return self.edge_lengths[self.triangle_edges]
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         """Check closedness, orientability and metric nondegeneracy."""
         counts = np.zeros(self.n_edges, dtype=int)
         senses: dict[tuple[int, int], int] = {}
@@ -90,13 +90,14 @@ class TriangulatedSurface:
         # Heron in stable form
         sp = 0.5 * (a + b + c)
         area_sq = sp * (sp - a) * (sp - b) * (sp - c)
-        if np.any(area_sq <= tol * np.maximum(1.0, sp**4)):
+        if np.any(area_sq <= 1e-12 * np.maximum(1.0, sp**4)):
             raise DegenerateTriangle(
                 f"triangle {int(np.argmin(area_sq))} has (near) zero area")
 
 
-def surface_from_triangles(positions, triangles, edge_lengths=None) -> TriangulatedSurface:
-    """Build a surface from bare triangles, deriving edges by manifold matching.
+def surface_from_triangles(positions, triangles) -> TriangulatedSurface:
+    """Build a surface from bare triangles, deriving edges by manifold matching
+    and edge lengths from the positions.
 
     Requires every directed side (u, v) to occur exactly once, with its reverse
     (v, u) occurring exactly once in another triangle; meshes with doubled
@@ -123,11 +124,9 @@ def surface_from_triangles(positions, triangles, edge_lengths=None) -> Triangula
             edges.append(key)
         tri_edges[t, k] = edge_index[key]
     edges = np.asarray(edges, dtype=int)
-    if edge_lengths is None:
-        d = positions[edges[:, 0]] - positions[edges[:, 1]]
-        edge_lengths = np.sqrt(np.einsum("ij,ij->i", d, d))
-    surf = TriangulatedSurface(positions, triangles, edges,
-                               tri_edges, np.asarray(edge_lengths, dtype=float))
+    d = positions[edges[:, 0]] - positions[edges[:, 1]]
+    edge_lengths = np.sqrt(np.einsum("ij,ij->i", d, d))
+    surf = TriangulatedSurface(positions, triangles, edges, tri_edges, edge_lengths)
     surf.validate()
     return surf
 
@@ -215,11 +214,11 @@ def triangulated_torus_mesh(torus: FlatTorus, n: int, m: int | None = None) -> T
 # ---------------------------------------------------------------------------
 # embedded donut (for the OFF path; geometry is the induced round metric)
 
-def parametric_torus_mesh(n: int = 24, m: int = 16, big_radius: float = 2.0,
-                          small_radius: float = 0.7) -> TriangulatedSurface:
-    """Genus-1 surface embedded in R^3 as a standard donut, split into triangles."""
+def parametric_torus_mesh(n: int = 24, m: int = 16) -> TriangulatedSurface:
+    """Genus-1 surface embedded in R^3 as a donut (radii 2, 0.7), split into triangles."""
     if n < 3 or m < 3:
         raise ValueError("need n, m >= 3 so vertex pairs identify edges uniquely")
+    big_radius, small_radius = 2.0, 0.7
     positions = np.empty((n * m, 3))
     for j in range(m):
         phi = TWO_PI * j / m

@@ -4,11 +4,14 @@ is M-self-adjoint, and a compatible complex structure J with
     J^2 = -1,   J^T M J = M,   D J = -J D.
 
 All spectral content downstream lives in the M-self-adjoint composite A = J D.
+Every model stores D as CSR and states the eigenpairs of A, with J in that
+basis, from its own construction: no dense eigensolve of A is needed.
 
 Two constructions are provided.  The torus model acts on a truncated real
 Fourier basis tensored with R^4, with D = I1 d/dtheta + I2 d/ds for the
 quaternionic left multiplications I1, I2 and J = I3 = I1 I2; it satisfies
-D^2 = (scalar Laplacian) x Id_4 exactly.  The block model acts on
+D^2 = (scalar Laplacian) x Id_4 exactly, and its eigenbasis is in closed
+form.  The block model acts on
 (vertex functions) + (face functions) + (edge cochains) of a DEC complex,
 realizing the operator
 
@@ -39,9 +42,9 @@ I3 = I1 @ I2
 
 @dataclass(frozen=True)
 class Eigenbasis:
-    """Eigenpairs of A = J D that a model knows from its own construction:
+    """Eigenpairs of A = J D that every model states from its own construction:
     ascending ``values``, M-orthonormal ``vectors`` as aligned columns, and
-    ``jmat``, J expressed in that basis (V^T M J V)."""
+    ``jmat``, J expressed in that basis (V^T M J V, never formed as such)."""
     values: np.ndarray    # (n,)
     vectors: np.ndarray   # (n, n)
     jmat: np.ndarray      # (n, n)
@@ -51,12 +54,12 @@ class Eigenbasis:
 class DiracModel:
     label: str
     mass: np.ndarray                # (n,) positive diagonal
-    dirac: np.ndarray               # (n, n)
+    dirac: sparse.csr_matrix        # (n, n)
     complex_structure: np.ndarray   # (n, n)
     completeness_radius: float
     area: float | None = None
     meta: dict = field(default_factory=dict)
-    eigenbasis: Eigenbasis | None = None
+    eigenbasis: Eigenbasis | None = None   # both builders set it
 
     @property
     def dim(self) -> int:
@@ -87,13 +90,12 @@ def check_model(model: DiracModel) -> ModelDiagnostics:
     """Max-norm residuals of the model axioms with pass/fail at _AXIOM_TOL."""
     m = model.mass[:, None]
     j = model.complex_structure
-    d = sparse.csr_matrix(model.dirac)
-    md = sparse.diags(model.mass) @ d
+    md = sparse.diags(model.mass) @ model.dirac
     res = {
         "selfadjoint": float(abs(md - md.T).max()),
         "j_square": float(np.abs(j @ j + np.eye(model.dim)).max()),
         "j_orthogonal": float(np.abs(j.T @ (m * j) - np.diag(model.mass)).max()),
-        "anticommute": float(np.abs(d @ j + j @ d).max()),
+        "anticommute": float(np.abs(model.dirac @ j + j @ model.dirac).max()),
     }
     return ModelDiagnostics(res, all(res[k] <= t for k, t in _AXIOM_TOL.items()))
 
@@ -105,32 +107,37 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
     """Quaternionic model on a flat torus, truncated to modes |k|^2 <= cutoff.
 
     Basis layout: 4 components for the constant mode, then per antipodal mode
-    pair an 8-dim block (cos x R^4, sin x R^4).  The composite A = J D has
-    eigenvalues {+-|k|} with the zero mode contributing a 4-dim kernel.
+    pair an 8-dim block (cos x R^4, sin x R^4) on which D = [[0, K], [-K, 0]]
+    with K = k1 I1 + k2 I2; J = I3 on every 4-block.  The eigenbasis of A = J D
+    is e_a / sqrt(area) at 0 and per pair, with S = I3 K / |k| orthogonal and
+    skew, (e_a, -+S e_a) / sqrt(area) at +-|k|; there J is the signed
+    permutation I3 on the kernel and [[0, I3], [I3, 0]] on every pair.
     """
     modes = dual_lattice_points(torus, cutoff)   # first row is k = 0
     npairs = modes.shape[0] - 1
-    dim = 4 + 8 * npairs
     area = torus.area
 
-    d = np.zeros((dim, dim))
-    jmat = np.zeros((dim, dim))
-    mass = np.empty(dim)
-    jmat[:4, :4] = I3
-    mass[:4] = area
-    for p in range(npairs):
-        k = modes[1 + p]
-        kmat = k[0] * I1 + k[1] * I2
-        c = 4 + 8 * p          # cos block start; sin block at c + 4
-        d[c:c + 4, c + 4:c + 8] = kmat
-        d[c + 4:c + 8, c:c + 4] = -kmat
-        jmat[c:c + 4, c:c + 4] = I3
-        jmat[c + 4:c + 8, c + 4:c + 8] = I3
-        mass[c:c + 8] = 0.5 * area
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    kmats = [k[0] * I1 + k[1] * I2 for k in modes[1:]]
+    norms = np.hypot(modes[1:, 0], modes[1:, 1])
+    smats = [I3 @ kmat / nk for kmat, nk in zip(kmats, norms)]
+    d = sparse.block_diag([zero] + [np.block([[zero, kmat], [-kmat, zero]]) for kmat in kmats],
+                          format="csr")
+    d.eliminate_zeros()
+    mass = np.concatenate([np.full(4, area), np.full(8 * npairs, 0.5 * area)])
 
-    meta = {"modes": modes, "cutoff": float(cutoff)}
-    return DiracModel("torus", mass, d, jmat, completeness_radius=float(np.sqrt(cutoff)),
-                      area=area, meta=meta)
+    # per pair: the columns at +|k|, then those at -|k|
+    values = np.concatenate([np.zeros(4), np.repeat(np.stack([norms, -norms], axis=1), 4)])
+    vectors = sparse.block_diag([eye] + [np.block([[eye, eye], [-s, s]]) for s in smats])
+    swap = np.kron([[0.0, 1.0], [1.0, 0.0]], I3)
+    jeig = sparse.block_diag([I3] + [swap] * npairs).toarray()
+    order = np.argsort(values, kind="stable")
+    basis = Eigenbasis(values[order], vectors.toarray()[:, order] / np.sqrt(area),
+                       jeig[np.ix_(order, order)])
+
+    return DiracModel("torus", mass, d, np.kron(np.eye(1 + 2 * npairs), I3),
+                      completeness_radius=float(np.sqrt(cutoff)), area=area,
+                      meta={"modes": modes, "cutoff": float(cutoff)}, eigenbasis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +240,11 @@ def _harmonic_basis(cc: CochainComplex) -> np.ndarray:
     return h @ np.linalg.inv(low).T
 
 
+def _coo(pattern: sparse.coo_matrix, data: np.ndarray) -> sparse.coo_matrix:
+    """The sparsity pattern of ``pattern`` carrying ``data`` in its entry order."""
+    return sparse.coo_matrix((data, (pattern.row, pattern.col)), shape=pattern.shape)
+
+
 def build_sl_model(cc: CochainComplex) -> DiracModel:
     """Block Dirac model on (vertex functions) + (face functions) + (1-cochains).
 
@@ -256,18 +268,16 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     dim = n0 + n2 + n1
     s0, s1, s2 = slice(0, n0), slice(n0, n0 + n2), slice(n0 + n2, dim)
 
+    d0c, d1c = cc.d0.tocoo(), cc.d1.tocoo()
+    delta = _coo(d0c.T, d0c.data * m1[d0c.row] / m0[d0c.col])   # M0^{-1} d0^T M1
+    t_up = _coo(d1c, d1c.data * cc.star2[d1c.row])                # star2 d1
+    t_up_adj = _coo(d1c.T, d1c.data / m1[d1c.col])                # M1^{-1} d1^T
+    d = sparse.bmat([[None, None, delta], [None, None, t_up],
+                     [cc.d0, t_up_adj, None]], format="csr", dtype=float)
+    mass = np.concatenate([m0, m2d, m1])
+
     d0 = cc.d0.toarray().astype(float)
     d1 = cc.d1.toarray().astype(float)
-    delta = (d0.T * m1[None, :]) / m0[:, None]          # M0^{-1} d0^T M1
-    t_up = d1 * cc.star2[:, None]                       # star2 d1
-    t_up_adj = d1.T / m1[:, None]                       # M1^{-1} d1^T
-
-    d = np.zeros((dim, dim))
-    d[s0, s2] = delta
-    d[s1, s2] = t_up
-    d[s2, s0] = d0
-    d[s2, s1] = t_up_adj
-    mass = np.concatenate([m0, m2d, m1])
 
     # spectral data of the two function Laplacians
     vals0, vecs0 = _mass_eigh((d0.T * m1[None, :]) @ d0, m0)
@@ -327,15 +337,8 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
                       eigenbasis=Eigenbasis(values[order], vectors, jeig))
 
 
-def sl_laplacian_blocks(cc: CochainComplex) -> np.ndarray:
-    """Dense direct sum L0 + L0_dual + L1; the exact square of the block model."""
-    l0 = laplacian0(cc).toarray()
-    l0d = laplacian0_dual(cc).toarray()
-    l1 = laplacian1(cc).toarray()
-    n0, n2, n1 = l0.shape[0], l0d.shape[0], l1.shape[0]
-    out = np.zeros((n0 + n2 + n1, n0 + n2 + n1))
-    out[:n0, :n0] = l0
-    out[n0:n0 + n2, n0:n0 + n2] = l0d
-    out[n0 + n2:, n0 + n2:] = l1
-    return out
+def sl_laplacian_blocks(cc: CochainComplex) -> sparse.csr_matrix:
+    """Direct sum L0 + L0_dual + L1 (CSR); the exact square of the block model."""
+    return sparse.block_diag([laplacian0(cc).matrix, laplacian0_dual(cc).matrix,
+                              laplacian1(cc).matrix], format="csr")
 

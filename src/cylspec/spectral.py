@@ -10,9 +10,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .dec import mass_eigh
 from .errors import ConvergenceFailure, WindowExceedsCutoff
 from .models import DiracModel
 
@@ -98,23 +96,18 @@ def _cluster(eigs: np.ndarray, tol: float) -> tuple:
 def eigendecompose(model: DiracModel) -> Spectrum:
     """Full spectrum of A = J D with respect to the mass inner product.
 
-    A model that carries an ``eigenbasis`` (the block model, from its own
-    Laplacian eigenpairs) supplies the eigenpairs and J in that basis; only a
-    model without one gets a dense symmetric solve on the mass-symmetrized
-    operator.  Either way the per-pair residual ||A v - lam v||_M must come out
-    below 1e-8 * max(1, spectral radius) or ConvergenceFailure is raised.
-    Clusters merge eigenvalues closer than cluster_tol = 1e-6 * spectral radius.
+    The model's own eigenbasis (closed form on the torus, Laplacian eigenpairs
+    on the block model) supplies the eigenpairs and J in that basis; a model
+    without one raises ValueError.  The per-pair residual ||J (D v) - lam v||_M
+    must come out below 1e-8 * max(1, spectral radius) or ConvergenceFailure
+    is raised.  Clusters merge eigenvalues closer than cluster_tol =
+    1e-6 * spectral radius.
     """
     basis = model.eigenbasis
     if basis is None:
-        a = model.composite()
-        rt = np.sqrt(model.mass)
-        vals, vecs = mass_eigh((a * rt[:, None]) / rt[None, :], model.mass)
-        av = a @ vecs
-        jmat = vecs.T @ (model.mass[:, None] * (model.complex_structure @ vecs))
-    else:
-        vals, vecs, jmat = basis.values, basis.vectors, basis.jmat
-        av = model.complex_structure @ (sparse.csr_matrix(model.dirac) @ vecs)
+        raise ValueError(f"model {model.label!r} carries no eigenbasis")
+    vals, vecs, jmat = basis.values, basis.vectors, basis.jmat
+    av = model.complex_structure @ (model.dirac @ vecs)
 
     radius = float(np.abs(vals).max()) if vals.size else 0.0
     av -= vecs * vals[None, :]
@@ -129,8 +122,8 @@ def eigendecompose(model: DiracModel) -> Spectrum:
                     label=model.label, meta={"residual": resid})
 
 
-def synthetic_spectrum(roots: list[tuple[float, int]], completeness_radius: float,
-                       label: str = "synthetic") -> Spectrum:
+def synthetic_spectrum(roots: list[tuple[float, int]],
+                       completeness_radius: float) -> Spectrum:
     """Spectrum built from (root, multiplicity) pairs; no eigenvectors attached."""
     roots = sorted((float(l), int(d)) for l, d in roots)
     eigs = np.concatenate([np.full(d, l) for l, d in roots]) if roots else np.zeros(0)
@@ -141,7 +134,7 @@ def synthetic_spectrum(roots: list[tuple[float, int]], completeness_radius: floa
         start += d
     radius = max((abs(l) for l, _ in roots), default=0.0)
     return Spectrum(eigs, tuple(clusters), float(completeness_radius),
-                    cluster_tol=1e-6 * max(radius, 1e-30), label=label)
+                    cluster_tol=1e-6 * max(radius, 1e-30), label="synthetic")
 
 
 def indicial_roots(spectrum: Spectrum, window: tuple[float, float]) -> list[tuple[float, int]]:

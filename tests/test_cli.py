@@ -243,3 +243,18 @@ def test_linalg_error_is_numeric(monkeypatch, capsys):
     rc = main(["spectrum", "--torus", SQ, "--cutoff", "2.5"])
     assert rc == 3
     assert "ERR NUMERIC" in capsys.readouterr().err
+
+
+def test_non_finite_input_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv in (["index", "--ends", "torus", "--rates=nan"],
+                 ["cylinder-solve", "--weight", "nan"],
+                 ["kernel-count", "--weight", "nan"],
+                 ["kernel-count", "--weight", "inf", "--eps", "1e-3"],
+                 ["cylinder-solve", "--profile-rate", "nan"],
+                 ["kernel-count", "--eps", "nan"],
+                 ["kernel-count", "--eps", "1e-3", "--mu-pert", "nan"]):
+        assert main(argv + ["--torus", SQ, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR CONFIG: ") and err.count("\n") == 1
+        assert not out.exists()

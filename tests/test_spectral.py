@@ -183,12 +183,52 @@ def test_block_eigenbasis_matches_dense_on_meshes(make):
     assert_matches_dense(cs.build_sl_model(make()))
 
 
-def test_block_spectrum_skips_the_dense_solve(monkeypatch, sl16):
+@st.composite
+def lattice_bases(draw):
+    """Well-conditioned lattice bases (generators as columns): square,
+    rectangular or oblique, sides in [1, 8], angle in [60, 90] degrees."""
+    kind = draw(st.sampled_from(["square", "rectangular", "oblique"]))
+    a = draw(st.floats(min_value=1.0, max_value=8.0))
+    b = a if kind == "square" else draw(st.floats(min_value=1.0, max_value=8.0))
+    angle = np.pi / 2 if kind != "oblique" else draw(st.floats(min_value=np.pi / 3,
+                                                               max_value=np.pi / 2))
+    return np.array([[a, b * np.cos(angle)], [0.0, b * np.sin(angle)]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(lattice_bases(), st.floats(min_value=0.5, max_value=12.0))
+def test_torus_eigenbasis_matches_dense(basis, cutoff):
+    assert_matches_dense(cs.build_torus_model(cs.FlatTorus(basis), cutoff))
+
+
+@pytest.mark.parametrize("basis, cutoff", [
+    (np.diag([2 * np.pi, 2 * np.pi]), 10.0),
+    (np.diag([3.0, 5.5]), 12.0),
+    (np.array([[3.0, 1.0], [0.5, 4.0]]), 6.0),
+], ids=["square", "rectangular", "oblique"])
+def test_torus_jmat_is_a_signed_permutation(basis, cutoff):
+    spec = cs.eigendecompose(cs.build_torus_model(cs.FlatTorus(basis), cutoff))
+    jmat = spec.jmat
+    assert set(np.unique(jmat)) <= {-1.0, 0.0, 1.0}
+    assert np.all(np.count_nonzero(jmat, axis=0) == 1)
+    assert np.all(np.count_nonzero(jmat, axis=1) == 1)
+    # the stated layout: the kernel is e_a / sqrt(area) in order, where J is I3,
+    # and J maps the i-th column at +|k| to the i-th column at -|k| by I3
+    for c in spec.clusters:
+        if c.lam >= 0:
+            m = spec.cluster_at(-c.lam)
+            assert np.array_equal(jmat[m.start:m.stop, c.start:c.stop],
+                                  np.kron(np.eye(c.dim // 4), cs.I3))
+
+
+def test_block_spectrum_skips_the_dense_solve(monkeypatch, square_t, sl16):
     def dense(*args, **kwargs):
         raise AssertionError("dense solve on a model that carries its eigenbasis")
 
-    monkeypatch.setattr(cs.spectral, "mass_eigh", dense)
+    torus_model = cs.build_torus_model(square_t, 2.5)
+    monkeypatch.setattr(np.linalg, "eigh", dense)
     assert cs.eigendecompose(sl16[1]).d0() == 4
+    assert cs.eigendecompose(torus_model).d0() == 4
 
 
 def test_corrupt_eigenbasis_fails_residual_check(sl16):
