@@ -15,8 +15,9 @@ polynomial-in-t solutions exist); the asymptotic limit map projects the
 far tail onto a root cluster; and the perturbed kernel counter marches a
 decaying frame backward and counts rank against boundary conditions.  That
 march is a Lawson (integrating-factor) RK4: e^{-lam H} acts exactly and only
-the eps-small coupling is stepped, with the step H halved until two
-successive frames agree to 1e-9 in principal angle (after Richardson's 1/15).
+the eps-small coupling is stepped.  Its steps grow like e^{-mu_pert t / 5} as
+the coupling decays, and all are halved until two successive frames agree to
+1e-9 in principal angle (after Richardson's 1/15).
 """
 
 from dataclasses import dataclass, field
@@ -392,7 +393,7 @@ class KernelCount:
     mu_pert: float
     seed: int | None
     # the frame march (0 and 0.0 when no frame was marched); not in to_json
-    march_steps: int             # final step count over [0, T]
+    march_steps: int             # final step count of the graded grid over [0, T]
     march_estimate: float        # its step-halving principal-angle estimate
 
     def to_json(self) -> str:
@@ -412,37 +413,62 @@ class KernelCount:
 
 # Step-halving control of the perturbed frame (see _march_frame).  At cutoff
 # 1.5, eps <= 2e-2 and T = 30, a tolerance of 1e-8 let the frame's omega-isotropy
-# drift reach 1.5e-12 over 40 random draws, 1e-9 kept it at 7.8e-14.  At T = 30
-# the cap leaves a factor of four over the finest level needed at eps up to 0.2
-# and cutoffs up to 10.
+# drift reach 1.5e-12 over 40 random draws, 1e-9 kept it at 7.8e-14 on uniform
+# steps and 8.3e-14 on the graded grid.  At T = 30 the cap leaves a factor of
+# four over the finest level needed at eps up to 0.2 and cutoffs up to 10.
+# _FRAME_H0 bounds the first level's step in the graded variable s of
+# _frame_grid; near t = 0 the step in t is about the same.
 _FRAME_TOL = 1e-9
 _FRAME_H0 = 0.5
 _FRAME_HALVINGS = 7
 
 
-def _lawson_march(z: np.ndarray, lams: np.ndarray, g: np.ndarray, pert: Perturbation,
-                  t_final: float, n: int) -> np.ndarray:
-    """March z from t = t_final back to t = 0 in n Lawson RK4 steps of
-    z' = (diag(lams) + c(t) g) z with c(t) = eps e^{mu_pert t}, and return an
-    orthonormal frame of the result.
+def _frame_length(t_final: float, mu_pert: float) -> float:
+    """Length S = (1 - e^{-a T}) / a of [0, T] in the graded variable s of
+    _frame_grid, a = -mu_pert / 5; S -> T as a -> 0."""
+    a = -mu_pert / 5.0
+    return float(-np.expm1(-a * t_final) / a)
 
-    With H = t_final / n, e^{-lams H/2} and e^{-lams H} act exactly, as row
+
+def _frame_grid(t_final: float, mu_pert: float, n: int) -> np.ndarray:
+    """n + 1 nodes on [0, t_final], uniform in s = (1 - e^{-a t}) / a with
+    a = -mu_pert / 5, so t = -log1p(-a s) / a.
+
+    The step grows like e^{a t}.  RK4's local error for the coupling
+    c(t) = eps e^{mu_pert t} scales like c(t) H^5, so it is spread evenly over
+    the steps.  The ends are set exactly: the last node would take log1p(-1)
+    once e^{-a T} underflows."""
+    a = -mu_pert / 5.0
+    s = _frame_length(t_final, mu_pert) / n * np.arange(1, n)
+    t = np.empty(n + 1)
+    t[0], t[1:-1], t[-1] = 0.0, -np.log1p(-a * s) / a, t_final
+    return t
+
+
+def _lawson_march(z: np.ndarray, lams: np.ndarray, g: np.ndarray, pert: Perturbation,
+                  tgrid: np.ndarray) -> np.ndarray:
+    """March z from t = tgrid[-1] back to t = 0 in Lawson RK4 steps between
+    the nodes of tgrid for z' = (diag(lams) + c(t) g) z with
+    c(t) = eps e^{mu_pert t}, and return an orthonormal frame of the result.
+
+    On each step H, e^{-lams H/2} and e^{-lams H} act exactly, as row
     scalings, and RK4 steps only the coupling c(t) g.  The frame is
     re-orthonormalized whenever the spread of the row growth,
     (max lams - min lams) * time elapsed since the last QR, reaches ln 10, and
     at the end."""
-    hs = t_final / n
-    half = np.exp(-0.5 * hs * lams)[:, None]
-    full = np.exp(-hs * lams)[:, None]
-    # c at the step ends and midpoints: c[j] = c(j H / 2)
-    c = pert.eps * np.exp(pert.mu_pert * (0.5 * hs) * np.arange(2 * n + 1))
+    # c at the nodes and at the step midpoints
+    c = pert.eps * np.exp(pert.mu_pert * tgrid)
+    cmid = pert.eps * np.exp(pert.mu_pert * (0.5 * (tgrid[:-1] + tgrid[1:])))
     spread = float(lams.max() - lams.min())
     elapsed = 0.0
-    for k in range(n, 0, -1):
-        k1 = c[2 * k] * (g @ z)
-        k2 = c[2 * k - 1] * (g @ (half * (z - (0.5 * hs) * k1)))
-        k3 = c[2 * k - 1] * (g @ (half * z - (0.5 * hs) * k2))
-        k4 = c[2 * k - 2] * (g @ (full * z - hs * (half * k3)))
+    for k in range(tgrid.size - 1, 0, -1):
+        hs = tgrid[k] - tgrid[k - 1]
+        half = np.exp(-0.5 * hs * lams)[:, None]
+        full = np.exp(-hs * lams)[:, None]
+        k1 = c[k] * (g @ z)
+        k2 = cmid[k - 1] * (g @ (half * (z - (0.5 * hs) * k1)))
+        k3 = cmid[k - 1] * (g @ (half * z - (0.5 * hs) * k2))
+        k4 = c[k - 1] * (g @ (full * z - hs * (half * k3)))
         z = full * z - (hs / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
         elapsed += hs
         if spread * elapsed >= np.log(10.0):
@@ -456,8 +482,9 @@ def _march_frame(op: CylinderOperator, cols: np.ndarray) -> tuple[np.ndarray, in
     """The decaying frame of ``_decaying_frame`` with its final step count and
     halving estimate (0 steps and estimate 0.0 when eps = 0).
 
-    Marches of N = ceil(T / _FRAME_H0), 2N, 4N, ... Lawson steps run until the
-    largest principal-angle sine between the last two frames, divided by the
+    Marches of N = ceil(S / _FRAME_H0), 2N, 4N, ... Lawson steps on the graded
+    grid of ``_frame_grid`` (S its length in s) run until the largest
+    principal-angle sine between the last two frames, divided by the
     4th-order Richardson factor 15, is at most _FRAME_TOL; the finer frame is
     returned.  Raises ConvergenceFailure after _FRAME_HALVINGS doublings."""
     z = np.zeros((op.dim, cols.size))
@@ -467,11 +494,11 @@ def _march_frame(op: CylinderOperator, cols: np.ndarray) -> tuple[np.ndarray, in
         return z, 0, 0.0   # for eps = 0 the subspace is invariant: the mode frame itself
     lams = op.base.eigenvalues
     g = op.base.jmat @ pert.coupling
-    n = int(np.ceil(op.t_final / _FRAME_H0))
-    coarse = _lawson_march(z, lams, g, pert, op.t_final, n)
+    n = int(np.ceil(_frame_length(op.t_final, pert.mu_pert) / _FRAME_H0))
+    coarse = _lawson_march(z, lams, g, pert, _frame_grid(op.t_final, pert.mu_pert, n))
     for _ in range(_FRAME_HALVINGS):
         n *= 2
-        fine = _lawson_march(z, lams, g, pert, op.t_final, n)
+        fine = _lawson_march(z, lams, g, pert, _frame_grid(op.t_final, pert.mu_pert, n))
         estimate = float(np.linalg.norm(fine - coarse @ (coarse.T @ fine), 2)) / 15.0
         if estimate <= _FRAME_TOL:
             return fine, n, estimate
@@ -484,7 +511,8 @@ def _march_frame(op: CylinderOperator, cols: np.ndarray) -> tuple[np.ndarray, in
 def _decaying_frame(op: CylinderOperator, cols: np.ndarray) -> np.ndarray:
     """Orthonormal frame at t = 0 of the solutions that start at t = T on the
     mode columns cols, marched backward by a Lawson (integrating-factor) RK4
-    whose step is halved until the frame settles to 1e-9 in principal angle."""
+    on a grid graded to the coupling's decay, whose steps are halved until the
+    frame settles to 1e-9 in principal angle."""
     return _march_frame(op, cols)[0]
 
 
@@ -493,13 +521,13 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
     cylinder equation vanishing on the boundary index set at t = 0.
 
     The admissible far-end subspace (modes with lam_j < weight) is marched
-    backward to t = 0 by the Lawson RK4 march of ``_decaying_frame``, whose
-    step is halved until the frame's principal-angle estimate is at most 1e-9
-    (ConvergenceFailure otherwise); the grid step h plays no part.  The count
-    is (subspace dim) - rank(rows of the boundary set), with singular values
-    judged against 1e-6 * sigma_max.  For eps = 0 this reduces to
-    #{j not in S : lam_j < weight}.  The result carries the march's final
-    step count and estimate.
+    backward to t = 0 by the Lawson RK4 march of ``_decaying_frame``.  Its
+    steps grow like e^{-mu_pert t / 5} and are halved until the frame's
+    principal-angle estimate is at most 1e-9 (ConvergenceFailure otherwise);
+    the grid step h plays no part.  The count is (subspace dim) - rank(rows of
+    the boundary set), with singular values judged against 1e-6 * sigma_max.
+    For eps = 0 this reduces to #{j not in S : lam_j < weight}.  The result
+    carries the march's final step count and estimate.
     """
     op.check_weight(weight)
     s_idx = np.asarray(sorted(int(i) for i in boundary_set), dtype=int)

@@ -24,6 +24,8 @@ class FlatTorus:
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float).reshape(2, 2)
+        if not np.isfinite(b).all():   # a NaN would pass the determinant test below
+            raise ValueError(f"lattice basis must be finite, got {b.ravel().tolist()}")
         det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
         if abs(det) < 1e-12 * max(1.0, float(np.abs(b).max()) ** 2):
             raise DegenerateLattice(f"lattice basis is singular (det={det:.3e})")
@@ -47,6 +49,8 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     pairs are ordered by |k|^2 then lexicographically, so the output is
     deterministic.
     """
+    if not np.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff}")
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     dual = torus.dual_basis

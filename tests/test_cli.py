@@ -258,3 +258,30 @@ def test_non_finite_input_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("ERR CONFIG: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["-50", "-1e300"])
+def test_kernel_count_fast_decaying_coupling(tmp_path, capsys, mu):
+    # a coupling that lives only near t = 0: the graded march resolves it where
+    # uniform steps needed thousands (or more than the cap allows)
+    rc = main(["kernel-count", "--torus", SQ, "--cutoff", "2.5", "--eps", "1e-3",
+               f"--mu-pert={mu}", "--out", str(tmp_path / "pert")])
+    assert rc == 0
+    main(["kernel-count", "--torus", SQ, "--cutoff", "2.5", "--out", str(tmp_path / "free")])
+    rec, free = (json.loads((tmp_path / d / "kernel_count.json").read_text())
+                 for d in ("pert", "free"))
+    assert rec["dimension"] == free["dimension"] == 4
+    assert rec["singular_values"] and np.isfinite(rec["singular_values"]).all()
+
+
+def test_non_finite_lattice_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv in (["spectrum", "--cutoff", "inf"],
+                 ["spectrum", "--cutoff", "nan"],
+                 ["spectrum", "--torus", "nan,0,0,6"],
+                 ["spectrum", "--torus", "inf,0,0,6"],
+                 ["kernel-count", "--torus", "6,0,0,nan"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR CONFIG: ") and err.count("\n") == 1
+        assert not out.exists()

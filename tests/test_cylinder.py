@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import cylspec as cs
 from cylspec.cylinder import (CylinderOperator, CylinderSolution, _decaying_frame,
-                              _exp_moments, differentiate)
+                              _exp_moments, _frame_grid, differentiate)
 from cylspec.errors import (ConvergenceFailure, CriticalWeight, InsufficientTail,
                             PerturbationTooLarge)
 
@@ -511,19 +512,14 @@ def reference_frame(op: CylinderOperator, cols: np.ndarray) -> np.ndarray:
     return z
 
 
-@settings(max_examples=15, deadline=None)
-@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5)), eps=st.floats(0.0, 2e-2),
-       seed=st.integers(0, 2**32 - 1))
-def test_decaying_frame_matches_reference(torus_spec_15, torus_spec_25, data, cutoff,
-                                          eps, seed):
-    spec = torus_spec_15 if cutoff == 1.5 else torus_spec_25
+def assert_frame_matches_reference(spec, data, eps, mu_pert, seed):
     radius = spec.completeness_radius
     weight = data.draw(st.floats(-radius, radius))
     gap = np.abs(spec.eigenvalues - weight).min()
     assume(gap >= 1e-3 and eps < 0.5 * gap)
     cols = np.flatnonzero(spec.eigenvalues < weight)
     assume(cols.size)
-    pert = cs.make_perturbation(spec.dim, eps, -1.0, seed) if eps > 0 else None
+    pert = cs.make_perturbation(spec.dim, eps, mu_pert, seed) if eps > 0 else None
     op = CylinderOperator(spec, 30.0, 0.01, pert)
     s = negative_modes(spec)
     z, ref = _decaying_frame(op, cols), reference_frame(op, cols)
@@ -537,6 +533,72 @@ def test_decaying_frame_matches_reference(torus_spec_15, torus_spec_25, data, cu
     assert count.march_estimate <= 1e-9
     assert (count.march_steps > 0) == (pert is not None)
     assert "march" not in count.to_json()
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5)), eps=st.floats(0.0, 2e-2),
+       seed=st.integers(0, 2**32 - 1))
+def test_decaying_frame_matches_reference(torus_spec_15, torus_spec_25, data, cutoff,
+                                          eps, seed):
+    spec = torus_spec_15 if cutoff == 1.5 else torus_spec_25
+    assert_frame_matches_reference(spec, data, eps, -1.0, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5)), eps=st.floats(0.0, 2e-2),
+       mu_pert=st.floats(-5.0, -0.1), seed=st.integers(0, 2**32 - 1))
+def test_graded_frame_matches_reference(torus_spec_15, torus_spec_25, data, cutoff,
+                                        eps, mu_pert, seed):
+    # the march's grid grades with the coupling's decay rate; the reference
+    # stays uniform, so a grading that misplaces its steps shows here
+    spec = torus_spec_15 if cutoff == 1.5 else torus_spec_25
+    assert_frame_matches_reference(spec, data, eps, mu_pert, seed)
+
+
+def test_frame_grid():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the last node must not take log1p(-1)
+        grids = {(t_final, mu, n): _frame_grid(t_final, mu, n)
+                 for t_final in (5.0, 30.0) for mu in (-1e-12, -0.1, -1.0, -5.0, -50.0, -1e300)
+                 for n in (1, 2, 7, 160)}
+    for (t_final, mu, n), t in grids.items():
+        assert t.size == n + 1
+        assert t[0] == 0.0 and t[-1] == t_final
+        assert np.all(np.diff(t) > 0)
+    # uniform steps in s = (1 - e^{-a t}) / a: e^{-a t} falls by the same amount
+    # each step, so sinh(a H / 2) grows by e^{a (distance between step midpoints)}
+    for mu in (-0.1, -1.0, -5.0):
+        a = -mu / 5.0
+        t = grids[30.0, mu, 160]
+        hs, mid = np.diff(t), 0.5 * (t[:-1] + t[1:])
+        grow = np.sinh(0.5 * a * hs[1:]) / np.sinh(0.5 * a * hs[:-1])
+        assert np.allclose(grow, np.exp(a * np.diff(mid)), rtol=1e-9, atol=0.0)
+    # a -> 0 recovers the uniform grid
+    for t_final, n in ((5.0, 7), (30.0, 160)):
+        assert np.allclose(grids[t_final, -1e-12, n], t_final * np.arange(n + 1) / n,
+                           rtol=0.0, atol=1e-9)
+
+
+def test_graded_march_step_count():
+    # at the cylinder-end size the graded grid settles at a third of the
+    # uniform march's 480 steps
+    spec = cs.eigendecompose(cs.build_torus_model(cs.square_torus(), 10.0))
+    pert = cs.make_perturbation(spec.dim, 1e-3, -1.0, seed=4)
+    op = CylinderOperator(spec, 30.0, 0.01, pert)
+    count = cs.perturbed_kernel_count(op, 0.5, negative_modes(spec))
+    assert count.dimension == spec.d0()
+    assert count.march_steps <= 160
+    assert count.march_estimate <= 1e-9
+
+
+@pytest.mark.parametrize("mu_pert", (-50.0, -1e300))
+def test_fast_decaying_coupling_settles_early(torus_spec_25, mu_pert):
+    # the coupling lives only near t = 0, where the graded grid puts its steps
+    pert = cs.make_perturbation(torus_spec_25.dim, 1e-3, mu_pert, seed=0)
+    op = CylinderOperator(torus_spec_25, 30.0, 0.01, pert)
+    count = cs.perturbed_kernel_count(op, 0.5, negative_modes(torus_spec_25))
+    assert count.dimension == torus_spec_25.d0()
+    assert count.march_steps <= 32 and count.march_estimate <= 1e-9
 
 
 @pytest.mark.parametrize("eps", (1e-3, 5e-4))
