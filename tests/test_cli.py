@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -146,6 +147,9 @@ def test_reproduce_tori(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+    # the probe axiom check reads exactly 0.0 on this model, as the exact one did
+    assert ("PASS model axioms: residuals {'selfadjoint': 0.0, 'j_square': 0.0, "
+            "'j_orthogonal': 0.0, 'anticommute': 0.0}\n") in out
     # both multiplicity conventions recorded, neither asserted
     assert "= 8" in out and "12" in out
 
@@ -272,6 +276,19 @@ def test_kernel_count_fast_decaying_coupling(tmp_path, capsys, mu):
                  for d in ("pert", "free"))
     assert rec["dimension"] == free["dimension"] == 4
     assert rec["singular_values"] and np.isfinite(rec["singular_values"]).all()
+
+
+def test_oversized_torus_model_is_config_error(tmp_path, capsys):
+    # rejected from the estimated dim, before any lattice point is enumerated
+    out = tmp_path / "out"
+    for cutoff in ("1e4", "1e12"):
+        start = time.perf_counter()
+        assert main(["spectrum", "--cutoff", cutoff, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("ERR CONFIG: cutoff ") and err.count("\n") == 1
+        assert "above the limit 4096" in err
+        assert not out.exists()
 
 
 def test_non_finite_lattice_is_config_error(tmp_path, capsys):

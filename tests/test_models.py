@@ -1,8 +1,14 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cylspec as cs
-from cylspec.models import I1, I2, I3
+from cylspec.models import _AXIOM_TOL, I1, I2, I3
 
 
 def test_quaternion_algebra():
@@ -111,3 +117,117 @@ def test_torus_model_axioms_random_lattices():
         for c in spec.clusters:
             mirror = spec.cluster_at(-c.lam)
             assert mirror is not None and mirror.dim == c.dim
+
+
+# ---------------------------------------------------------------------------
+# reference axiom check: dense dim^3 products over every entry of each axiom
+
+def exact_axiom_residuals(model: cs.DiracModel) -> dict:
+    """Max-norm residuals of the model axioms over the whole matrices."""
+    m = model.mass[:, None]
+    j = model.complex_structure
+    md = sparse.diags(model.mass) @ model.dirac
+    return {
+        "selfadjoint": float(abs(md - md.T).max()),
+        "j_square": float(np.abs(j @ j + np.eye(model.dim)).max()),
+        "j_orthogonal": float(np.abs(j.T @ (m * j) - np.diag(model.mass)).max()),
+        "anticommute": float(np.abs(model.dirac @ j + j @ model.dirac).max()),
+    }
+
+
+def exact_passes(res: dict) -> bool:
+    return all(res[k] <= t for k, t in _AXIOM_TOL.items())
+
+
+# A planted entry (i, k) reaches the probe residual through row k of the
+# probe block X, whose largest |X[k, c]| over its 8 columns is at least 0.51
+# on every row up to dim 1268; so the probe reads at least about half of the
+# exact residual (1/1.59 at worst, planted on the rows of X with the smallest
+# entries), and F = 2.5 leaves room for roundoff.
+PROBE_FACTOR = 2.5
+
+SL_MESHES = [("quad", n) for n in range(3, 11)] + [("genus2", 0), ("triangulated", 6)]
+
+
+@functools.lru_cache(maxsize=None)
+def sl_model(kind: str, n: int) -> cs.DiracModel:
+    torus = cs.square_torus()
+    if kind == "quad":
+        return cs.build_sl_model(cs.quad_torus_complex(torus, n))
+    if kind == "genus2":
+        return cs.build_sl_model(cs.genus2_quad_complex())
+    return cs.build_sl_model(cs.build_dec(cs.triangulated_torus_mesh(torus, n)))
+
+
+@st.composite
+def axiom_models(draw):
+    """Block models on quad grids, the genus-2 complex and a triangulated
+    torus, or torus models on random lattices."""
+    if draw(st.booleans()):
+        return sl_model(*draw(st.sampled_from(SL_MESHES)))
+    diag = draw(st.lists(st.floats(3.0, 8.0), min_size=2, max_size=2))
+    off = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+    basis = np.array([[diag[0], off[0]], [off[1], diag[1]]])
+    return cs.build_torus_model(cs.FlatTorus(basis), draw(st.floats(1.0, 10.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), model=axiom_models(), in_j=st.booleans(),
+       delta=st.floats(1e-11, 1e-3))
+def test_probe_check_matches_exact(data, model, in_j, delta):
+    probe = cs.check_model(model)
+    assert probe.passed, probe.residuals
+    assert exact_passes(exact_axiom_residuals(model))
+
+    # plant a single-entry error in J or in D
+    i, k = (data.draw(st.integers(0, model.dim - 1)) for _ in range(2))
+    if in_j:
+        jmat = model.complex_structure.copy()
+        jmat[i, k] += delta
+        bad = replace(model, complex_structure=jmat)
+    else:
+        planted = sparse.csr_matrix(([delta], ([i], [k])), shape=model.dirac.shape)
+        bad = replace(model, dirac=model.dirac + planted)
+    probe = cs.check_model(bad)
+    exact = exact_axiom_residuals(bad)
+    assert probe.residuals["selfadjoint"] == exact["selfadjoint"]
+    for key in ("j_square", "j_orthogonal", "anticommute"):
+        assert probe.residuals[key] >= exact[key] / PROBE_FACTOR, (key, probe, exact)
+    flagged = any(exact[key] > PROBE_FACTOR * tol for key, tol in _AXIOM_TOL.items())
+    if delta >= 1e-6:
+        assert flagged, exact
+    if flagged:
+        assert not probe.passed and not exact_passes(exact)
+
+
+def test_check_model_catches_mutants(square_t):
+    # build_sl_model with one J block's sign flipped, or with the face masses'
+    # factor 1/star2 dropped
+    cc = cs.quad_torus_complex(square_t, 8)
+    model = cs.build_sl_model(cc)
+    s0, s1, s2 = slice(0, cc.n0), slice(cc.n0, cc.n0 + cc.n2), slice(cc.n0 + cc.n2, model.dim)
+    jmat = model.complex_structure.copy()
+    jmat[s0, s2] *= -1
+    mass = model.mass.copy()
+    mass[s1] = 1.0
+    for mutant in (replace(model, complex_structure=jmat), replace(model, mass=mass)):
+        assert not cs.check_model(mutant).passed
+        assert not exact_passes(exact_axiom_residuals(mutant))
+
+
+def test_torus_model_size_guard(square_t):
+    # dim is about 4 pi cutoff on the square 2 pi torus: the limit sits near
+    # cutoff 326; one point per antipodal pair plus k = 0 gives dim 4 (2 n - 1)
+    npts = cs.dual_lattice_points(square_t, 300.0).shape[0]
+    assert 4 * (2 * npts - 1) <= cs.models.MAX_TORUS_DIM
+    with pytest.raises(cs.errors.ConfigError, match="dim about 5026.55, above the limit 4096"):
+        cs.build_torus_model(square_t, 400.0)
+
+
+def test_torus_model_size_guard_on_thin_lattice(monkeypatch):
+    # dual basis diag(1/30, 30): the disc |k|^2 <= 2 holds 85 points on one
+    # line, where the area estimate counts 6
+    monkeypatch.setattr(cs.models, "MAX_TORUS_DIM", 100)
+    thin = cs.FlatTorus(np.diag([60 * np.pi, np.pi / 15]))
+    with pytest.raises(cs.errors.ConfigError, match="dim 340, above the limit 100"):
+        cs.build_torus_model(thin, 2.0)
