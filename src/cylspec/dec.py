@@ -16,7 +16,7 @@ import scipy.sparse.linalg as sparse_linalg
 
 from .errors import ConvergenceFailure, DegenerateTriangle
 from .lattice import FlatTorus
-from .mesh import TriangulatedSurface, _genus2_quads
+from .mesh import TriangulatedSurface, _genus2_quads, _match_sides, _side_senses
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,16 @@ def _incidence_d0(edges, n0: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, edges.ravel())), shape=(n1, n0), dtype=np.int64)
 
 
+def _incidence_d1(face_edges, sense, n1: int) -> sparse.csr_matrix:
+    """Signed edge-face incidence: row f is sense[f, k] at edge face_edges[f, k]
+    for every side k of face f."""
+    face_edges = np.asarray(face_edges, dtype=np.int64)
+    rows = np.repeat(np.arange(face_edges.shape[0]), face_edges.shape[1])
+    return sparse.csr_matrix((np.asarray(sense, dtype=np.int64).ravel(),
+                              (rows, face_edges.ravel())),
+                             shape=(face_edges.shape[0], n1), dtype=np.int64)
+
+
 def _triangle_geometry(surface: TriangulatedSurface):
     """Areas, per-corner cotangents and acuteness from intrinsic side lengths."""
     s = surface.side_lengths()                 # (n2, 3): sides (a,b), (b,c), (c,a)
@@ -110,21 +120,11 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
     produce non-positive masses and is rejected).
     """
     surface.validate()
-    n0, n1, n2 = surface.n_vertices, surface.n_edges, surface.n_triangles
-    tris, tedges, edges = surface.triangles, surface.triangle_edges, surface.edges
+    n0, n1 = surface.n_vertices, surface.n_edges
+    tris, tedges = surface.triangles, surface.triangle_edges
 
-    d0 = _incidence_d0(edges, n0)
-
-    rows, cols, vals = [], [], []
-    for t in range(n2):
-        a, b, c = tris[t]
-        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-            e = int(tedges[t, k])
-            sense = 1 if (int(u), int(v)) == (int(edges[e][0]), int(edges[e][1])) else -1
-            rows.append(t)
-            cols.append(e)
-            vals.append(sense)
-    d1 = sparse.csr_matrix((vals, (rows, cols)), shape=(n2, n1), dtype=np.int64)
+    d0 = _incidence_d0(surface.edges, n0)
+    d1 = _incidence_d1(tedges, surface.side_senses(), n1)
 
     area, cot, acute = _triangle_geometry(surface)
     if stars == "auto":
@@ -134,33 +134,26 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
     else:
         raise ValueError(f"unknown star mode {stars!r}")
 
+    # per-triangle contributions, accumulated in triangle order
     s = surface.side_lengths()
-    star0 = np.zeros(n0)
-    star1 = np.zeros(n1)
+    sq = s * s
     if mode == "circumcentric":
         if not acute:
             raise DegenerateTriangle("circumcentric stars require an acute mesh")
-        for t in range(n2):
-            a, b, c = (int(x) for x in tris[t])
-            # corner dual areas: at vertex a the adjacent sides are (a,b) and (c,a)
-            sq = s[t] * s[t]
-            star0[a] += 0.125 * (sq[0] * cot[t, 0] + sq[2] * cot[t, 2])
-            star0[b] += 0.125 * (sq[1] * cot[t, 1] + sq[0] * cot[t, 0])
-            star0[c] += 0.125 * (sq[2] * cot[t, 2] + sq[1] * cot[t, 1])
-            for k in range(3):
-                star1[int(tedges[t, k])] += 0.5 * cot[t, k]
+        # corner dual areas: corner k lies on sides k and k-1
+        w = sq * cot
+        corner = 0.125 * (w + np.roll(w, 1, axis=1))
+        side = 0.5 * cot
     else:
+        corner = np.repeat(area / 3.0, 3)
         # medians: distance from barycenter to the midpoint of side k is m_k / 3
-        sq = s * s
-        for t in range(n2):
-            a, b, c = (int(x) for x in tris[t])
-            star0[a] += area[t] / 3.0
-            star0[b] += area[t] / 3.0
-            star0[c] += area[t] / 3.0
-            for k in range(3):
-                m_k = 0.5 * np.sqrt(max(2 * sq[t, (k + 1) % 3] + 2 * sq[t, (k + 2) % 3]
-                                        - sq[t, k], 0.0))
-                star1[int(tedges[t, k])] += (m_k / 3.0) / s[t, k]
+        median = 0.5 * np.sqrt(np.maximum(2 * np.roll(sq, -1, axis=1)
+                                          + 2 * np.roll(sq, -2, axis=1) - sq, 0.0))
+        side = (median / 3.0) / s
+    star0 = np.zeros(n0)
+    star1 = np.zeros(n1)
+    np.add.at(star0, tris.ravel(), corner.ravel())
+    np.add.at(star1, tedges.ravel(), side.ravel())
     star2 = 1.0 / area
 
     meta = {"kind": "triangulated", "genus": surface.genus, "total_area": float(area.sum())}
@@ -198,14 +191,8 @@ def quad_torus_complex(torus: FlatTorus, n: int, m: int | None = None) -> Cochai
     d0 = _incidence_d0(np.concatenate([np.column_stack([vid(i, j), vid(i + 1, j)]),
                                        np.column_stack([vid(i, j), vid(i, j + 1)])]), nm)
 
-    rows, cols, vals = [], [], []
-    for j in range(m):
-        for i in range(n):
-            f = j * n + i
-            rows.extend((f, f, f, f))
-            cols.extend((he(i, j), ve(i + 1, j), he(i, j + 1), ve(i, j)))
-            vals.extend((1, 1, -1, -1))
-    d1 = sparse.csr_matrix((vals, (rows, cols)), shape=(nm, 2 * nm), dtype=np.int64)
+    faces = np.column_stack([he(i, j), ve(i + 1, j), he(i, j + 1), ve(i, j)])
+    d1 = _incidence_d1(faces, np.tile([1, 1, -1, -1], (nm, 1)), 2 * nm)
 
     star0 = np.full(nm, dx * dy)
     star1 = np.concatenate([np.full(nm, dy / dx), np.full(nm, dx / dy)])
@@ -219,34 +206,11 @@ def genus2_quad_complex() -> CochainComplex:
     """Unit-square quad complex of the closed genus-2 voxel surface."""
     positions, quads = _genus2_quads()
     n0, n2 = positions.shape[0], quads.shape[0]
-    edge_index: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int]] = []
-
-    def eid(u, v):
-        key = (min(u, v), max(u, v))
-        if key not in edge_index:
-            edge_index[key] = len(edges)
-            edges.append(key)
-        return edge_index[key]
-
-    rows1, cols1, vals1 = [], [], []
-    for f in range(n2):
-        q = [int(x) for x in quads[f]]
-        for k in range(4):
-            u, v = q[k], q[(k + 1) % 4]
-            e = eid(u, v)
-            rows1.append(f)
-            cols1.append(e)
-            vals1.append(1 if (u, v) == edges[e] else -1)
-    n1 = len(edges)
+    edges, quad_edges = _match_sides(quads)
+    n1 = edges.shape[0]
     d0 = _incidence_d0(edges, n0)
-    d1 = sparse.csr_matrix((vals1, (rows1, cols1)), shape=(n2, n1), dtype=np.int64)
-
-    deg = np.zeros(n0)
-    for f in range(n2):
-        for v in quads[f]:
-            deg[int(v)] += 1.0
-    star0 = deg / 4.0
+    d1 = _incidence_d1(quad_edges, _side_senses(quads, edges, quad_edges), n1)
+    star0 = np.bincount(quads.ravel(), minlength=n0) / 4.0
     star1 = np.ones(n1)
     star2 = np.ones(n2)
     meta = {"kind": "quad-voxel", "genus": 2, "total_area": float(n2)}
@@ -285,17 +249,19 @@ def numeric_kernel_dim(eigenvalues: np.ndarray) -> int:
     return int(np.count_nonzero(ev < 1e-6 * above[0]))
 
 
-def mass_eigh(sym: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense eigenpairs of an operator that is symmetric for the diagonal mass
-    M, given as its conjugate sym = M^{1/2} A M^{-1/2}, or M^{-1/2} K M^{-1/2}
-    for a stiffness pencil K v = lam M v.  sym is symmetrised before the solve;
-    eigenvalues are ascending and eigenvectors M-orthonormal columns."""
+def mass_eigh(stiff: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense eigenpairs of the stiffness pencil K v = lam M v for the diagonal
+    mass M, solved as the conjugate M^{-1/2} K M^{-1/2}; for an operator A
+    symmetric for M, pass K = M A.  The conjugate is symmetrised before the
+    solve; eigenvalues are ascending and eigenvectors M-orthonormal columns."""
+    rt = np.sqrt(mass)
+    sym = stiff / rt[:, None] / rt[None, :]
     sym = 0.5 * (sym + sym.T)
     try:
         vals, y = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    return vals, y / np.sqrt(mass)[:, None]
+    return vals, y / rt[:, None]
 
 
 def smallest_eigenvalues(op: SymmetricOperator, k: int) -> np.ndarray:
@@ -304,9 +270,7 @@ def smallest_eigenvalues(op: SymmetricOperator, k: int) -> np.ndarray:
     stiff = (sparse.diags(op.mass) @ op.matrix).tocsc()
     stiff = (0.5 * (stiff + stiff.T)).tocsc()
     if k >= n - 1 or n <= 600:
-        dense = stiff.toarray()
-        rt = 1.0 / np.sqrt(op.mass)
-        return mass_eigh(rt[:, None] * dense * rt[None, :], op.mass)[0][:k]
+        return mass_eigh(stiff.toarray(), op.mass)[0][:k]
     mass = sparse.diags(op.mass).tocsc()
     sigma = -1e-6 * max(1.0, abs(stiff.diagonal()).max() / op.mass.max())
     try:

@@ -58,19 +58,32 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     if smin <= 0:
         raise DegenerateLattice("dual lattice is rank deficient")
     nmax = int(np.ceil(np.sqrt(cutoff) / smin)) + 1
-    reps = []
-    for n1 in range(-nmax, nmax + 1):
-        for n2 in range(-nmax, nmax + 1):
-            if (n1, n2) == (0, 0):
-                continue
-            # keep one representative of {n, -n}
-            if n1 < 0 or (n1 == 0 and n2 < 0):
-                continue
-            k = dual @ (n1, n2)
-            if float(k @ k) <= cutoff:
-                reps.append(k)
-    reps.sort(key=lambda k: (float(k @ k), k[0], k[1]))
-    return np.vstack([np.zeros((1, 2))] + [r.reshape(1, 2) for r in reps])
+    # enumerate over a Lagrange-Gauss reduced basis (b1, b2) = dual @ (u1, u2):
+    # its coordinate box around the ball is about as large as the ball's
+    # point count, however long and thin the lattice
+    b1, b2, u1, u2 = dual[:, 0], dual[:, 1], np.array([1, 0]), np.array([0, 1])
+    while True:
+        if b2 @ b2 < b1 @ b1:
+            b1, b2, u1, u2 = b2, b1, u2, u1
+        q = round(float(b1 @ b2 / (b1 @ b1)))
+        if q == 0:
+            break
+        b2, u2 = b2 - q * b1, u2 - q * u1
+    bound = np.sqrt(cutoff) * np.linalg.norm(np.linalg.inv(np.column_stack([b1, b2])), axis=1)
+    grid = np.stack(np.meshgrid(*(np.arange(-b, b + 1) for b in bound.astype(int) + 1),
+                                indexing="ij"), axis=-1)
+    n = grid.reshape(-1, 2) @ np.column_stack([u1, u2]).T
+    # one representative of {n, -n} inside the box of side nmax, in box order
+    n = n[(n[:, 0] > 0) | ((n[:, 0] == 0) & (n[:, 1] > 0))]
+    n = n[(np.abs(n) <= nmax).all(axis=1)]
+    n = n[np.lexsort((n[:, 1], n[:, 0]))]
+    # k and |k|^2 by the same matmul calls per point as a loop over k = dual @ n
+    k = np.matmul(dual, n.astype(float)[:, :, None])[:, :, 0]
+    kk = np.matmul(k[:, None, :], k[:, :, None])[:, 0, 0]
+    inside = kk <= cutoff
+    k, kk = k[inside], kk[inside]
+    order = np.lexsort((k[:, 1], k[:, 0], kk))
+    return np.vstack([np.zeros((1, 2)), k[order]])
 
 
 def torus_fourier_spectrum(torus: FlatTorus, cutoff: float) -> list[tuple[float, int]]:

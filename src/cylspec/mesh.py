@@ -58,33 +58,28 @@ class TriangulatedSurface:
         """Per-triangle side lengths, aligned with ``triangle_edges``; shape (n2, 3)."""
         return self.edge_lengths[self.triangle_edges]
 
+    def side_senses(self) -> np.ndarray:
+        """+1 where side k of triangle t runs along its edge, -1 where it runs
+        against it, 0 where it does not join the edge's endpoints; shape (n2, 3)."""
+        return _side_senses(self.triangles, self.edges, self.triangle_edges)
+
     def validate(self):
         """Check closedness, orientability and metric nondegeneracy."""
-        counts = np.zeros(self.n_edges, dtype=int)
-        senses: dict[tuple[int, int], int] = {}
-        tris = self.triangles
-        for t in range(self.n_triangles):
-            a, b, c = tris[t]
-            for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                e = int(self.triangle_edges[t, k])
-                counts[e] += 1
-                eu, ev = self.edges[e]
-                if (int(u), int(v)) == (int(eu), int(ev)):
-                    sense = 1
-                elif (int(u), int(v)) == (int(ev), int(eu)):
-                    sense = -1
-                else:
-                    raise NonManifoldEdge(
-                        f"triangle {t} side {k} does not match endpoints of edge {e}")
-                senses[(e, counts[e])] = sense
+        sense = self.side_senses()
+        if not sense.all():
+            t, k = np.argwhere(sense == 0)[0]
+            raise NonManifoldEdge(f"triangle {t} side {k} does not match endpoints "
+                                  f"of edge {self.triangle_edges[t, k]}")
+        sides = self.triangle_edges.ravel()
+        counts = np.bincount(sides, minlength=self.n_edges)
         if not np.all(counts == 2):
             bad = int(np.flatnonzero(counts != 2)[0])
             raise NonManifoldEdge(
                 f"edge {bad} belongs to {counts[bad]} triangles (expected 2)")
-        for e in range(self.n_edges):
-            if senses[(e, 1)] * senses[(e, 2)] != -1:
-                raise NonManifoldEdge(
-                    f"edge {e} is traversed twice in the same direction (orientation clash)")
+        clash = np.flatnonzero(np.bincount(sides, weights=sense.ravel(), minlength=self.n_edges))
+        if clash.size:
+            raise NonManifoldEdge(f"edge {clash[0]} is traversed twice in the same "
+                                  f"direction (orientation clash)")
         s = self.side_lengths()
         a, b, c = s[:, 0], s[:, 1], s[:, 2]
         # Heron in stable form
@@ -93,6 +88,42 @@ class TriangulatedSurface:
         if np.any(area_sq <= 1e-12 * np.maximum(1.0, sp**4)):
             raise DegenerateTriangle(
                 f"triangle {int(np.argmin(area_sq))} has (near) zero area")
+
+
+def _side_senses(faces, edges, face_edges) -> np.ndarray:
+    """+1 / -1 where side k of face f, from corner k to corner k+1, runs
+    along / against its edge face_edges[f, k]; 0 where it misses the edge's
+    endpoints."""
+    tail, head = faces, np.roll(faces, -1, axis=1)
+    eu, ev = edges[face_edges, 0], edges[face_edges, 1]
+    return np.where((tail == eu) & (head == ev), 1, np.where((tail == ev) & (head == eu), -1, 0))
+
+
+def _match_sides(faces) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of closed oriented faces given as vertex cycles, one per row.
+
+    Returns the edges as (min, max) vertex pairs in order of first occurrence
+    and the edge id of every face side (side k runs from corner k to k+1).
+    Every directed side must occur once and its reverse once.
+    """
+    faces = np.asarray(faces, dtype=int)
+    tail, head = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    base = int(faces.min())
+    span = int(faces.max()) - base + 1
+    code = lambda u, v: (u - base) * span + (v - base)
+    directed = code(tail, head)
+    _, once = np.unique(directed, return_index=True)
+    if once.size < directed.size:
+        i = np.setdiff1d(np.arange(directed.size), once)[0]
+        raise NonManifoldEdge(f"directed side {(int(tail[i]), int(head[i]))} occurs twice")
+    lone = np.flatnonzero(~np.isin(code(head, tail), directed))
+    if lone.size:
+        i = lone[0]
+        raise NonManifoldEdge(f"side ({tail[i]}, {head[i]}) has no oppositely oriented partner")
+    low, high = np.minimum(tail, head), np.maximum(tail, head)
+    _, first, inverse = np.unique(code(low, high), return_index=True, return_inverse=True)
+    return (np.column_stack([low, high])[np.sort(first)],
+            np.argsort(np.argsort(first))[inverse].reshape(faces.shape))
 
 
 def surface_from_triangles(positions, triangles) -> TriangulatedSurface:
@@ -105,25 +136,7 @@ def surface_from_triangles(positions, triangles) -> TriangulatedSurface:
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
-    directed: dict[tuple[int, int], tuple[int, int]] = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-            key = (int(u), int(v))
-            if key in directed:
-                raise NonManifoldEdge(f"directed side {key} occurs twice")
-            directed[key] = (t, k)
-    edge_index: dict[tuple[int, int], int] = {}
-    edges = []
-    tri_edges = np.full((triangles.shape[0], 3), -1, dtype=int)
-    for (u, v), (t, k) in directed.items():
-        if (v, u) not in directed:
-            raise NonManifoldEdge(f"side ({u}, {v}) has no oppositely oriented partner")
-        key = (min(u, v), max(u, v))
-        if key not in edge_index:
-            edge_index[key] = len(edges)
-            edges.append(key)
-        tri_edges[t, k] = edge_index[key]
-    edges = np.asarray(edges, dtype=int)
+    edges, tri_edges = _match_sides(triangles)
     d = positions[edges[:, 0]] - positions[edges[:, 1]]
     edge_lengths = np.sqrt(np.einsum("ij,ij->i", d, d))
     surf = TriangulatedSurface(positions, triangles, edges, tri_edges, edge_lengths)

@@ -16,13 +16,17 @@ form.  The block model acts on
 realizing the operator
 
         [ 0    0    d* ]
-    D = [ 0    0    *d ]       J = [[0, 1, 0], [-1, 0, 0], [0, 0, -*]]
+    D = [ 0    0    *d ]
         [ d   -*d   0  ]
 
 with d* and *d the mass adjoints; D^2 equals the direct sum of the primal
 0-form, dual 0-form and 1-form Laplacians exactly, by d o d = 0 alone.  On
 self-dual quad-grid tori the dual 0-form Laplacian is entrywise the primal
-one, so D^2 = L0 + L0 + L1 holds verbatim there.
+one, so D^2 = L0 + L0 + L1 holds verbatim there.  J is a table of pairs
+(x, y) with J x = -y and J y = x: vertex functions with exact cochains, face
+functions with coexact cochains, and the two constants with each other; on
+harmonic cochains it is a polar-corrected quarter-turn.  So J joins vertex
+and face functions only through the constants (a rank-1 block).
 """
 
 from dataclasses import dataclass, field
@@ -171,47 +175,25 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
 # ---------------------------------------------------------------------------
 # block model on a DEC complex
 
-def _mass_eigh(stiff: np.ndarray, mass: np.ndarray):
-    """Eigenpairs of the mass-symmetric pencil: stiff v = lam * diag(mass) v."""
-    rt = np.sqrt(mass)
-    return mass_eigh(stiff / rt[:, None] / rt[None, :], mass)
-
-
-def _face_cycle_rotation(cc: CochainComplex) -> np.ndarray:
+def _face_cycle_rotation(cc: CochainComplex) -> sparse.csr_matrix:
     """Combinatorial quarter-turn candidate on 1-cochains: within every face,
-    each directed boundary side feeds the next one along the cycle.  Only its
+    each directed boundary side feeds the next one along the cycle.  Faces
+    whose boundary passes a vertex twice contribute nothing.  Only its
     compression to the harmonic subspace is used; polar correction makes that
     an exact anti-involution."""
-    n1 = cc.n1
-    rot = np.zeros((n1, n1))
-    d0 = cc.d0.tocoo()
-    tail = np.zeros(n1, dtype=int)
-    head = np.zeros(n1, dtype=int)
-    for e, v, s in zip(d0.row, d0.col, d0.data):
-        if s < 0:
-            tail[e] = v
-        else:
-            head[e] = v
-    d1 = cc.d1.tocoo()
-    by_face: dict[int, list[tuple[int, int]]] = {}
-    for f, e, s in zip(d1.row, d1.col, d1.data):
-        by_face.setdefault(int(f), []).append((int(e), int(s)))
-    for sides in by_face.values():
-        start = {}
-        for e, s in sides:
-            u = tail[e] if s > 0 else head[e]
-            if int(u) in start:
-                start = {}
-                break
-            start[int(u)] = (e, s)
-        if not start:
-            # repeated boundary vertex: give up on this face's contribution
-            continue
-        for e, s in sides:
-            v = head[e] if s > 0 else tail[e]    # endpoint of the directed side
-            e2, s2 = start[int(v)]
-            rot[e2, e] += 0.25 * s * s2
-    return rot
+    n0, n1 = cc.n0, cc.n1
+    d0, d1 = cc.d0.tocoo(), cc.d1.tocoo()
+    ends = np.zeros((2, n1), dtype=int)                 # tail, head of every edge
+    ends[(d0.data > 0).astype(int), d0.row] = d0.col
+    face, edge, sense = d1.row.astype(np.int64), d1.col, d1.data
+    forward = (sense > 0).astype(int)
+    start = face * n0 + ends[1 - forward, edge]          # (face, first vertex) of each side
+    starts, first, count = np.unique(start, return_index=True, return_counts=True)
+    ok = ~np.isin(face, face[first[count > 1]])
+    nxt = first[np.minimum(np.searchsorted(starts, face * n0 + ends[forward, edge]),
+                           starts.size - 1)]
+    return sparse.csr_matrix((0.25 * sense[ok] * sense[nxt[ok]], (edge[nxt[ok]], edge[ok])),
+                             shape=(n1, n1))
 
 
 def _harmonic_complex_structure(harm: np.ndarray, mass1: np.ndarray,
@@ -256,7 +238,7 @@ def _harmonic_basis(cc: CochainComplex) -> np.ndarray:
         lap1 = laplacian1(cc)
         stiff = (sparse.diags(cc.star1) @ lap1.matrix).toarray()
         stiff = 0.5 * (stiff + stiff.T)
-        vals, vecs = _mass_eigh(stiff, cc.star1)
+        vals, vecs = mass_eigh(stiff, cc.star1)
         twog = 2 * cc.genus
         h = vecs[:, :twog]
         gap = vals[twog] if stiff.shape[0] > twog else np.inf
@@ -308,8 +290,8 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     d1 = cc.d1.toarray().astype(float)
 
     # spectral data of the two function Laplacians
-    vals0, vecs0 = _mass_eigh((d0.T * m1[None, :]) @ d0, m0)
-    vals2, vecs2 = _mass_eigh((d1 / m1[None, :]) @ d1.T, m2d)
+    vals0, vecs0 = mass_eigh((d0.T * m1[None, :]) @ d0, m0)
+    vals2, vecs2 = mass_eigh((d1 / m1[None, :]) @ d1.T, m2d)
     tol0 = 1e-8 * max(vals0.max(), 1.0)
     tol2 = 1e-8 * max(vals2.max(), 1.0)
     if np.count_nonzero(vals0 < tol0) != 1 or np.count_nonzero(vals2 < tol2) != 1:

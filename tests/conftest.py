@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import cylspec as cs
 
@@ -51,3 +52,15 @@ def fourier_oracle(torus, count):
         if len(out) >= count:
             break
     return np.array(out[:count])
+
+
+@st.composite
+def lattice_bases(draw):
+    """Well-conditioned lattice bases (generators as columns): square,
+    rectangular or oblique, sides in [1, 8], angle in [60, 90] degrees."""
+    kind = draw(st.sampled_from(["square", "rectangular", "oblique"]))
+    a = draw(st.floats(min_value=1.0, max_value=8.0))
+    b = a if kind == "square" else draw(st.floats(min_value=1.0, max_value=8.0))
+    angle = np.pi / 2 if kind != "oblique" else draw(st.floats(min_value=np.pi / 3,
+                                                               max_value=np.pi / 2))
+    return np.array([[a, b * np.cos(angle)], [0.0, b * np.sin(angle)]])

@@ -291,6 +291,18 @@ def test_oversized_torus_model_is_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+
+def test_long_thin_lattice_is_config_error(tmp_path, capsys):
+    # the estimated dim (126) passes; the enumerated modes are rejected
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["spectrum", "--torus", "1884.9556,0,0,0.020944", "--cutoff", "10",
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ("ERR CONFIG: cutoff 10 gives a torus model of "
+                                       "dim 7588, above the limit 4096\n")
+    assert not out.exists()
+
 def test_non_finite_lattice_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     for argv in (["spectrum", "--cutoff", "inf"],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cylspec as cs
 from cylspec.errors import DegenerateLattice
@@ -90,3 +92,37 @@ def test_spectrum_properties_random_lattices():
         want = brute_spectrum(torus.dual_basis, 30.0, nmax=25)
         assert len(spec) == len(want)
         assert [d for _, d in spec] == [d for _, d in want]
+
+
+def reference_dual_lattice_points(torus, cutoff):
+    """The integer-box loop dual_lattice_points replaced: every n in
+    [-nmax, nmax]^2 with n1 > 0 or (n1 = 0, n2 > 0), kept when
+    |dual @ n|^2 <= cutoff, sorted by (|k|^2, k)."""
+    dual = torus.dual_basis
+    smin = np.linalg.svd(dual, compute_uv=False)[-1]
+    nmax = int(np.ceil(np.sqrt(cutoff) / smin)) + 1
+    reps = []
+    for n1 in range(-nmax, nmax + 1):
+        for n2 in range(-nmax, nmax + 1):
+            if (n1, n2) == (0, 0):
+                continue
+            if n1 < 0 or (n1 == 0 and n2 < 0):
+                continue
+            k = dual @ (n1, n2)
+            if float(k @ k) <= cutoff:
+                reps.append(k)
+    reps.sort(key=lambda k: (float(k @ k), k[0], k[1]))
+    return np.vstack([np.zeros((1, 2))] + [r.reshape(1, 2) for r in reps])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-8.0, max_value=8.0), min_size=4, max_size=4),
+       st.floats(min_value=0.1, max_value=40.0))
+def test_dual_lattice_points_match_box_loop(entries, cutoff):
+    basis = np.array(entries).reshape(2, 2)
+    assume(abs(basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]) >= 0.2)
+    torus = cs.FlatTorus(basis)
+    got = cs.dual_lattice_points(torus, cutoff)
+    want = reference_dual_lattice_points(torus, cutoff)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+

@@ -1,8 +1,14 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cylspec as cs
 from cylspec.errors import NonManifoldEdge
+from cylspec.mesh import _genus2_quads, _match_sides
 
 
 def test_2x2_grid_torus_counts(square_t):
@@ -84,3 +90,157 @@ def test_degenerate_triangle_rejected():
     pos = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
     with pytest.raises(DegenerateTriangle):
         cs.surface_from_triangles(pos, [[0, 1, 2], [0, 2, 1]])
+
+
+# ---------------------------------------------------------------------------
+# the per-side loops that vectorised matching and validation replaced
+
+def reference_match_triangles(triangles):
+    """Directed-side dict matching that surface_from_triangles used: edges as
+    (min, max) in order of first occurrence and the edge id of every side."""
+    directed = {}
+    for t, (a, b, c) in enumerate(triangles):
+        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            key = (int(u), int(v))
+            if key in directed:
+                raise NonManifoldEdge(f"directed side {key} occurs twice")
+            directed[key] = (t, k)
+    edge_index, edges = {}, []
+    tri_edges = np.full((len(triangles), 3), -1, dtype=int)
+    for (u, v), (t, k) in directed.items():
+        if (v, u) not in directed:
+            raise NonManifoldEdge(f"side ({u}, {v}) has no oppositely oriented partner")
+        key = (min(u, v), max(u, v))
+        if key not in edge_index:
+            edge_index[key] = len(edges)
+            edges.append(key)
+        tri_edges[t, k] = edge_index[key]
+    return np.asarray(edges, dtype=int), tri_edges
+
+
+def reference_match_cycles(faces):
+    """Unchecked first-occurrence edge numbering genus2_quad_complex used."""
+    edge_index, edges = {}, []
+    face_edges = np.empty(np.shape(faces), dtype=int)
+    for f, cycle in enumerate(faces):
+        for k in range(len(cycle)):
+            u, v = int(cycle[k]), int(cycle[(k + 1) % len(cycle)])
+            key = (min(u, v), max(u, v))
+            if key not in edge_index:
+                edge_index[key] = len(edges)
+                edges.append(key)
+            face_edges[f, k] = edge_index[key]
+    return np.asarray(edges, dtype=int), face_edges
+
+
+def reference_validate(surf):
+    """The combinatorial part of TriangulatedSurface.validate, side by side."""
+    counts = np.zeros(surf.n_edges, dtype=int)
+    senses = {}
+    for t in range(surf.n_triangles):
+        a, b, c = surf.triangles[t]
+        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            e = int(surf.triangle_edges[t, k])
+            counts[e] += 1
+            eu, ev = surf.edges[e]
+            if (int(u), int(v)) == (int(eu), int(ev)):
+                sense = 1
+            elif (int(u), int(v)) == (int(ev), int(eu)):
+                sense = -1
+            else:
+                raise NonManifoldEdge(
+                    f"triangle {t} side {k} does not match endpoints of edge {e}")
+            senses[(e, counts[e])] = sense
+    if not np.all(counts == 2):
+        bad = int(np.flatnonzero(counts != 2)[0])
+        raise NonManifoldEdge(
+            f"edge {bad} belongs to {counts[bad]} triangles (expected 2)")
+    for e in range(surf.n_edges):
+        if senses[(e, 1)] * senses[(e, 2)] != -1:
+            raise NonManifoldEdge(
+                f"edge {e} is traversed twice in the same direction (orientation clash)")
+
+
+def outcome(fn, *args):
+    """fn's return value, or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except NonManifoldEdge as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3), min_size=1, max_size=8))
+def test_match_sides_agrees_with_dict_loop(triangles):
+    # random triangle soups: the same edges, or the same first offending side
+    tris = np.asarray(triangles, dtype=int)
+    assert_same(outcome(_match_sides, tris), outcome(reference_match_triangles, tris))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 14), st.integers(3, 14))
+def test_parametric_torus_matching_agrees_with_dict_loop(n, m):
+    surf = cs.parametric_torus_mesh(n, m)
+    assert_same((surf.edges, surf.triangle_edges), reference_match_triangles(surf.triangles))
+
+
+def test_genus2_matching_agrees_with_dict_loops():
+    surf = cs.genus2_mesh()
+    assert_same((surf.edges, surf.triangle_edges), reference_match_triangles(surf.triangles))
+    _, quads = _genus2_quads()
+    assert_same(_match_sides(quads), reference_match_cycles(quads))
+
+
+def explicit_surface(positions, triangles):
+    """A surface with unchecked first-occurrence combinatorics, so that
+    validate itself meets whatever the triangles do wrong."""
+    positions = np.asarray(positions, dtype=float)
+    triangles = np.asarray(triangles, dtype=int)
+    edges, tri_edges = reference_match_cycles(triangles)
+    d = positions[edges[:, 0]] - positions[edges[:, 1]]
+    return cs.TriangulatedSurface(positions, triangles, edges, tri_edges,
+                                  np.sqrt(np.einsum("ij,ij->i", d, d)))
+
+
+TETRA = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+TETRA_FACES = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
+
+
+def test_validate_side_off_its_edge():
+    surf = explicit_surface(TETRA, TETRA_FACES)
+    surf.validate()
+    tri_edges = surf.triangle_edges.copy()
+    tri_edges[2, 1] = tri_edges[0, 0]         # side (2, 3) pointed at edge (0, 2)
+    bad = dataclasses.replace(surf, triangle_edges=tri_edges)
+    msg = f"triangle 2 side 1 does not match endpoints of edge {tri_edges[0, 0]}"
+    with pytest.raises(NonManifoldEdge, match=msg):
+        bad.validate()
+    assert outcome(reference_validate, bad) == (NonManifoldEdge, msg)
+
+
+def test_validate_edge_in_three_triangles():
+    # a fifth triangle on the tetrahedron's edge (0, 1) and a new vertex
+    surf = explicit_surface(np.vstack([TETRA, [[1.0, 1, 1]]]), TETRA_FACES + [[0, 1, 4]])
+    msg = f"edge {surf.triangle_edges[4, 0]} belongs to 3 triangles (expected 2)"
+    with pytest.raises(NonManifoldEdge, match=re.escape(msg)):
+        surf.validate()
+    assert outcome(reference_validate, surf) == (NonManifoldEdge, msg)
+
+
+def test_validate_orientation_clash():
+    # the tetrahedron with face (1, 2, 3) flipped: every edge still in two
+    # triangles, and edge 1 = (1, 2) runs from 2 to 1 in both
+    surf = explicit_surface(TETRA, [[0, 2, 1], [0, 1, 3], [2, 1, 3], [0, 3, 2]])
+    msg = "edge 1 is traversed twice in the same direction (orientation clash)"
+    with pytest.raises(NonManifoldEdge, match=re.escape(msg)):
+        surf.validate()
+    assert outcome(reference_validate, surf) == (NonManifoldEdge, msg)
+

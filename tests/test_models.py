@@ -231,3 +231,48 @@ def test_torus_model_size_guard_on_thin_lattice(monkeypatch):
     thin = cs.FlatTorus(np.diag([60 * np.pi, np.pi / 15]))
     with pytest.raises(cs.errors.ConfigError, match="dim 340, above the limit 100"):
         cs.build_torus_model(thin, 2.0)
+
+
+def reference_face_cycle_rotation(cc):
+    """The dense per-face loop _face_cycle_rotation replaced."""
+    rot = np.zeros((cc.n1, cc.n1))
+    d0 = cc.d0.tocoo()
+    tail = np.zeros(cc.n1, dtype=int)
+    head = np.zeros(cc.n1, dtype=int)
+    for e, v, s in zip(d0.row, d0.col, d0.data):
+        if s < 0:
+            tail[e] = v
+        else:
+            head[e] = v
+    d1 = cc.d1.tocoo()
+    by_face = {}
+    for f, e, s in zip(d1.row, d1.col, d1.data):
+        by_face.setdefault(int(f), []).append((int(e), int(s)))
+    for sides in by_face.values():
+        start = {}
+        for e, s in sides:
+            u = tail[e] if s > 0 else head[e]
+            if int(u) in start:
+                start = {}
+                break
+            start[int(u)] = (e, s)
+        if not start:
+            continue
+        for e, s in sides:
+            e2, s2 = start[int(head[e] if s > 0 else tail[e])]
+            rot[e2, e] += 0.25 * s * s2
+    return rot
+
+
+@pytest.mark.parametrize("make", [
+    lambda t: cs.quad_torus_complex(t, 5, 3),
+    lambda t: cs.genus2_quad_complex(),
+    lambda t: cs.build_dec(cs.genus2_mesh()),
+    lambda t: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+    lambda t: cs.build_dec(cs.triangulated_torus_mesh(t, 2)),
+], ids=["grid-5x3", "genus2-quad", "genus2-mesh", "donut-12x8", "grid-torus-2"])
+def test_face_cycle_rotation_matches_loop(square_t, make):
+    cc = make(square_t)
+    rot = cs.models._face_cycle_rotation(cc)
+    assert sparse.issparse(rot)
+    assert np.array_equal(rot.toarray(), reference_face_cycle_rotation(cc))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import cylspec as cs
 from cylspec.dec import mass_eigh
 from cylspec.errors import ConvergenceFailure, WindowExceedsCutoff
+from tests.conftest import lattice_bases
 
 
 def jacobi_eigenvalues(sym, sweeps=30, tol=1e-14):
@@ -143,9 +144,7 @@ def test_roots_between_matches_brute_force(roots, a, b):
 
 def dense_reference(model):
     """Eigenpairs of A = J D from one dense solve of the whole operator."""
-    a = model.composite()
-    rt = np.sqrt(model.mass)
-    return mass_eigh((a * rt[:, None]) / rt[None, :], model.mass)
+    return mass_eigh(model.mass[:, None] * model.composite(), model.mass)
 
 
 def assert_matches_dense(model):
@@ -181,18 +180,6 @@ def test_block_eigenbasis_matches_dense_on_grids(n, m, width, height):
 ], ids=["genus2-quad", "genus2-mesh", "donut-12x8"])
 def test_block_eigenbasis_matches_dense_on_meshes(make):
     assert_matches_dense(cs.build_sl_model(make()))
-
-
-@st.composite
-def lattice_bases(draw):
-    """Well-conditioned lattice bases (generators as columns): square,
-    rectangular or oblique, sides in [1, 8], angle in [60, 90] degrees."""
-    kind = draw(st.sampled_from(["square", "rectangular", "oblique"]))
-    a = draw(st.floats(min_value=1.0, max_value=8.0))
-    b = a if kind == "square" else draw(st.floats(min_value=1.0, max_value=8.0))
-    angle = np.pi / 2 if kind != "oblique" else draw(st.floats(min_value=np.pi / 3,
-                                                               max_value=np.pi / 2))
-    return np.array([[a, b * np.cos(angle)], [0.0, b * np.sin(angle)]])
 
 
 @settings(max_examples=50, deadline=None)
