@@ -60,15 +60,19 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     nmax = int(np.ceil(np.sqrt(cutoff) / smin)) + 1
     # enumerate over a Lagrange-Gauss reduced basis (b1, b2) = dual @ (u1, u2):
     # its coordinate box around the ball is about as large as the ball's
-    # point count, however long and thin the lattice
+    # point count, however long and thin the lattice.  Any basis gives a box
+    # that covers the ball, so the reduction stops as soon as a step does not
+    # shorten b2: in floating point a tie |mu| = 1/2 can otherwise cycle
+    # (the basis (1, 4; 1, -1) does)
     b1, b2, u1, u2 = dual[:, 0], dual[:, 1], np.array([1, 0]), np.array([0, 1])
     while True:
         if b2 @ b2 < b1 @ b1:
             b1, b2, u1, u2 = b2, b1, u2, u1
         q = round(float(b1 @ b2 / (b1 @ b1)))
-        if q == 0:
+        r2 = b2 - q * b1
+        if q == 0 or r2 @ r2 >= b2 @ b2:
             break
-        b2, u2 = b2 - q * b1, u2 - q * u1
+        b2, u2 = r2, u2 - q * u1
     bound = np.sqrt(cutoff) * np.linalg.norm(np.linalg.inv(np.column_stack([b1, b2])), axis=1)
     grid = np.stack(np.meshgrid(*(np.arange(-b, b + 1) for b in bound.astype(int) + 1),
                                 indexing="ij"), axis=-1)

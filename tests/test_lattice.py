@@ -126,3 +126,14 @@ def test_dual_lattice_points_match_box_loop(entries, cutoff):
     want = reference_dual_lattice_points(torus, cutoff)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+
+@pytest.mark.parametrize("entries", [(1.0, 4.0, 1.0, -1.0), (-0.5, -0.5, -0.5, 4.0)])
+def test_dual_lattice_points_reduction_tie(entries):
+    # bases whose reduced basis meets |mu| = 1/2 with a rounding error on
+    # each side; the reduction once cycled on them for ever
+    torus = cs.FlatTorus(np.array(entries).reshape(2, 2))
+    for cutoff in (1.0, 10.0, 40.0):
+        got = cs.dual_lattice_points(torus, cutoff)
+        want = reference_dual_lattice_points(torus, cutoff)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
