@@ -16,8 +16,9 @@ far tail onto a root cluster; and the perturbed kernel counter marches a
 decaying frame backward and counts rank against boundary conditions.  That
 march is a Lawson (integrating-factor) RK4: e^{-lam H} acts exactly and only
 the eps-small coupling is stepped.  Its steps grow like e^{-mu_pert t / 5} as
-the coupling decays, and all are halved until two successive frames agree to
-1e-9 in principal angle (after Richardson's 1/15).
+the coupling decays; their number is predicted from RK4's H^4 error law and
+verified on a pair of levels, until the Richardson estimate is 1e-9 in
+principal angle.
 """
 
 from dataclasses import dataclass, field
@@ -392,9 +393,15 @@ class KernelCount:
     eps: float
     mu_pert: float
     seed: int | None
-    # the frame march (0 and 0.0 when no frame was marched); not in to_json
-    march_steps: int             # final step count of the graded grid over [0, T]
-    march_estimate: float        # its step-halving principal-angle estimate
+    # the frame march (0.0, () and 0 when no frame was marched); not in to_json
+    march_estimate: float        # principal-angle estimate from the last pair of levels
+    march_levels: tuple          # the step counts of every level marched, in order
+    march_qr: int                # QRs taken over all levels
+
+    @property
+    def march_steps(self) -> int:
+        """Final step count of the graded grid over [0, T] (0 when no frame was marched)."""
+        return self.march_levels[-1] if self.march_levels else 0
 
     def to_json(self) -> str:
         import json
@@ -411,13 +418,13 @@ class KernelCount:
         }, sort_keys=True)
 
 
-# Step-halving control of the perturbed frame (see _march_frame).  At cutoff
-# 1.5, eps <= 2e-2 and T = 30, a tolerance of 1e-8 let the frame's omega-isotropy
+# Level control of the perturbed frame (see _march_frame).  At cutoff 1.5,
+# eps <= 2e-2 and T = 30, a tolerance of 1e-8 let the frame's omega-isotropy
 # drift reach 1.5e-12 over 40 random draws, 1e-9 kept it at 7.8e-14 on uniform
-# steps and 8.3e-14 on the graded grid.  At T = 30 the cap leaves a factor of
-# four over the finest level needed at eps up to 0.2 and cutoffs up to 10.
-# _FRAME_H0 bounds the first level's step in the graded variable s of
-# _frame_grid; near t = 0 the step in t is about the same.
+# steps and 8.3e-14 on the graded grid.  _FRAME_H0 bounds the first level's step
+# in the graded variable s of _frame_grid; near t = 0 the step in t is about the
+# same.  The finest level, ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps, is
+# four times the finest needed at eps up to 0.2 and cutoffs up to 10 (T = 30).
 _FRAME_TOL = 1e-9
 _FRAME_H0 = 0.5
 _FRAME_HALVINGS = 7
@@ -446,73 +453,130 @@ def _frame_grid(t_final: float, mu_pert: float, n: int) -> np.ndarray:
 
 
 def _lawson_march(z: np.ndarray, lams: np.ndarray, g: np.ndarray, pert: Perturbation,
-                  tgrid: np.ndarray) -> np.ndarray:
+                  tgrid: np.ndarray, spread: float) -> tuple[np.ndarray, int]:
     """March z from t = tgrid[-1] back to t = 0 in Lawson RK4 steps between
     the nodes of tgrid for z' = (diag(lams) + c(t) g) z with
-    c(t) = eps e^{mu_pert t}, and return an orthonormal frame of the result.
+    c(t) = eps e^{mu_pert t}; return an orthonormal frame of the result and
+    the number of QRs taken.
 
     On each step H, e^{-lams H/2} and e^{-lams H} act exactly, as row
-    scalings, and RK4 steps only the coupling c(t) g.  The frame is
-    re-orthonormalized whenever the spread of the row growth,
-    (max lams - min lams) * time elapsed since the last QR, reaches ln 10, and
-    at the end."""
-    # c at the nodes and at the step midpoints
+    scalings, and RK4 steps only the coupling c(t) g:
+
+        k1 = c(t) g z,                k2 = c(t - H/2) g E (z - H/2 k1),
+        k3 = c(t - H/2) g (E z - H/2 k2),   k4 = c(t - H) g (E^2 z - H E k3),
+        z <- E^2 z - H/6 (E^2 k1 + 2 E (k2 + k3) + k4),     E = e^{-lams H/2}.
+
+    The c(t) factors and H are folded into per-step row scalings, computed
+    for all steps at once, and the step runs in place on fixed buffers.  The
+    frame is re-orthonormalized whenever spread * (time elapsed since the
+    last QR) reaches ln 10, spread being the eigenvalue spread of the marched
+    columns, and at the end."""
+    hs = np.diff(tgrid)
     c = pert.eps * np.exp(pert.mu_pert * tgrid)
     cmid = pert.eps * np.exp(pert.mu_pert * (0.5 * (tgrid[:-1] + tgrid[1:])))
-    spread = float(lams.max() - lams.min())
-    elapsed = 0.0
-    for k in range(tgrid.size - 1, 0, -1):
-        hs = tgrid[k] - tgrid[k - 1]
-        half = np.exp(-0.5 * hs * lams)[:, None]
-        full = np.exp(-hs * lams)[:, None]
-        k1 = c[k] * (g @ z)
-        k2 = cmid[k - 1] * (g @ (half * (z - (0.5 * hs) * k1)))
-        k3 = cmid[k - 1] * (g @ (half * z - (0.5 * hs) * k2))
-        k4 = c[k - 1] * (g @ (full * z - hs * (half * k3)))
-        z = full * z - (hs / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
-        elapsed += hs
+    # one row per step: E, E^2 and, with y1 ... y4 the step's four products
+    # by g, the factors that give -H/2 E k1 = e_k1 y1, -H/2 k2 = h_k2 y2,
+    # -H E k3 = e_k3 y3 and the update's terms e2_k1 y1, e_k23 (y2 + y3), h_k4 y4
+    half = np.exp(-0.5 * hs[:, None] * lams)
+    full = np.exp(-hs[:, None] * lams)
+    e_k1 = -(0.5 * hs * c[1:])[:, None] * half
+    h_k2 = -0.5 * hs * cmid
+    e_k3 = -(hs * cmid)[:, None] * half
+    e2_k1 = -(hs / 6.0 * c[1:])[:, None] * full
+    e_k23 = -(hs / 3.0 * cmid)[:, None] * half
+    h_k4 = -hs / 6.0 * c[:-1]
+    z = z.copy()
+    ez, arg, znew, y1, y2, y3 = (np.empty_like(z) for _ in range(6))
+    elapsed, qrs = 0.0, 0
+    for k in range(hs.size - 1, -1, -1):
+        e, e2 = half[k, :, None], full[k, :, None]
+        np.multiply(e, z, out=ez)
+        np.matmul(g, z, out=y1)
+        np.multiply(e_k1[k, :, None], y1, out=arg)
+        arg += ez
+        np.matmul(g, arg, out=y2)
+        np.multiply(h_k2[k], y2, out=arg)
+        arg += ez
+        np.matmul(g, arg, out=y3)
+        np.multiply(e2, z, out=znew)
+        np.multiply(e_k3[k, :, None], y3, out=arg)
+        arg += znew
+        y1 *= e2_k1[k, :, None]
+        znew += y1
+        y2 += y3
+        y2 *= e_k23[k, :, None]
+        znew += y2
+        np.matmul(g, arg, out=y3)
+        y3 *= h_k4[k]
+        znew += y3
+        z, znew = znew, z
+        elapsed += hs[k]
         if spread * elapsed >= np.log(10.0):
             z, _ = np.linalg.qr(z)
-            elapsed = 0.0
+            elapsed, qrs = 0.0, qrs + 1
     z, _ = np.linalg.qr(z)
-    return z
+    return z, qrs + 1
 
 
-def _march_frame(op: CylinderOperator, cols: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """The decaying frame of ``_decaying_frame`` with its final step count and
-    halving estimate (0 steps and estimate 0.0 when eps = 0).
+def _march_frame(op: CylinderOperator,
+                 cols: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], float, int]:
+    """The decaying frame of ``_decaying_frame`` with the step counts of the
+    levels marched, in order, the final level's estimate and the number of
+    QRs over all levels (no levels, 0.0 and 0 when eps = 0).
 
-    Marches of N = ceil(S / _FRAME_H0), 2N, 4N, ... Lawson steps on the graded
-    grid of ``_frame_grid`` (S its length in s) run until the largest
-    principal-angle sine between the last two frames, divided by the
-    4th-order Richardson factor 15, is at most _FRAME_TOL; the finer frame is
-    returned.  Raises ConvergenceFailure after _FRAME_HALVINGS doublings."""
+    Each level is a Lawson march on the graded grid of ``_frame_grid``, whose
+    length in s is S.  The first level takes N0 = ceil(S * max(1 / _FRAME_H0,
+    spread)) steps (spread = max lams - min lams, so the coupling's phases
+    e^{(lam_i - lam_j) t} are resolved and the H^4 law holds) and the second
+    2 N0.  A level of m steps is verified against the one before it, of n
+    steps: the estimate of its error is the largest principal-angle sine
+    between the two frames over the Richardson factor (m/n)^4 - 1 (15 for
+    m = 2n).  At most _FRAME_TOL, the finer frame is returned.  Above it,
+    the next level is the one the H^4 law predicts for _FRAME_TOL / 2,
+    m (2 estimate / _FRAME_TOL)^{1/4} steps, clamped to [m + 1, min(4 m,
+    N_max)].  With N_max = ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps
+    marched and the estimate still above _FRAME_TOL, ConvergenceFailure is
+    raised."""
     z = np.zeros((op.dim, cols.size))
     z[cols, np.arange(cols.size)] = 1.0
     pert = op.perturbation
     if pert is None:
-        return z, 0, 0.0   # for eps = 0 the subspace is invariant: the mode frame itself
+        return z, (), 0.0, 0   # for eps = 0 the subspace is invariant: the mode frame itself
     lams = op.base.eigenvalues
     g = op.base.jmat @ pert.coupling
-    n = int(np.ceil(_frame_length(op.t_final, pert.mu_pert) / _FRAME_H0))
-    coarse = _lawson_march(z, lams, g, pert, _frame_grid(op.t_final, pert.mu_pert, n))
-    for _ in range(_FRAME_HALVINGS):
-        n *= 2
-        fine = _lawson_march(z, lams, g, pert, _frame_grid(op.t_final, pert.mu_pert, n))
-        estimate = float(np.linalg.norm(fine - coarse @ (coarse.T @ fine), 2)) / 15.0
+    length = _frame_length(op.t_final, pert.mu_pert)
+    n_max = int(np.ceil(length / _FRAME_H0)) * 2 ** _FRAME_HALVINGS
+    n = min(int(np.ceil(length * max(1.0 / _FRAME_H0, float(np.ptp(lams))))), n_max // 2)
+    spread = float(np.ptp(lams[cols])) if cols.size else 0.0
+    coarse, qrs = _lawson_march(z, lams, g, pert, _frame_grid(op.t_final, pert.mu_pert, n),
+                                spread)
+    levels, m = [n], 2 * n
+    while True:
+        fine, q = _lawson_march(z, lams, g, pert, _frame_grid(op.t_final, pert.mu_pert, m),
+                                spread)
+        qrs += q
+        angle = float(np.linalg.norm(fine - coarse @ (coarse.T @ fine), 2))
+        estimate = angle / ((m / n) ** 4 - 1.0)
+        levels.append(m)
+        n, coarse = m, fine
         if estimate <= _FRAME_TOL:
-            return fine, n, estimate
-        coarse = fine
-    raise ConvergenceFailure(
-        f"perturbed frame estimate {estimate:.3e} at {n} steps is above {_FRAME_TOL:.0e} "
-        f"after {_FRAME_HALVINGS} step halvings")
+            return fine, tuple(levels), estimate, qrs
+        if n >= n_max:
+            raise ConvergenceFailure(
+                f"perturbed frame estimate {estimate:.3e} at {n} steps, the finest level, "
+                f"is above {_FRAME_TOL:.0e}")
+        # the H^4 law aimed at half the tolerance; a zero tolerance or a NaN
+        # estimate takes the largest step up
+        grow = (2.0 * estimate / _FRAME_TOL) ** 0.25 if _FRAME_TOL > 0 else np.inf
+        top = min(4 * n, n_max)
+        m = min(max(n + 1, int(np.ceil(n * grow))), top) if grow < 4.0 else top
 
 
 def _decaying_frame(op: CylinderOperator, cols: np.ndarray) -> np.ndarray:
     """Orthonormal frame at t = 0 of the solutions that start at t = T on the
     mode columns cols, marched backward by a Lawson (integrating-factor) RK4
-    on a grid graded to the coupling's decay, whose steps are halved until the
-    frame settles to 1e-9 in principal angle."""
+    on a grid graded to the coupling's decay, at a level the H^4 error law
+    predicts and a pair of levels verifies to 1e-9 in principal angle."""
     return _march_frame(op, cols)[0]
 
 
@@ -522,12 +586,13 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
 
     The admissible far-end subspace (modes with lam_j < weight) is marched
     backward to t = 0 by the Lawson RK4 march of ``_decaying_frame``.  Its
-    steps grow like e^{-mu_pert t / 5} and are halved until the frame's
+    steps grow like e^{-mu_pert t / 5}; their number is predicted from the
+    H^4 error law and verified on a pair of levels, until the frame's
     principal-angle estimate is at most 1e-9 (ConvergenceFailure otherwise);
     the grid step h plays no part.  The count is (subspace dim) - rank(rows of
     the boundary set), with singular values judged against 1e-6 * sigma_max.
     For eps = 0 this reduces to #{j not in S : lam_j < weight}.  The result
-    carries the march's final step count and estimate.
+    carries the march's levels, final step count, estimate and QR count.
     """
     op.check_weight(weight)
     s_idx = np.asarray(sorted(int(i) for i in boundary_set), dtype=int)
@@ -547,9 +612,9 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
 
     rank = 0
     svals = np.zeros(0)
-    steps, estimate = 0, 0.0
+    levels, estimate, qrs = (), 0.0, 0
     if p and s_idx.size:
-        frame, steps, estimate = _march_frame(op, cols)
+        frame, levels, estimate, qrs = _march_frame(op, cols)
         block = frame[s_idx, :]
         svals = np.linalg.svd(block, compute_uv=False)
         smax = float(svals.max(initial=0.0))
@@ -563,4 +628,4 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
                     f"the rank threshold {thr:.3e}")
     return KernelCount(p - rank, p, svals, tuple(s_idx.tolist()), float(weight),
                        eps, 0.0 if pert is None else pert.mu_pert,
-                       None if pert is None else pert.seed, steps, estimate)
+                       None if pert is None else pert.seed, estimate, levels, qrs)

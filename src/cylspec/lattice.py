@@ -42,6 +42,25 @@ def square_torus() -> FlatTorus:
     return FlatTorus(np.diag([TWO_PI, TWO_PI]))
 
 
+def _reduced_basis(dual: np.ndarray):
+    """Lagrange-Gauss reduced basis (b1, b2) = dual @ (u1, u2) of the lattice
+    spanned by the columns of dual, |b1| <= |b2|, with the integer vectors
+    u1, u2 (Nguyen & Stehle, ACM TALG 2009).
+
+    Any basis gives a coordinate box that covers a ball, so the reduction
+    stops as soon as a step does not shorten b2: in floating point a tie
+    |mu| = 1/2 can otherwise cycle (the basis (1, 4; 1, -1) does)."""
+    b1, b2, u1, u2 = dual[:, 0], dual[:, 1], np.array([1, 0]), np.array([0, 1])
+    while True:
+        if b2 @ b2 < b1 @ b1:
+            b1, b2, u1, u2 = b2, b1, u2, u1
+        q = round(float(b1 @ b2 / (b1 @ b1)))
+        r2 = b2 - q * b1
+        if q == 0 or r2 @ r2 >= b2 @ b2:
+            return b1, b2, u1, u2
+        b2, u2 = r2, u2 - q * u1
+
+
 def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     """All dual lattice vectors k with |k|^2 <= cutoff (closed ball), k=0 included.
 
@@ -58,21 +77,10 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     if smin <= 0:
         raise DegenerateLattice("dual lattice is rank deficient")
     nmax = int(np.ceil(np.sqrt(cutoff) / smin)) + 1
-    # enumerate over a Lagrange-Gauss reduced basis (b1, b2) = dual @ (u1, u2):
-    # its coordinate box around the ball is about as large as the ball's
-    # point count, however long and thin the lattice.  Any basis gives a box
-    # that covers the ball, so the reduction stops as soon as a step does not
-    # shorten b2: in floating point a tie |mu| = 1/2 can otherwise cycle
-    # (the basis (1, 4; 1, -1) does)
-    b1, b2, u1, u2 = dual[:, 0], dual[:, 1], np.array([1, 0]), np.array([0, 1])
-    while True:
-        if b2 @ b2 < b1 @ b1:
-            b1, b2, u1, u2 = b2, b1, u2, u1
-        q = round(float(b1 @ b2 / (b1 @ b1)))
-        r2 = b2 - q * b1
-        if q == 0 or r2 @ r2 >= b2 @ b2:
-            break
-        b2, u2 = r2, u2 - q * u1
+    # enumerate over the reduced basis (b1, b2) = dual @ (u1, u2): its
+    # coordinate box around the ball is about as large as the ball's point
+    # count, however long and thin the lattice
+    b1, b2, u1, u2 = _reduced_basis(dual)
     bound = np.sqrt(cutoff) * np.linalg.norm(np.linalg.inv(np.column_stack([b1, b2])), axis=1)
     grid = np.stack(np.meshgrid(*(np.arange(-b, b + 1) for b in bound.astype(int) + 1),
                                 indexing="ij"), axis=-1)

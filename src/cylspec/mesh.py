@@ -304,6 +304,17 @@ def genus2_mesh() -> TriangulatedSurface:
 # ---------------------------------------------------------------------------
 # OFF io
 
+def _check_face(f: int, tokens: list, nv: int):
+    """Raise the error of face f of an OFF file, from its tokens (the vertex
+    count, then the indices), if it has one."""
+    cnt = int(tokens[0])
+    if cnt != 3:
+        raise ValueError(f"face {f} has {cnt} vertices; only triangles are supported")
+    tri = np.array([int(t) for t in tokens[1:4]], dtype=int)
+    if tri.min() < 0 or tri.max() >= nv:
+        raise ValueError(f"face {f} has a vertex index outside [0, {nv}): {tri.tolist()}")
+
+
 def read_off(path) -> TriangulatedSurface:
     """Read an ASCII OFF file (triangles only) into a surface."""
     with open(path, "r", encoding="ascii") as fh:
@@ -323,17 +334,20 @@ def read_off(path) -> TriangulatedSurface:
                          f"{pos + 3 * nv + 4 * nf} tokens, found {len(tokens)}")
     verts = np.asarray(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
     pos += 3 * nv
-    tris = np.empty((nf, 3), dtype=int)
-    for f in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ValueError(f"face {f} has {cnt} vertices; only triangles are supported")
-        tris[f] = [int(t) for t in tokens[pos + 1:pos + 4]]
-        if tris[f].min() < 0 or tris[f].max() >= nv:
-            raise ValueError(f"face {f} has a vertex index outside [0, {nv}): "
-                             f"{tris[f].tolist()}")
-        pos += 4
-    return surface_from_triangles(verts, tris)
+    block = tokens[pos:pos + 4 * nf]
+    try:
+        faces = np.asarray(block, dtype=int).reshape(nf, 4)
+    except (ValueError, OverflowError):   # a token that is no int64
+        first = 0
+    else:
+        tris = faces[:, 1:]
+        bad = (faces[:, 0] != 3) | (tris < 0).any(axis=1) | (tris >= nv).any(axis=1)
+        first = int(np.argmax(bad)) if bad.any() else nf
+    # the faces from the first bad one on (all of them after a parse error)
+    # are checked one by one, so the first failing face reports its fault
+    for f in range(first, nf):
+        _check_face(f, block[4 * f:4 * f + 4], nv)
+    return surface_from_triangles(verts, np.ascontiguousarray(tris))
 
 
 def write_off(path, surface: TriangulatedSurface):

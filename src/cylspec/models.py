@@ -36,7 +36,7 @@ import scipy.sparse as sparse
 
 from .dec import CochainComplex, laplacian0, laplacian0_dual, laplacian1, mass_eigh
 from .errors import ConfigError, ConvergenceFailure
-from .lattice import TWO_PI, FlatTorus, dual_lattice_points
+from .lattice import TWO_PI, FlatTorus, _reduced_basis, dual_lattice_points
 
 # quaternion left multiplications by i, j, k on R^4 with basis (1, i, j, k)
 I1 = np.array([[0., -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
@@ -144,6 +144,14 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
     # 4 pi cutoff / covolume before any point is enumerated; a long thin
     # lattice holds more points than that, so the count is checked again
     _check_torus_dim(4.0 * np.pi * cutoff * torus.area / TWO_PI**2, cutoff, "about ")
+    if cutoff > 0:   # dual_lattice_points rejects the other cutoffs
+        # the multiples of the shortest reduced vector b1 in the ball give
+        # dim >= 4 + 8 floor(sqrt(cutoff) / |b1|).  Past the check above, a
+        # line that alone passes the limit holds the whole ball (the next
+        # line lies (pi/2) sqrt(cutoff) away or more), so this is the exact
+        # dim, found before any point is enumerated
+        b1 = _reduced_basis(torus.dual_basis)[0]
+        _check_torus_dim(4 + 8 * np.floor(np.sqrt(cutoff / (b1 @ b1))), cutoff)
     modes = dual_lattice_points(torus, cutoff)   # first row is k = 0
     npairs = modes.shape[0] - 1
     _check_torus_dim(4 + 8 * npairs, cutoff)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -302,6 +305,39 @@ def test_long_thin_lattice_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == ("ERR CONFIG: cutoff 10 gives a torus model of "
                                        "dim 7588, above the limit 4096\n")
     assert not out.exists()
+
+
+def test_very_thin_lattice_rejected_before_enumeration(tmp_path):
+    # the estimated dim (3183) passes, but the multiples of the lattice's
+    # shortest vector alone give dim 1.3e8, whose enumeration would take
+    # about 4 GB; they are counted instead.  Time and peak memory are the
+    # command's own, taken in a fresh interpreter
+    command = ("import sys, time\n"
+               "from cylspec.cli import main\n"
+               "start = time.perf_counter()\n"
+               "rc = main(['spectrum', '--torus', '1e8,0,0,1e-4', '--cutoff', '1',\n"
+               "           '--out', sys.argv[1]])\n"
+               "print(rc, time.perf_counter() - start)\n")
+    # ru_maxrss survives exec on Linux, so a child of this test process would
+    # report the test process's peak: the command runs under a small launcher
+    # interpreter, which reads the command's peak (kB) from RUSAGE_CHILDREN
+    launcher = ("import resource, subprocess, sys\n"
+                "subprocess.run([sys.executable, '-c'] + sys.argv[1:])\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-c", launcher, command, str(out)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    rc, seconds, maxrss_kb = run.stdout.split()
+    assert int(rc) == 2
+    assert float(seconds) < 1.0
+    assert int(maxrss_kb) < 150 * 1024
+    assert run.stderr == ("ERR CONFIG: cutoff 1 gives a torus model of dim 1.27324e+08, "
+                          "above the limit 4096\n")
+    assert not out.exists()
+
 
 def test_non_finite_lattice_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"

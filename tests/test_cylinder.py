@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import cylspec as cs
 from cylspec.cylinder import (CylinderOperator, CylinderSolution, _decaying_frame,
-                              _exp_moments, _frame_grid, differentiate)
+                              _exp_moments, _frame_grid, _frame_length, _lawson_march,
+                              differentiate)
 from cylspec.errors import (ConvergenceFailure, CriticalWeight, InsufficientTail,
                             PerturbationTooLarge)
 
@@ -634,3 +635,99 @@ def test_frame_march_cap_raises(torus_spec_15, monkeypatch):
     op = CylinderOperator(torus_spec_15, 5.0, 0.01, pert)
     with pytest.raises(ConvergenceFailure):
         cs.perturbed_kernel_count(op, 0.5, negative_modes(torus_spec_15))
+
+
+# ---------------------------------------------------------------------------
+# level control of the frame march
+
+@pytest.fixture(scope="module")
+def spec10():
+    return cs.eigendecompose(cs.build_torus_model(cs.square_torus(), 10.0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5)), eps=st.floats(1e-4, 2e-2),
+       mu_pert=st.floats(-5.0, -0.1), seed=st.integers(0, 2**32 - 1))
+def test_march_estimate_matches_finer_march(torus_spec_15, torus_spec_25, data, cutoff,
+                                            eps, mu_pert, seed):
+    # the level the H^4 law picked is within tolerance of a march at four
+    # times its steps, and the Richardson estimate of the last pair of levels
+    # is that error to a factor of 2
+    spec = torus_spec_15 if cutoff == 1.5 else torus_spec_25
+    radius = spec.completeness_radius
+    weight = data.draw(st.floats(-radius, radius))
+    gap = np.abs(spec.eigenvalues - weight).min()
+    assume(gap >= 1e-3 and eps < 0.5 * gap)
+    cols = np.flatnonzero(spec.eigenvalues < weight)
+    assume(cols.size)
+    pert = cs.make_perturbation(spec.dim, eps, mu_pert, seed)
+    op = CylinderOperator(spec, 30.0, 0.01, pert)
+    count = cs.perturbed_kernel_count(op, weight, negative_modes(spec))
+    levels = count.march_levels
+    assert count.march_steps == levels[-1] and len(levels) >= 2
+    assert all(n < m <= 4 * n for n, m in zip(levels, levels[1:]))
+    assert count.march_qr >= len(levels)   # each level ends on a QR
+    assert "march" not in count.to_json()
+    z = _decaying_frame(op, cols)
+    z0 = np.zeros((spec.dim, cols.size))
+    z0[cols, np.arange(cols.size)] = 1.0
+    fine, _ = _lawson_march(z0, spec.eigenvalues, spec.jmat @ pert.coupling, pert,
+                            _frame_grid(30.0, mu_pert, 4 * levels[-1]),
+                            float(np.ptp(spec.eigenvalues[cols])))
+    angle = float(np.linalg.norm(z - fine @ (fine.T @ z), 2))
+    assert angle <= cs.cylinder._FRAME_TOL
+    # sines between orthonormal frames are known to rounding, about 1e-15 here
+    estimate = count.march_estimate
+    assert angle / 2 - 1e-14 <= estimate <= 2 * angle + 1e-14
+
+
+def test_march_level_count(spec10):
+    # the cylinder-end coupling: levels 32, 64 and about 96, where the halving
+    # ladder marched 10, 20, 40, 80 and 160 (310 steps)
+    pert = cs.make_perturbation(spec10.dim, 1e-3, -1.0, seed=4)
+    count = cs.perturbed_kernel_count(CylinderOperator(spec10, 30.0, 0.01, pert), 0.5,
+                                      negative_modes(spec10))
+    assert sum(count.march_levels) <= 200
+    assert count.march_estimate <= 1e-9
+
+
+def test_march_has_no_knife_edge(spec10):
+    # couplings of one size and decay end on the same level of the ladder,
+    # within a few steps: a factor-2 ladder stopped some at half the steps of
+    # the others, by a hair's breadth of the estimate
+    levels = []
+    for seed in range(20):
+        pert = cs.make_perturbation(spec10.dim, 1e-3, -1.0, seed)
+        count = cs.perturbed_kernel_count(CylinderOperator(spec10, 30.0, 0.01, pert), 0.5,
+                                          negative_modes(spec10))
+        levels.append(count.march_levels)
+    assert len({lv[:-1] for lv in levels}) == 1
+    final = [lv[-1] for lv in levels]
+    assert max(final) <= 1.1 * min(final)
+
+
+def test_frame_march_cap_is_finest_level(torus_spec_15, monkeypatch):
+    # a zero tolerance has no predicted level: the march climbs by the 4x
+    # clamp to the finest level, ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS
+    # steps, and fails there
+    marched = []
+
+    def recording_march(z, lams, g, pert, tgrid, spread):
+        marched.append(tgrid.size - 1)
+        return _lawson_march(z, lams, g, pert, tgrid, spread)
+
+    monkeypatch.setattr(cs.cylinder, "_FRAME_TOL", 0.0)
+    monkeypatch.setattr(cs.cylinder, "_lawson_march", recording_march)
+    pert = cs.make_perturbation(torus_spec_15.dim, 1e-3, -1.0, seed=11)
+    op = CylinderOperator(torus_spec_15, 5.0, 0.01, pert)
+    with pytest.raises(ConvergenceFailure):
+        cs.perturbed_kernel_count(op, 0.5, negative_modes(torus_spec_15))
+    assert marched[-1] == math.ceil(_frame_length(5.0, -1.0) / 0.5) * 2**7
+    assert all(n < m <= 4 * n for n, m in zip(marched, marched[1:]))
+
+
+def test_decaying_frame_of_no_columns(torus_spec_15):
+    pert = cs.make_perturbation(torus_spec_15.dim, 1e-3, -1.0, seed=11)
+    z = _decaying_frame(CylinderOperator(torus_spec_15, 30.0, 0.01, pert),
+                        np.zeros(0, dtype=int))
+    assert z.shape == (torus_spec_15.dim, 0)

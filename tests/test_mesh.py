@@ -84,6 +84,56 @@ def test_off_face_index_out_of_range(tmp_path, bad):
         cs.read_off(path)
 
 
+def reference_read_faces(path) -> np.ndarray:
+    """The per-face loop read_off's face parse replaced: every face is parsed
+    and checked in order, so the first faulty face raises."""
+    tokens = path.read_text().split()
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4 + 3 * nv
+    tris = np.empty((nf, 3), dtype=int)
+    for f in range(nf):
+        cnt = int(tokens[pos])
+        if cnt != 3:
+            raise ValueError(f"face {f} has {cnt} vertices; only triangles are supported")
+        tris[f] = [int(t) for t in tokens[pos + 1:pos + 4]]
+        if tris[f].min() < 0 or tris[f].max() >= nv:
+            raise ValueError(f"face {f} has a vertex index outside [0, {nv}): "
+                             f"{tris[f].tolist()}")
+        pos += 4
+    return tris
+
+
+@pytest.mark.parametrize("faces", [
+    ["3 0 2 1", "4 0 1 3", "3 1 2 3", "3 0 3 2"],       # a quad
+    ["3 0 2 1", "3 0 1.0 3", "3 1 2 3", "3 0 3 2"],     # an index that is no int
+    ["3 0 2 1", "three 0 1 3", "3 1 2 3", "3 0 3 2"],   # a count that is no int
+    ["3 0 2 1", "4 0 1 3", "3 1 x 3", "3 0 3 2"],       # a quad before a bad token
+    ["3 0 2 1", "3 0 y 3", "4 1 2 3", "3 0 3 2"],       # a bad token before a quad
+    ["3 0 2 1", "3 0 1 9", "3 1 x 3", "3 0 3 2"],       # out of range before a bad token
+    ["3 0 2 1", "3 0 1 3", "3 1 2 3", "3 0 -3 2"],      # a negative index, last
+    ["3 0 2 1", "3 0 1 3", "3 1 2 99999999999999999999", "3 0 3 2"],   # past int64
+    ["3 0 2 1", "99999999999999999999 0 1 3", "3 1 2 3", "3 0 3 2"],
+])
+def test_off_malformed_faces_match_loop(tmp_path, faces):
+    # the vectorized face parse reports the same first fault, with the same
+    # exception and message, as the loop it replaced
+    path = tmp_path / "bad.off"
+    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n" + "\n".join(faces) + "\n")
+    with pytest.raises((ValueError, OverflowError)) as want:
+        reference_read_faces(path)
+    with pytest.raises(want.type) as got:
+        cs.read_off(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_off_faces_match_loop(tmp_path):
+    path = tmp_path / "donut.off"
+    cs.write_off(path, cs.parametric_torus_mesh(8, 6))
+    tris = cs.read_off(path).triangles
+    assert tris.dtype == int and tris.flags.c_contiguous
+    assert np.array_equal(tris, reference_read_faces(path))
+
+
 def test_degenerate_triangle_rejected():
     from cylspec.errors import DegenerateTriangle
     # doubled triangle is combinatorially closed; collinear points kill the area
