@@ -197,7 +197,7 @@ def quad_torus_complex(torus: FlatTorus, n: int, m: int | None = None) -> Cochai
     star0 = np.full(nm, dx * dy)
     star1 = np.concatenate([np.full(nm, dy / dx), np.full(nm, dx / dy)])
     star2 = np.full(nm, 1.0 / (dx * dy))
-    meta = {"kind": "quad-grid-torus", "genus": 1, "shape": (n, m),
+    meta = {"kind": "quad-grid-torus", "genus": 1, "shape": (n, m), "spacing": (dx, dy),
             "total_area": float(torus.area), "self_dual": True}
     return CochainComplex(d0, d1, star0, star1, star2, "uniform-quad", meta)
 

@@ -160,64 +160,37 @@ def triangulated_torus_mesh(torus: FlatTorus, n: int, m: int | None = None) -> T
     if n < 2 or m < 2 or m % 2 != 0:
         raise ValueError("need n >= 2 and even m >= 2 for a closed offset-row torus mesh")
 
-    def vid(i, j):
-        return (j % m) * n + (i % n)
-
-    frac = np.empty((n * m, 2))
-    for j in range(m):
-        for i in range(n):
-            frac[vid(i, j)] = ((i + 0.5 * (j % 2)) / n, j / m)
-    positions = np.zeros((n * m, 3))
-    positions[:, :2] = frac @ torus.basis.T
-
-    # edge ids: H (in-row), F (forward diagonal), B (backward diagonal)
     nm = n * m
+    vid = lambda i, j: (j % m) * n + (i % n)
+    # edge ids: H (in-row), F (forward diagonal), B (backward diagonal)
     H = lambda i, j: (j % m) * n + (i % n)
     F = lambda i, j: nm + (j % m) * n + (i % n)
     B = lambda i, j: 2 * nm + (j % m) * n + (i % n)
 
-    edges = np.empty((3 * nm, 2), dtype=int)
-    dfrac = np.empty((3 * nm, 2))
-    for j in range(m):
-        for i in range(n):
-            edges[H(i, j)] = (vid(i, j), vid(i + 1, j))
-            dfrac[H(i, j)] = (1.0 / n, 0.0)
-            if j % 2 == 0:
-                # row j at offset 0, row j+1 at offset 1/2
-                edges[F(i, j)] = (vid(i, j), vid(i, j + 1))
-                dfrac[F(i, j)] = (0.5 / n, 1.0 / m)
-                edges[B(i, j)] = (vid(i + 1, j), vid(i, j + 1))
-                dfrac[B(i, j)] = (-0.5 / n, 1.0 / m)
-            else:
-                edges[F(i, j)] = (vid(i, j), vid(i, j + 1))
-                dfrac[F(i, j)] = (-0.5 / n, 1.0 / m)
-                edges[B(i, j)] = (vid(i, j), vid(i + 1, j + 1))
-                dfrac[B(i, j)] = (0.5 / n, 1.0 / m)
+    # vertex (i, j), its edges and its cell are row j * n + i of each block
+    j, i = np.divmod(np.arange(nm), n)
+    even = (j % 2 == 0)[:, None]    # row j at offset 0, row j+1 at offset 1/2
+    frac = np.column_stack([(i + 0.5 * (j % 2)) / n, j / m])
+    positions = np.zeros((nm, 3))
+    positions[:, :2] = frac @ torus.basis.T
 
+    v00, v10, v01, v11 = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+    edges = np.concatenate([np.column_stack([v00, v10]), np.column_stack([v00, v01]),
+                            np.where(even, np.column_stack([v10, v01]),
+                                     np.column_stack([v00, v11]))])
+    half = np.where(even[:, 0], 0.5 / n, -0.5 / n)
+    rise = np.full(nm, 1.0 / m)
+    dfrac = np.concatenate([np.column_stack([np.full(nm, 1.0 / n), np.zeros(nm)]),
+                            np.column_stack([half, rise]), np.column_stack([-half, rise])])
     vecs = dfrac @ torus.basis.T
     edge_lengths = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
 
-    triangles = np.empty((2 * nm, 3), dtype=int)
-    tri_edges = np.empty((2 * nm, 3), dtype=int)
-    t = 0
-    for j in range(m):
-        for i in range(n):
-            if j % 2 == 0:
-                # down: (v(i,j), v(i+1,j), v(i,j+1)); up: (v(i+1,j), v(i+1,j+1), v(i,j+1))
-                triangles[t] = (vid(i, j), vid(i + 1, j), vid(i, j + 1))
-                tri_edges[t] = (H(i, j), B(i, j), F(i, j))
-                t += 1
-                triangles[t] = (vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-                tri_edges[t] = (F(i + 1, j), H(i, j + 1), B(i, j))
-                t += 1
-            else:
-                # down: (v(i,j), v(i+1,j), v(i+1,j+1)); up: (v(i,j), v(i+1,j+1), v(i,j+1))
-                triangles[t] = (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1))
-                tri_edges[t] = (H(i, j), F(i + 1, j), B(i, j))
-                t += 1
-                triangles[t] = (vid(i, j), vid(i + 1, j + 1), vid(i, j + 1))
-                tri_edges[t] = (B(i, j), H(i, j + 1), F(i, j))
-                t += 1
+    # two triangles per cell, down then up, with corners and sides by row parity
+    h0, h1, f0, f1, b0 = H(i, j), H(i, j + 1), F(i, j), F(i + 1, j), B(i, j)
+    triangles = np.where(even, np.column_stack([v00, v10, v01, v10, v11, v01]),
+                         np.column_stack([v00, v10, v11, v00, v11, v01])).reshape(2 * nm, 3)
+    tri_edges = np.where(even, np.column_stack([h0, b0, f0, f1, h1, b0]),
+                         np.column_stack([h0, f1, b0, b0, h1, f0])).reshape(2 * nm, 3)
 
     surf = TriangulatedSurface(positions, triangles, edges, tri_edges, edge_lengths)
     surf.validate()
@@ -232,24 +205,17 @@ def parametric_torus_mesh(n: int = 24, m: int = 16) -> TriangulatedSurface:
     if n < 3 or m < 3:
         raise ValueError("need n, m >= 3 so vertex pairs identify edges uniquely")
     big_radius, small_radius = 2.0, 0.7
-    positions = np.empty((n * m, 3))
-    for j in range(m):
-        phi = TWO_PI * j / m
-        for i in range(n):
-            theta = TWO_PI * i / n
-            rho = big_radius + small_radius * np.cos(phi)
-            positions[j * n + i] = (rho * np.cos(theta), rho * np.sin(theta),
-                                    small_radius * np.sin(phi))
-    tris = []
-    for j in range(m):
-        for i in range(n):
-            v00 = (j % m) * n + i % n
-            v10 = (j % m) * n + (i + 1) % n
-            v01 = ((j + 1) % m) * n + i % n
-            v11 = ((j + 1) % m) * n + (i + 1) % n
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return surface_from_triangles(positions, np.asarray(tris, dtype=int))
+    theta = TWO_PI * np.arange(n) / n
+    phi = TWO_PI * np.arange(m) / m
+    rho = big_radius + small_radius * np.cos(phi)
+    positions = np.stack([np.outer(rho, np.cos(theta)), np.outer(rho, np.sin(theta)),
+                          np.repeat(small_radius * np.sin(phi)[:, None], n, axis=1)],
+                         axis=-1).reshape(n * m, 3)    # vertex (i, j) is row j * n + i
+    j, i = np.divmod(np.arange(n * m), n)
+    v00, v10 = j * n + i, j * n + (i + 1) % n
+    v01, v11 = (j + 1) % m * n + i, (j + 1) % m * n + (i + 1) % n
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(2 * n * m, 3)
+    return surface_from_triangles(positions, tris)
 
 
 # ---------------------------------------------------------------------------

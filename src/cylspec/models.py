@@ -26,7 +26,20 @@ one, so D^2 = L0 + L0 + L1 holds verbatim there.  J is a table of pairs
 (x, y) with J x = -y and J y = x: vertex functions with exact cochains, face
 functions with coexact cochains, and the two constants with each other; on
 harmonic cochains it is a polar-corrected quarter-turn.  So J joins vertex
-and face functions only through the constants (a rank-1 block).
+and face functions only through the constants (a rank-1 block).  With
+N0 = L0^{-1/2} and N2 = L0_dual^{-1/2} on the non-constant functions, the
+pair table says J = N D from the cochains to the functions and J = -D N
+back:
+
+    J[s0, s2] = N0 delta,   J[s1, s2] = N2 t_up,
+    J[s2, s0] = -d0 N0,     J[s2, s1] = -t_up_adj N2,
+
+where delta, t_up, d0 and t_up_adj are the blocks of D.  The block model
+stores J as these factors (a BlockOperator, never a dense dim x dim array);
+the torus model stores its J = Id x I3 as an array.  On quad-grid tori the
+Laplacian eigenpairs are in closed form, the real-Fourier diagonalisation of
+the circulant L0 (Strang, SIAM Review 41, 1999); other complexes solve for
+them densely.
 """
 
 from dataclasses import dataclass, field
@@ -55,11 +68,44 @@ class Eigenbasis:
 
 
 @dataclass(frozen=True)
+class BlockOperator:
+    """A square operator stated as a sum of block products: every term
+    (rows, cols, factors) adds factors[0] @ ... @ factors[-1] @ x[cols] to
+    the rows of the output.  Factors are dense arrays or sparse matrices.
+    The transpose swaps rows and cols and transposes the factors in reverse
+    order, so it comes from the same factors, never from an identity such
+    as J^T = -M J M^{-1} that the model axioms would then hold by fiat."""
+    dim: int
+    terms: tuple   # ((rows: slice, cols: slice, factors: tuple), ...)
+
+    @property
+    def T(self) -> "BlockOperator":
+        return BlockOperator(self.dim, tuple((cols, rows, tuple(f.T for f in reversed(factors)))
+                                             for rows, cols, factors in self.terms))
+
+    def __matmul__(self, x):
+        """The operator applied to a vector (dim,) or to columns (dim, k)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[:1] != (self.dim,):
+            raise ValueError(f"operand of shape {x.shape} for an operator of dim {self.dim}")
+        out = np.zeros(x.shape)
+        for rows, cols, factors in self.terms:
+            y = x[cols]
+            for f in reversed(factors):
+                y = f @ y
+            out[rows] += y
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(self.dim)
+
+
+@dataclass(frozen=True)
 class DiracModel:
     label: str
     mass: np.ndarray                # (n,) positive diagonal
     dirac: sparse.csr_matrix        # (n, n)
-    complex_structure: np.ndarray   # (n, n)
+    complex_structure: np.ndarray | BlockOperator   # (n, n); an array on the torus
     completeness_radius: float
     area: float | None = None
     meta: dict = field(default_factory=dict)
@@ -70,8 +116,10 @@ class DiracModel:
         return self.dirac.shape[0]
 
     def composite(self) -> np.ndarray:
-        """A = J D, the M-self-adjoint operator carrying the spectral data."""
-        return self.complex_structure @ self.dirac
+        """A = J D as a dense array, the M-self-adjoint operator carrying the
+        spectral data."""
+        j = self.complex_structure
+        return (j if isinstance(j, np.ndarray) else j.toarray()) @ self.dirac
 
 
 @dataclass(frozen=True)
@@ -96,7 +144,8 @@ def check_model(model: DiracModel) -> ModelDiagnostics:
     ``selfadjoint`` is exact: max |M D - (M D)^T| over the sparse product.
     The three J axioms are checked on the fixed probe block
     X = default_rng(0).standard_normal((dim, 8)) (Freivalds' check), so each
-    costs dim^2 * 8 rather than dim^3:
+    costs a few products of J with 8 columns (dim^2 * 8 for a dense J) rather
+    than dim^3; J and J^T are applied as the model stores them:
 
         j_square      max |J (J X) + X|
         j_orthogonal  max |J^T (M J X) - M X|
@@ -263,6 +312,31 @@ def _coo(pattern: sparse.coo_matrix, data: np.ndarray) -> sparse.coo_matrix:
     return sparse.coo_matrix((data, (pattern.row, pattern.col)), shape=pattern.shape)
 
 
+def _fourier_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal real-Fourier basis of R^n as columns k = 0 .. n-1,
+    cos(2 pi k i / n) up to k = n/2 and sin(2 pi k i / n) beyond, and
+    sin(pi p / n) for each column's frequency p = min(k, n - k)."""
+    k = np.arange(n)
+    angle = (np.outer(k, k) % n) * (TWO_PI / n)
+    basis = np.where(k <= n // 2, np.cos(angle), np.sin(angle))
+    basis *= np.where((k == 0) | (2 * k == n), np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    return basis, np.sin(np.pi * np.minimum(k, n - k) / n)
+
+
+def _grid_eigenpairs(cc: CochainComplex) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of L0 on a quad-grid torus in closed form, as mass_eigh
+    returns them: the M0-orthonormal columns kron(Psi_m, Phi_n) / sqrt(dx dy)
+    of the 1-D real-Fourier bases, at mu = 4/dx^2 sin^2(pi p/n) +
+    4/dy^2 sin^2(pi q/m), in ascending order (stable sort)."""
+    n, m = cc.meta["shape"]
+    dx, dy = cc.meta["spacing"]
+    phi, sx = _fourier_basis(n)
+    psi, sy = _fourier_basis(m)
+    vals = np.add.outer(4.0 / dy**2 * sy**2, 4.0 / dx**2 * sx**2).ravel()   # row q * n + p
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.kron(psi, phi)[:, order] / np.sqrt(dx * dy)
+
+
 def build_sl_model(cc: CochainComplex) -> DiracModel:
     """Block Dirac model on (vertex functions) + (face functions) + (1-cochains).
 
@@ -273,12 +347,17 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     The Laplacian eigenpairs diagonalise A = J D, carried as the model's
     ``eigenbasis``: +sqrt(mu) on vertex functions (v, 0, 0) and -sqrt(mu) on
     exact cochains (0, 0, e), e = d0 v / sqrt(mu); likewise +-sqrt(nu) on face
-    functions (0, w, 0) and coexact cochains (0, 0, c); 0 on the kernel.
+    functions (0, w, 0) and coexact cochains (0, 0, c); 0 on the kernel.  On
+    quad-grid tori the eigenpairs are in closed form and the dual Laplacian
+    is the primal one; elsewhere both come from mass_eigh.
     J is stated once, as a table of pairs (x, y) with J x = -y and J y = x:
     vertex functions with exact cochains, face functions with coexact
     cochains, and the two constants kf, kg.  The table fills the eigenbasis
-    vectors, J in that basis, and J's cochain blocks x (M y)^T and -y (M x)^T.
-    Harmonic cochains carry the polar-corrected quarter-turn -J_H.
+    vectors and J in that basis.  J itself is the BlockOperator of the
+    module docstring, N0 = V0 diag(mu^-1/2) V0^T M0 and N2 likewise over the
+    non-constant eigenpairs, with the rank-1 constant blocks kf (M kg)^T and
+    -kg (M kf)^T; harmonic cochains carry the polar-corrected quarter-turn
+    -J_H, the rank-2g block -harm J_H harm^T M1.
     """
     n0, n1, n2 = cc.n0, cc.n1, cc.n2
     m0, m1 = cc.star0, cc.star1
@@ -286,20 +365,23 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     dim = n0 + n2 + n1
     s0, s1, s2 = slice(0, n0), slice(n0, n0 + n2), slice(n0 + n2, dim)
 
-    d0c, d1c = cc.d0.tocoo(), cc.d1.tocoo()
-    delta = _coo(d0c.T, d0c.data * m1[d0c.row] / m0[d0c.col])   # M0^{-1} d0^T M1
-    t_up = _coo(d1c, d1c.data * cc.star2[d1c.row])                # star2 d1
-    t_up_adj = _coo(d1c.T, d1c.data / m1[d1c.col])                # M1^{-1} d1^T
+    d0, d0c, d1c = cc.d0, cc.d0.tocoo(), cc.d1.tocoo()
+    delta = _coo(d0c.T, d0c.data * m1[d0c.row] / m0[d0c.col]).tocsr()   # M0^{-1} d0^T M1
+    t_up = _coo(d1c, d1c.data * cc.star2[d1c.row]).tocsr()               # star2 d1
+    t_up_adj = _coo(d1c.T, d1c.data / m1[d1c.col]).tocsr()               # M1^{-1} d1^T
     d = sparse.bmat([[None, None, delta], [None, None, t_up],
-                     [cc.d0, t_up_adj, None]], format="csr", dtype=float)
+                     [d0, t_up_adj, None]], format="csr", dtype=float)
     mass = np.concatenate([m0, m2d, m1])
 
-    d0 = cc.d0.toarray().astype(float)
-    d1 = cc.d1.toarray().astype(float)
-
     # spectral data of the two function Laplacians
-    vals0, vecs0 = mass_eigh((d0.T * m1[None, :]) @ d0, m0)
-    vals2, vecs2 = mass_eigh((d1 / m1[None, :]) @ d1.T, m2d)
+    if cc.meta.get("kind") == "quad-grid-torus":
+        vals0, vecs0 = _grid_eigenpairs(cc)
+        vals2, vecs2 = vals0, vecs0            # the self-dual grid: L0_dual is L0
+    else:
+        d0_dense = d0.toarray().astype(float)
+        d1_dense = cc.d1.toarray().astype(float)
+        vals0, vecs0 = mass_eigh((d0_dense.T * m1[None, :]) @ d0_dense, m0)
+        vals2, vecs2 = mass_eigh((d1_dense / m1[None, :]) @ d1_dense.T, m2d)
     tol0 = 1e-8 * max(vals0.max(), 1.0)
     tol2 = 1e-8 * max(vals2.max(), 1.0)
     if np.count_nonzero(vals0 < tol0) != 1 or np.count_nonzero(vals2 < tol2) != 1:
@@ -313,44 +395,45 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     jh, jh_correction = _harmonic_complex_structure(harm, m1, cc)
 
     # eigenvectors of A = J D:  v, e = d0 v / sqrt(mu); w, c = M1^-1 d1^T w / sqrt(nu)
-    mu = vals0[1:]
-    v0 = vecs0[:, 1:]
-    e_vec = (d0 @ v0) / np.sqrt(mu)[None, :]
-    nu = vals2[1:]
-    w0 = vecs2[:, 1:]
-    c_vec = (d1.T @ w0) / m1[:, None] / np.sqrt(nu)[None, :]
+    root_mu, root_nu = np.sqrt(vals0[1:]), np.sqrt(vals2[1:])
+    v0, w0 = vecs0[:, 1:], vecs2[:, 1:]
+    e_vec = (d0 @ v0) / root_mu[None, :]
+    c_vec = (cc.d1.T @ w0) / m1[:, None] / root_nu[None, :]
 
     # eigenbasis of A in ascending order; pos[i] is the sorted column of entry i
-    root_mu, root_nu = np.sqrt(mu), np.sqrt(nu)
     values = np.concatenate([root_mu, -root_mu, root_nu, -root_nu,
                              np.zeros(2 + harm.shape[1])])
     order = np.argsort(values, kind="stable")
     pos = np.empty(dim, dtype=int)
     pos[order] = np.arange(dim)
-    p_v, p_e, p_w, p_c, p_k = np.split(pos, np.cumsum([mu.size, mu.size, nu.size, nu.size]))
+    p_v, p_e, p_w, p_c, p_k = np.split(pos, np.cumsum([root_mu.size] * 2 + [root_nu.size] * 2))
 
-    # J pairs x with y, J x = -y and J y = x; per pair: the blocks and masses
-    # of x and y, their columns and their sorted positions in the eigenbasis
-    pairs = ((s0, m0, v0, p_v, s2, m1, e_vec, p_e),           # vertex / exact
-             (s1, m2d, w0, p_w, s2, m1, c_vec, p_c),          # face / coexact
-             (s0, m0, kf, p_k[:1], s1, m2d, kg, p_k[1:2]))    # the constants
+    # J pairs x with y, J x = -y and J y = x; per pair: the blocks of x and y,
+    # their columns and their sorted positions in the eigenbasis
+    pairs = ((s0, v0, p_v, s2, e_vec, p_e),            # vertex / exact
+             (s1, w0, p_w, s2, c_vec, p_c),            # face / coexact
+             (s0, kf, p_k[:1], s1, kg, p_k[1:2]))      # the constants
     vectors = np.zeros((dim, dim))
     jeig = np.zeros((dim, dim))
-    jmat = np.zeros((dim, dim))
-    for sx, mx, x, px, sy, my, y, py in pairs:
+    for sx, x, px, sy, y, py in pairs:
         vectors[sx, px] = x
         vectors[sy, py] = y
         jeig[py, px] = -1.0
         jeig[px, py] = 1.0
-        jmat[sx, sy] = x @ (my[:, None] * y).T
-        jmat[sy, sx] = -y @ (mx[:, None] * x).T
-    # harmonic cochains: -J_H in the eigenbasis, -harm J_H harm^T M1 on cochains
+    # harmonic cochains: -J_H in the eigenbasis
     vectors[s2, p_k[2:]] = harm
     jeig[np.ix_(p_k[2:], p_k[2:])] = -jh
-    jmat[s2, s2] = -harm @ jh @ (m1[:, None] * harm).T
+
+    n0_mat = (v0 / root_mu[None, :]) @ (v0.T * m0[None, :])     # N0 = L0^{-1/2}
+    n2_mat = (w0 / root_nu[None, :]) @ (w0.T * m2d[None, :])    # N2 = L0_dual^{-1/2}
+    j = BlockOperator(dim, (
+        (s0, s2, (n0_mat, delta)), (s1, s2, (n2_mat, t_up)),
+        (s2, s0, (-d0, n0_mat)), (s2, s1, (-t_up_adj, n2_mat)),
+        (s0, s1, (kf, (m2d[:, None] * kg).T)), (s1, s0, (-kg, (m0[:, None] * kf).T)),
+        (s2, s2, (-harm @ jh, (m1[:, None] * harm).T))))
 
     radius = float(np.sqrt(max(vals0.max(), vals2.max())))
-    return DiracModel("sl-block", mass, d, jmat, completeness_radius=radius, area=area,
+    return DiracModel("sl-block", mass, d, j, completeness_radius=radius, area=area,
                       meta={"harmonic_correction": jh_correction},
                       eigenbasis=Eigenbasis(values[order], vectors, jeig))
 

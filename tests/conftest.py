@@ -44,6 +44,13 @@ def torus_end(torus_spec_25):
     return cs.EndSystem((torus_spec_25,))
 
 
+def dense_j(model):
+    """A model's J as a dense array: the torus model's own array, or the block
+    model's operator read with toarray()."""
+    j = model.complex_structure
+    return j if isinstance(j, np.ndarray) else j.toarray()
+
+
 def fourier_oracle(torus, count):
     """First `count` Laplace eigenvalues with multiplicity, by dual-lattice enumeration."""
     out = []

@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
 from cylspec.errors import NonManifoldEdge
+from cylspec.lattice import TWO_PI
 from cylspec.mesh import _genus2_quads, _match_sides
+from tests.conftest import lattice_bases
 
 
 def test_2x2_grid_torus_counts(square_t):
@@ -294,3 +296,107 @@ def test_validate_orientation_clash():
         surf.validate()
     assert outcome(reference_validate, surf) == (NonManifoldEdge, msg)
 
+
+
+# ---------------------------------------------------------------------------
+# the per-vertex and per-cell loops that built the two torus meshes
+
+def reference_triangulated_torus_mesh(torus, n, m):
+    def vid(i, j):
+        return (j % m) * n + (i % n)
+
+    frac = np.empty((n * m, 2))
+    for j in range(m):
+        for i in range(n):
+            frac[vid(i, j)] = ((i + 0.5 * (j % 2)) / n, j / m)
+    positions = np.zeros((n * m, 3))
+    positions[:, :2] = frac @ torus.basis.T
+
+    nm = n * m
+    H = lambda i, j: (j % m) * n + (i % n)
+    F = lambda i, j: nm + (j % m) * n + (i % n)
+    B = lambda i, j: 2 * nm + (j % m) * n + (i % n)
+    edges = np.empty((3 * nm, 2), dtype=int)
+    dfrac = np.empty((3 * nm, 2))
+    for j in range(m):
+        for i in range(n):
+            edges[H(i, j)] = (vid(i, j), vid(i + 1, j))
+            dfrac[H(i, j)] = (1.0 / n, 0.0)
+            if j % 2 == 0:
+                edges[F(i, j)] = (vid(i, j), vid(i, j + 1))
+                dfrac[F(i, j)] = (0.5 / n, 1.0 / m)
+                edges[B(i, j)] = (vid(i + 1, j), vid(i, j + 1))
+                dfrac[B(i, j)] = (-0.5 / n, 1.0 / m)
+            else:
+                edges[F(i, j)] = (vid(i, j), vid(i, j + 1))
+                dfrac[F(i, j)] = (-0.5 / n, 1.0 / m)
+                edges[B(i, j)] = (vid(i, j), vid(i + 1, j + 1))
+                dfrac[B(i, j)] = (0.5 / n, 1.0 / m)
+    vecs = dfrac @ torus.basis.T
+    edge_lengths = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+
+    triangles = np.empty((2 * nm, 3), dtype=int)
+    tri_edges = np.empty((2 * nm, 3), dtype=int)
+    t = 0
+    for j in range(m):
+        for i in range(n):
+            if j % 2 == 0:
+                triangles[t] = (vid(i, j), vid(i + 1, j), vid(i, j + 1))
+                tri_edges[t] = (H(i, j), B(i, j), F(i, j))
+                triangles[t + 1] = (vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
+                tri_edges[t + 1] = (F(i + 1, j), H(i, j + 1), B(i, j))
+            else:
+                triangles[t] = (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1))
+                tri_edges[t] = (H(i, j), F(i + 1, j), B(i, j))
+                triangles[t + 1] = (vid(i, j), vid(i + 1, j + 1), vid(i, j + 1))
+                tri_edges[t + 1] = (B(i, j), H(i, j + 1), F(i, j))
+            t += 2
+    return positions, triangles, edges, tri_edges, edge_lengths
+
+
+def reference_parametric_torus_mesh(n, m):
+    """(positions, triangles) of the donut, before edge matching."""
+    big_radius, small_radius = 2.0, 0.7
+    positions = np.empty((n * m, 3))
+    for j in range(m):
+        phi = TWO_PI * j / m
+        for i in range(n):
+            theta = TWO_PI * i / n
+            rho = big_radius + small_radius * np.cos(phi)
+            positions[j * n + i] = (rho * np.cos(theta), rho * np.sin(theta),
+                                    small_radius * np.sin(phi))
+    tris = []
+    for j in range(m):
+        for i in range(n):
+            v00 = (j % m) * n + i % n
+            v10 = (j % m) * n + (i + 1) % n
+            v01 = ((j + 1) % m) * n + i % n
+            v11 = ((j + 1) % m) * n + (i + 1) % n
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return positions, np.asarray(tris, dtype=int)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_bases(), st.integers(2, 20), st.integers(1, 10))
+@example(np.diag([TWO_PI, TWO_PI]), 192, 64)
+def test_triangulated_torus_mesh_matches_loop(basis, n, half_m):
+    torus = cs.FlatTorus(basis)
+    surf = cs.triangulated_torus_mesh(torus, n, 2 * half_m)
+    want = reference_triangulated_torus_mesh(torus, n, 2 * half_m)
+    for got, ref in zip((surf.vertex_positions, surf.triangles, surf.edges,
+                         surf.triangle_edges, surf.edge_lengths), want):
+        assert_bitwise(got, ref)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 7), (12, 8), (24, 16), (192, 128)])
+def test_parametric_torus_mesh_matches_loop(n, m):
+    surf = cs.parametric_torus_mesh(n, m)
+    positions, triangles = reference_parametric_torus_mesh(n, m)
+    assert_bitwise(surf.vertex_positions, positions)
+    assert_bitwise(surf.triangles, triangles)

@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
+from cylspec.dec import mass_eigh
 from cylspec.models import _AXIOM_TOL, I1, I2, I3
+from tests.conftest import dense_j
 
 
 def test_quaternion_algebra():
@@ -125,7 +127,7 @@ def test_torus_model_axioms_random_lattices():
 def exact_axiom_residuals(model: cs.DiracModel) -> dict:
     """Max-norm residuals of the model axioms over the whole matrices."""
     m = model.mass[:, None]
-    j = model.complex_structure
+    j = dense_j(model)
     md = sparse.diags(model.mass) @ model.dirac
     return {
         "selfadjoint": float(abs(md - md.T).max()),
@@ -182,7 +184,7 @@ def test_probe_check_matches_exact(data, model, in_j, delta):
     # plant a single-entry error in J or in D
     i, k = (data.draw(st.integers(0, model.dim - 1)) for _ in range(2))
     if in_j:
-        jmat = model.complex_structure.copy()
+        jmat = dense_j(model).copy()
         jmat[i, k] += delta
         bad = replace(model, complex_structure=jmat)
     else:
@@ -206,7 +208,7 @@ def test_check_model_catches_mutants(square_t):
     cc = cs.quad_torus_complex(square_t, 8)
     model = cs.build_sl_model(cc)
     s0, s1, s2 = slice(0, cc.n0), slice(cc.n0, cc.n0 + cc.n2), slice(cc.n0 + cc.n2, model.dim)
-    jmat = model.complex_structure.copy()
+    jmat = dense_j(model).copy()
     jmat[s0, s2] *= -1
     mass = model.mass.copy()
     mass[s1] = 1.0
@@ -276,3 +278,126 @@ def test_face_cycle_rotation_matches_loop(square_t, make):
     rot = cs.models._face_cycle_rotation(cc)
     assert sparse.issparse(rot)
     assert np.array_equal(rot.toarray(), reference_face_cycle_rotation(cc))
+
+
+# ---------------------------------------------------------------------------
+# reference paths build_sl_model replaced: the dense solve for the Laplacian
+# eigenpairs on grids and the dense pair-table J
+
+def reference_function_eigenpairs(cc):
+    """(values, vectors) of L0 and of L0_dual, by mass_eigh of the dense
+    stiffness matrices."""
+    d0 = cc.d0.toarray().astype(float)
+    d1 = cc.d1.toarray().astype(float)
+    m1 = cc.star1
+    return (mass_eigh((d0.T * m1[None, :]) @ d0, cc.star0),
+            mass_eigh((d1 / m1[None, :]) @ d1.T, 1.0 / cc.star2))
+
+
+def reference_block_j(cc) -> np.ndarray:
+    """The block model's J as a dense array, from the pair table with the
+    mass_eigh eigenpairs: x (M y)^T and -y (M x)^T for every pair (x, y),
+    and -harm J_H harm^T M1 on the harmonic cochains."""
+    (vals0, vecs0), (vals2, vecs2) = reference_function_eigenpairs(cc)
+    n0, n2 = cc.n0, cc.n2
+    m0, m1, m2d = cc.star0, cc.star1, 1.0 / cc.star2
+    dim = n0 + n2 + cc.n1
+    s0, s1, s2 = slice(0, n0), slice(n0, n0 + n2), slice(n0 + n2, dim)
+    d0 = cc.d0.toarray().astype(float)
+    d1 = cc.d1.toarray().astype(float)
+    v0, w0 = vecs0[:, 1:], vecs2[:, 1:]
+    e_vec = (d0 @ v0) / np.sqrt(vals0[1:])[None, :]
+    c_vec = (d1.T @ w0) / m1[:, None] / np.sqrt(vals2[1:])[None, :]
+    kf = np.full((n0, 1), 1.0 / np.sqrt(m0.sum()))
+    kg = np.full((n2, 1), 1.0 / np.sqrt(m2d.sum()))
+    harm = cs.models._harmonic_basis(cc)
+    jh = cs.models._harmonic_complex_structure(harm, m1, cc)[0]
+    j = np.zeros((dim, dim))
+    for sx, mx, x, sy, my, y in ((s0, m0, v0, s2, m1, e_vec), (s1, m2d, w0, s2, m1, c_vec),
+                                 (s0, m0, kf, s1, m2d, kg)):
+        j[sx, sy] = x @ (my[:, None] * y).T
+        j[sy, sx] = -y @ (mx[:, None] * x).T
+    j[s2, s2] = -harm @ jh @ (m1[:, None] * harm).T
+    return j
+
+
+grid_sides = st.tuples(st.integers(3, 12), st.integers(3, 12),
+                       st.floats(1.0, 8.0), st.floats(1.0, 8.0))
+
+
+def grid_complex(n, m, width, height):
+    return cs.quad_torus_complex(cs.FlatTorus(np.diag([width, height])), n, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_sides)
+def test_grid_eigenpairs_match_mass_eigh(sides):
+    # the closed form stands for both L0 and L0_dual on the self-dual grid
+    cc = grid_complex(*sides)
+    vals, vecs = cs.models._grid_eigenpairs(cc)
+    for (ref_vals, ref_vecs), mass in zip(reference_function_eigenpairs(cc),
+                                          (cc.star0, 1.0 / cc.star2)):
+        radius = float(ref_vals.max())
+        assert np.abs(vals - ref_vals).max() <= 1e-12 * radius
+        cuts = np.flatnonzero(np.diff(ref_vals) > 1e-6 * radius) + 1
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, vals.size]):
+            assert cs.principal_angle_gap(vecs[:, a:b], ref_vecs[:, a:b], mass) <= 1e-10
+
+
+def assert_j_matches_pair_table(cc):
+    # relative to J's largest entry, about sqrt(dy/dx / (dx dy)) = 7.6 on the
+    # 3 x 12 grid of the 8 x 1 torus; there the reference alone has
+    # |J^2 + 1| = 2.3e-13, the factored J 9.4e-15
+    j = cs.build_sl_model(cc).complex_structure
+    ref = reference_block_j(cc)
+    tol = 1e-13 * np.abs(ref).max()
+    assert np.abs(j.toarray() - ref).max() <= tol
+    assert np.abs(j.T.toarray() - ref.T).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_sides)
+def test_block_j_matches_pair_table_on_grids(sides):
+    assert_j_matches_pair_table(grid_complex(*sides))
+
+
+@pytest.mark.parametrize("make", [
+    cs.genus2_quad_complex,
+    lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+], ids=["genus2-quad", "donut-12x8"])
+def test_block_j_matches_pair_table_on_meshes(make):
+    assert_j_matches_pair_table(make())
+
+
+@dataclass(frozen=True)
+class WithTranspose:
+    """An operator J whose transpose is given apart from it."""
+    op: object
+    T: object
+
+    def __matmul__(self, x):
+        return self.op @ x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid_complex(7, 5, 3.0, 5.5),
+    lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+], ids=["grid-7x5", "donut-12x8"])
+def test_check_model_catches_transpose_without_mass(make):
+    # J^T[s2, s0] = delta^T N0^T with N0^T = M0 V0 diag(mu^-1/2) V0^T: the
+    # mutant drops its factor M0
+    cc = make()
+    model = cs.build_sl_model(cc)
+    j = model.complex_structure
+    s0, s2 = slice(0, cc.n0), slice(cc.n0 + cc.n2, model.dim)
+    terms = []
+    for rows, cols, factors in j.T.terms:
+        if (rows, cols) == (s2, s0):
+            delta_t, n0_t = factors
+            factors = (delta_t, n0_t / cc.star0[:, None])
+        terms.append((rows, cols, factors))
+    mutant = WithTranspose(j, cs.models.BlockOperator(model.dim, tuple(terms)))
+    assert cs.check_model(replace(model, complex_structure=WithTranspose(j, j.T))).passed
+    diag = cs.check_model(replace(model, complex_structure=mutant))
+    assert not diag.passed
+    assert diag.residuals["j_orthogonal"] > _AXIOM_TOL["j_orthogonal"]
