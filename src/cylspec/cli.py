@@ -86,7 +86,10 @@ def _model(cfg, kind, role="model", grid=16, cutoff=2.5,
                 raise ConfigError(f"mesh file not found: {path}")
             cc = dec.build_dec(mesh.read_off(path))
         else:
-            cc = dec.quad_torus_complex(_torus_from(cfg), int(cfg.get("grid", grid)))
+            n = int(cfg.get("grid", grid))
+            if n >= 2:   # quad_torus_complex rejects the others
+                models.check_sl_dim(4 * n * n, f"grid {n}")
+            cc = dec.quad_torus_complex(_torus_from(cfg), n)
         return models.build_sl_model(cc)
     raise ConfigError(f"unknown {role} kind: {kind}")
 

@@ -36,13 +36,18 @@ back:
 
 where delta, t_up, d0 and t_up_adj are the blocks of D.  The block model
 stores J as these factors (a BlockOperator, never a dense dim x dim array);
-the torus model stores its J = Id x I3 as an array.  On quad-grid tori the
-Laplacian eigenpairs are in closed form, the real-Fourier diagonalisation of
-the circulant L0 (Strang, SIAM Review 41, 1999); other complexes solve for
-them densely.
+the torus model stores its J = Id x I3 as an array.  Every eigenvector of
+the block model lives on one row slice (vertex, face or cochain rows), so
+its eigenbasis is stored as three column blocks, and J in that basis as the
+pair table plus the harmonic block; neither is filled into a dense
+dim x dim array unless a caller reads it.  On quad-grid tori the Laplacian
+eigenpairs are in closed form, the real-Fourier diagonalisation of the
+circulant L0 (Strang, SIAM Review 41, 1999); other complexes solve for them
+densely.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -59,12 +64,47 @@ I3 = I1 @ I2
 
 @dataclass(frozen=True)
 class Eigenbasis:
-    """Eigenpairs of A = J D that every model states from its own construction:
-    ascending ``values``, M-orthonormal ``vectors`` as aligned columns, and
-    ``jmat``, J expressed in that basis (V^T M J V, never formed as such)."""
-    values: np.ndarray    # (n,)
-    vectors: np.ndarray   # (n, n)
-    jmat: np.ndarray      # (n, n)
+    """Eigenpairs of A = J D that every model states from its own construction.
+
+    ``values`` ascend.  The M-orthonormal eigenvectors are column blocks
+    (rows, cols, block): ``block`` holds the eigenvectors at the sorted
+    positions ``cols``, each supported on the row slice ``rows`` alone.
+    J in that basis (V^T M J V, never formed as such) is the pair table
+    ``jpairs`` = (px, py), with J x = -y and J y = x for the eigenvectors x
+    at px and y at py, plus ``jblock`` = (positions, block), J among the
+    eigenvectors at those positions.  ``vectors`` and ``jmat`` are the dense
+    (n, n) arrays, filled when first read.
+    """
+    values: np.ndarray   # (n,)
+    blocks: tuple        # ((rows: slice, cols: (k,) int array, block: (rows, k) array), ...)
+    jpairs: tuple        # (px, py): int arrays of equal length
+    jblock: tuple        # (positions: (h,) int array, block: (h, h) array)
+
+    @property
+    def dim(self) -> int:
+        return int(self.values.size)
+
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """The eigenvectors at the sorted positions [start, stop) as dense columns."""
+        out = np.zeros((self.dim, stop - start))
+        for rows, cols, block in self.blocks:
+            keep = (cols >= start) & (cols < stop)
+            out[rows, cols[keep] - start] = block[:, keep]
+        return out
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return self.columns(0, self.dim)
+
+    @cached_property
+    def jmat(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim))
+        px, py = self.jpairs
+        out[py, px] = -1.0
+        out[px, py] = 1.0
+        positions, block = self.jblock
+        out[np.ix_(positions, positions)] = block
+        return out
 
 
 @dataclass(frozen=True)
@@ -74,7 +114,8 @@ class BlockOperator:
     the rows of the output.  Factors are dense arrays or sparse matrices.
     The transpose swaps rows and cols and transposes the factors in reverse
     order, so it comes from the same factors, never from an identity such
-    as J^T = -M J M^{-1} that the model axioms would then hold by fiat."""
+    as J^T = -M J M^{-1} that the model axioms would then hold by fiat.
+    A term whose operand block x[cols] is exactly zero is skipped."""
     dim: int
     terms: tuple   # ((rows: slice, cols: slice, factors: tuple), ...)
 
@@ -91,6 +132,8 @@ class BlockOperator:
         out = np.zeros(x.shape)
         for rows, cols, factors in self.terms:
             y = x[cols]
+            if not y.any():
+                continue
             for f in reversed(factors):
                 y = f @ y
             out[rows] += y
@@ -215,14 +258,24 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
     d.eliminate_zeros()
     mass = np.concatenate([np.full(4, area), np.full(8 * npairs, 0.5 * area)])
 
-    # per pair: the columns at +|k|, then those at -|k|
+    # per pair: the columns at +|k|, then those at -|k|; the eigenbasis is one
+    # block over all rows
     values = np.concatenate([np.zeros(4), np.repeat(np.stack([norms, -norms], axis=1), 4)])
     vectors = sparse.block_diag([eye] + [np.block([[eye, eye], [-s, s]]) for s in smats])
     swap = np.kron([[0.0, 1.0], [1.0, 0.0]], I3)
-    jeig = sparse.block_diag([I3] + [swap] * npairs).toarray()
+    jeig = sparse.block_diag([I3] + [swap] * npairs, format="coo")
+    dim = values.size
     order = np.argsort(values, kind="stable")
-    basis = Eigenbasis(values[order], vectors.toarray()[:, order] / np.sqrt(area),
-                       jeig[np.ix_(order, order)])
+    pos = np.empty(dim, dtype=int)
+    pos[order] = np.arange(dim)
+    # J in the eigenbasis is a skew signed permutation: its +1 entries J y = x
+    # give the pairs (x, y)
+    plus = jeig.data > 0
+    basis = Eigenbasis(values[order],
+                       ((slice(0, dim), np.arange(dim),
+                         vectors.toarray()[:, order] / np.sqrt(area)),),
+                       (pos[jeig.row[plus]], pos[jeig.col[plus]]),
+                       (np.zeros(0, dtype=int), np.zeros((0, 0))))
 
     return DiracModel("torus", mass, d, np.kron(np.eye(1 + 2 * npairs), I3),
                       completeness_radius=float(np.sqrt(cutoff)), area=area,
@@ -231,6 +284,20 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
 
 # ---------------------------------------------------------------------------
 # block model on a DEC complex
+
+# largest block model dim build_sl_model accepts: the Laplacian eigenbases,
+# N0, N2 and the residual blocks are dense; `spectrum --model sl --grid 32`
+# (this dim) peaks at about 300 MB RSS
+MAX_SL_DIM = 4096
+
+
+def check_sl_dim(dim: int, about: str):
+    """ConfigError when ``about`` (a complex, or a grid before it is built)
+    gives a block model above MAX_SL_DIM."""
+    if dim > MAX_SL_DIM:
+        raise ConfigError(f"{about} gives a block model of dim {dim}, "
+                          f"above the limit {MAX_SL_DIM}")
+
 
 def _face_cycle_rotation(cc: CochainComplex) -> sparse.csr_matrix:
     """Combinatorial quarter-turn candidate on 1-cochains: within every face,
@@ -352,17 +419,23 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     is the primal one; elsewhere both come from mass_eigh.
     J is stated once, as a table of pairs (x, y) with J x = -y and J y = x:
     vertex functions with exact cochains, face functions with coexact
-    cochains, and the two constants kf, kg.  The table fills the eigenbasis
-    vectors and J in that basis.  J itself is the BlockOperator of the
-    module docstring, N0 = V0 diag(mu^-1/2) V0^T M0 and N2 likewise over the
-    non-constant eigenpairs, with the rank-1 constant blocks kf (M kg)^T and
-    -kg (M kf)^T; harmonic cochains carry the polar-corrected quarter-turn
-    -J_H, the rank-2g block -harm J_H harm^T M1.
+    cochains, and the two constants kf, kg.  The eigenbasis keeps the
+    eigenvectors as three column blocks, one per row slice ([v0 kf] on the
+    vertex rows, [w0 kg] on the face rows, [e c harm] on the cochain rows),
+    and J in that basis as the table's sorted positions plus the harmonic
+    block -J_H; neither is filled densely.  J itself is the BlockOperator of
+    the module docstring, N0 = V0 diag(mu^-1/2) V0^T M0 and N2 likewise over
+    the non-constant eigenpairs, with the rank-1 constant blocks kf (M kg)^T
+    and -kg (M kf)^T; harmonic cochains carry the polar-corrected
+    quarter-turn -J_H, the rank-2g block -harm J_H harm^T M1.  A complex that
+    gives a dim above MAX_SL_DIM raises ConfigError before any dense array
+    is formed.
     """
     n0, n1, n2 = cc.n0, cc.n1, cc.n2
+    dim = n0 + n2 + n1
+    check_sl_dim(dim, f"a complex of {n0} vertices, {n1} edges and {n2} faces")
     m0, m1 = cc.star0, cc.star1
     m2d = 1.0 / cc.star2                       # mass of face functions
-    dim = n0 + n2 + n1
     s0, s1, s2 = slice(0, n0), slice(n0, n0 + n2), slice(n0 + n2, dim)
 
     d0, d0c, d1c = cc.d0, cc.d0.tocoo(), cc.d1.tocoo()
@@ -408,21 +481,14 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     pos[order] = np.arange(dim)
     p_v, p_e, p_w, p_c, p_k = np.split(pos, np.cumsum([root_mu.size] * 2 + [root_nu.size] * 2))
 
-    # J pairs x with y, J x = -y and J y = x; per pair: the blocks of x and y,
-    # their columns and their sorted positions in the eigenbasis
-    pairs = ((s0, v0, p_v, s2, e_vec, p_e),            # vertex / exact
-             (s1, w0, p_w, s2, c_vec, p_c),            # face / coexact
-             (s0, kf, p_k[:1], s1, kg, p_k[1:2]))      # the constants
-    vectors = np.zeros((dim, dim))
-    jeig = np.zeros((dim, dim))
-    for sx, x, px, sy, y, py in pairs:
-        vectors[sx, px] = x
-        vectors[sy, py] = y
-        jeig[py, px] = -1.0
-        jeig[px, py] = 1.0
-    # harmonic cochains: -J_H in the eigenbasis
-    vectors[s2, p_k[2:]] = harm
-    jeig[np.ix_(p_k[2:], p_k[2:])] = -jh
+    # every eigenvector lives on one row slice: one column block per slice
+    blocks = ((s0, np.concatenate([p_v, p_k[:1]]), np.hstack([v0, kf])),
+              (s1, np.concatenate([p_w, p_k[1:2]]), np.hstack([w0, kg])),
+              (s2, np.concatenate([p_e, p_c, p_k[2:]]), np.hstack([e_vec, c_vec, harm])))
+    # J pairs x with y, J x = -y and J y = x: vertex / exact, face / coexact
+    # and the constants; harmonic cochains carry -J_H
+    jpairs = (np.concatenate([p_v, p_w, p_k[:1]]), np.concatenate([p_e, p_c, p_k[1:2]]))
+    basis = Eigenbasis(values[order], blocks, jpairs, (p_k[2:], -jh))
 
     n0_mat = (v0 / root_mu[None, :]) @ (v0.T * m0[None, :])     # N0 = L0^{-1/2}
     n2_mat = (w0 / root_nu[None, :]) @ (w0.T * m2d[None, :])    # N2 = L0_dual^{-1/2}
@@ -434,8 +500,7 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
 
     radius = float(np.sqrt(max(vals0.max(), vals2.max())))
     return DiracModel("sl-block", mass, d, j, completeness_radius=radius, area=area,
-                      meta={"harmonic_correction": jh_correction},
-                      eigenbasis=Eigenbasis(values[order], vectors, jeig))
+                      meta={"harmonic_correction": jh_correction}, eigenbasis=basis)
 
 
 def sl_laplacian_blocks(cc: CochainComplex) -> sparse.csr_matrix:

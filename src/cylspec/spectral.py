@@ -8,11 +8,12 @@ eigenvalues carry the multiplicities d_lam that drive all index formulas.
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceFailure, WindowExceedsCutoff
-from .models import DiracModel
+from .models import DiracModel, Eigenbasis
 
 
 @dataclass(frozen=True)
@@ -27,18 +28,18 @@ class Cluster:
 class Spectrum:
     """Sorted spectrum of A = J D with gap-rule clusters.
 
-    ``eigenvectors`` are M-orthonormal columns aligned with ``eigenvalues``;
-    they (and ``jmat``, J expressed in the eigenbasis) are None for synthetic
-    spectra built from root lists alone.
+    ``basis`` is the model's eigenbasis, None for synthetic spectra built
+    from root lists alone.  ``eigenvectors`` (M-orthonormal columns aligned
+    with ``eigenvalues``) and ``jmat`` (J expressed in the eigenbasis) are
+    its dense arrays, filled when first read, and None without a basis.
     """
 
     eigenvalues: np.ndarray
     clusters: tuple
     completeness_radius: float
     cluster_tol: float
-    eigenvectors: np.ndarray | None = None
+    basis: Eigenbasis | None = None
     mass: np.ndarray | None = None
-    jmat: np.ndarray | None = None
     label: str = ""
     meta: dict = field(default_factory=dict)
 
@@ -47,15 +48,31 @@ class Spectrum:
         return int(self.eigenvalues.size)
 
     @property
+    def eigenvectors(self) -> np.ndarray | None:
+        return None if self.basis is None else self.basis.vectors
+
+    @property
+    def jmat(self) -> np.ndarray | None:
+        return None if self.basis is None else self.basis.jmat
+
+    @property
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max()) if self.dim else 0.0
 
-    def d0(self) -> int:
-        """Multiplicity of the root at zero (0 when there is no zero cluster)."""
+    @cached_property
+    def _d0(self) -> int:
         for c in self.clusters:
             if abs(c.lam) <= max(self.cluster_tol, 1e-12):
                 return c.dim
         return 0
+
+    @cached_property
+    def _lams(self) -> np.ndarray:
+        return np.array([c.lam for c in self.clusters])
+
+    def d0(self) -> int:
+        """Multiplicity of the root at zero (0 when there is no zero cluster)."""
+        return self._d0
 
     def cluster_at(self, lam: float, tol: float | None = None):
         tol = self.cluster_tol if tol is None else tol
@@ -74,7 +91,9 @@ class Spectrum:
         return sum(d for _, d in self.roots_between(lo, hi))
 
     def nearest_root(self, x: float) -> tuple[float, float]:
-        lams = np.array([c.lam for c in self.clusters])
+        """The nearest root and its distance from x; of two equally near
+        roots, the lower one."""
+        lams = self._lams
         i = int(np.argmin(np.abs(lams - x)))
         return float(lams[i]), float(abs(lams[i] - x))
 
@@ -98,28 +117,36 @@ def eigendecompose(model: DiracModel) -> Spectrum:
 
     The model's own eigenbasis (closed form on the torus, Laplacian eigenpairs
     on the block model) supplies the eigenpairs and J in that basis; a model
-    without one raises ValueError.  The per-pair residual ||J (D v) - lam v||_M
-    must come out below 1e-8 * max(1, spectral radius) or ConvergenceFailure
-    is raised.  Clusters merge eigenvalues closer than cluster_tol =
-    1e-6 * spectral radius.
+    without one raises ValueError.  The eigenpairs are checked one column
+    block at a time: for the block B on the rows R at the values Lam, every
+    column of the residual J (D[:, R] B) - B Lam must have an M-norm below
+    1e-8 * max(1, spectral radius), and every column of B an M-norm within
+    1e-8 of 1 (a rescaled eigenvector has no larger residual), or
+    ConvergenceFailure is raised.  Clusters merge eigenvalues closer than
+    cluster_tol = 1e-6 * spectral radius.
     """
     basis = model.eigenbasis
     if basis is None:
         raise ValueError(f"model {model.label!r} carries no eigenbasis")
-    vals, vecs, jmat = basis.values, basis.vectors, basis.jmat
-    av = model.complex_structure @ (model.dirac @ vecs)
-
+    vals = basis.values
     radius = float(np.abs(vals).max()) if vals.size else 0.0
-    av -= vecs * vals[None, :]
-    resid = float(np.sqrt(model.mass @ (av * av)).max())
+
+    resid = norm_error = 0.0
+    for rows, cols, block in basis.blocks:
+        av = model.complex_structure @ (model.dirac[:, rows] @ block)
+        av[rows] -= block * vals[cols]
+        resid = max(resid, float(np.sqrt(model.mass @ (av * av)).max(initial=0.0)))
+        norms = np.einsum("i,ij,ij->j", model.mass[rows], block, block)
+        norm_error = max(norm_error, float(np.abs(norms - 1.0).max(initial=0.0)))
     if resid > 1e-8 * max(1.0, radius):
         raise ConvergenceFailure(f"eigenpair residual {resid:.2e} exceeds 1e-8")
+    if norm_error > 1e-8:
+        raise ConvergenceFailure(f"eigenvector M-norm off 1 by {norm_error:.2e}, above 1e-8")
 
     cluster_tol = 1e-6 * max(radius, 1e-30)
     clusters = _cluster(vals, cluster_tol)
-    return Spectrum(vals, clusters, model.completeness_radius, cluster_tol,
-                    eigenvectors=vecs, mass=model.mass, jmat=jmat,
-                    label=model.label, meta={"residual": resid})
+    return Spectrum(vals, clusters, model.completeness_radius, cluster_tol, basis=basis,
+                    mass=model.mass, label=model.label, meta={"residual": resid})
 
 
 def synthetic_spectrum(roots: list[tuple[float, int]],
@@ -156,12 +183,12 @@ def indicial_roots(spectrum: Spectrum, window: tuple[float, float]) -> list[tupl
 def homogeneous_kernel(spectrum: Spectrum, lam: float) -> np.ndarray:
     """M-orthonormal basis of the lam-eigenspace of A (columns); empty when lam
     is not a root within the cluster tolerance."""
-    if spectrum.eigenvectors is None:
+    if spectrum.basis is None:
         raise ValueError("spectrum carries no eigenvectors")
     c = spectrum.cluster_at(lam)
     if c is None:
-        return np.zeros((spectrum.eigenvectors.shape[0], 0))
-    return spectrum.eigenvectors[:, c.start:c.stop]
+        return np.zeros((spectrum.dim, 0))
+    return spectrum.basis.columns(c.start, c.stop)
 
 
 def principal_angle_gap(basis_a: np.ndarray, basis_b: np.ndarray,

@@ -51,6 +51,19 @@ def dense_j(model):
     return j if isinstance(j, np.ndarray) else j.toarray()
 
 
+def apply_without_skip(op, x):
+    """A BlockOperator applied term by term with no term skipped, as it was
+    before zero operand blocks were skipped."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    for rows, cols, factors in op.terms:
+        y = x[cols]
+        for f in reversed(factors):
+            y = f @ y
+        out[rows] += y
+    return out
+
+
 def fourier_oracle(torus, count):
     """First `count` Laplace eigenvalues with multiplicity, by dual-lattice enumeration."""
     out = []

@@ -295,6 +295,23 @@ def test_oversized_torus_model_is_config_error(tmp_path, capsys):
 
 
 
+def test_oversized_sl_grid_is_config_error(tmp_path, monkeypatch, capsys):
+    # 4 n^2 is checked before the complex is built; --grid 400 once died on
+    # an uncaught MemoryError in np.kron (a 160000 x 160000 eigenbasis)
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("complex built for an oversized block model")
+
+    monkeypatch.setattr(cs.dec, "quad_torus_complex", unbuilt)
+    out = tmp_path / "out"
+    for argv, grid, dim in ((["spectrum", "--model", "sl"], "400", 640000),
+                            (["indicial", "--model", "sl"], "33", 4356),
+                            (["index", "--ends", "torus,sl", "--rates=-0.5,0.5"], "40", 6400)):
+        assert main(argv + ["--grid", grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"ERR CONFIG: grid {grid} gives a block model "
+                                           f"of dim {dim}, above the limit 4096\n")
+        assert not out.exists()
+
+
 def test_long_thin_lattice_is_config_error(tmp_path, capsys):
     # the estimated dim (126) passes; the enumerated modes are rejected
     out = tmp_path / "out"

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import cylspec as cs
 from cylspec.dec import mass_eigh
+from cylspec.errors import ConfigError
 from cylspec.models import _AXIOM_TOL, I1, I2, I3
-from tests.conftest import dense_j
+from tests.conftest import apply_without_skip, dense_j, lattice_bases
 
 
 def test_quaternion_algebra():
@@ -401,3 +402,137 @@ def test_check_model_catches_transpose_without_mass(make):
     diag = cs.check_model(replace(model, complex_structure=mutant))
     assert not diag.passed
     assert diag.residuals["j_orthogonal"] > _AXIOM_TOL["j_orthogonal"]
+
+
+# ---------------------------------------------------------------------------
+# the dense eigenbasis and J in that basis, filled from the pair table as
+# build_sl_model and build_torus_model once did; and the BlockOperator apply
+# with no term skipped
+
+def reference_pair_table_fill(cc):
+    """(values, vectors, jeig) of the block model: the eigenbasis vectors and
+    J in that basis as dense arrays, filled pair by pair from the table."""
+    n0, n2 = cc.n0, cc.n2
+    m0, m1, m2d = cc.star0, cc.star1, 1.0 / cc.star2
+    dim = n0 + n2 + cc.n1
+    s0, s1, s2 = slice(0, n0), slice(n0, n0 + n2), slice(n0 + n2, dim)
+    if cc.meta.get("kind") == "quad-grid-torus":
+        vals0, vecs0 = cs.models._grid_eigenpairs(cc)
+        vals2, vecs2 = vals0, vecs0
+    else:
+        (vals0, vecs0), (vals2, vecs2) = reference_function_eigenpairs(cc)
+    kf = np.full((n0, 1), 1.0 / np.sqrt(float(m0.sum())))
+    kg = np.full((n2, 1), 1.0 / np.sqrt(float(m2d.sum())))
+    harm = cs.models._harmonic_basis(cc)
+    jh = cs.models._harmonic_complex_structure(harm, m1, cc)[0]
+    root_mu, root_nu = np.sqrt(vals0[1:]), np.sqrt(vals2[1:])
+    v0, w0 = vecs0[:, 1:], vecs2[:, 1:]
+    e_vec = (cc.d0 @ v0) / root_mu[None, :]
+    c_vec = (cc.d1.T @ w0) / m1[:, None] / root_nu[None, :]
+    values = np.concatenate([root_mu, -root_mu, root_nu, -root_nu,
+                             np.zeros(2 + harm.shape[1])])
+    order = np.argsort(values, kind="stable")
+    pos = np.empty(dim, dtype=int)
+    pos[order] = np.arange(dim)
+    p_v, p_e, p_w, p_c, p_k = np.split(pos, np.cumsum([root_mu.size] * 2 + [root_nu.size] * 2))
+    vectors = np.zeros((dim, dim))
+    jeig = np.zeros((dim, dim))
+    for sx, x, px, sy, y, py in ((s0, v0, p_v, s2, e_vec, p_e), (s1, w0, p_w, s2, c_vec, p_c),
+                                 (s0, kf, p_k[:1], s1, kg, p_k[1:2])):
+        vectors[sx, px] = x
+        vectors[sy, py] = y
+        jeig[py, px] = -1.0
+        jeig[px, py] = 1.0
+    vectors[s2, p_k[2:]] = harm
+    jeig[np.ix_(p_k[2:], p_k[2:])] = -jh
+    return values[order], vectors, jeig
+
+
+def reference_torus_fill(torus, cutoff):
+    """(values, vectors, jeig) of the torus model, each a dense array in the
+    sorted order."""
+    modes = cs.dual_lattice_points(torus, cutoff)
+    npairs = modes.shape[0] - 1
+    eye = np.eye(4)
+    norms = np.hypot(modes[1:, 0], modes[1:, 1])
+    smats = [I3 @ (k[0] * I1 + k[1] * I2) / nk for k, nk in zip(modes[1:], norms)]
+    values = np.concatenate([np.zeros(4), np.repeat(np.stack([norms, -norms], axis=1), 4)])
+    vectors = sparse.block_diag([eye] + [np.block([[eye, eye], [-s, s]]) for s in smats])
+    swap = np.kron([[0.0, 1.0], [1.0, 0.0]], I3)
+    jeig = sparse.block_diag([I3] + [swap] * npairs).toarray()
+    order = np.argsort(values, kind="stable")
+    return (values[order], vectors.toarray()[:, order] / np.sqrt(torus.area),
+            jeig[np.ix_(order, order)])
+
+
+def assert_fill_matches(basis, reference):
+    values, vectors, jeig = reference
+    assert np.array_equal(basis.values, values)
+    assert np.array_equal(basis.vectors, vectors)
+    assert np.array_equal(basis.jmat, jeig)
+    for start, stop in ((0, basis.dim), (1, basis.dim // 2), (basis.dim // 3, basis.dim - 1)):
+        assert np.array_equal(basis.columns(start, stop), vectors[:, start:stop])
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_sides)
+def test_block_fill_matches_pair_table_on_grids(sides):
+    cc = grid_complex(*sides)
+    assert_fill_matches(cs.build_sl_model(cc).eigenbasis, reference_pair_table_fill(cc))
+
+
+@pytest.mark.parametrize("make", [
+    cs.genus2_quad_complex,
+    lambda: cs.build_dec(cs.genus2_mesh()),
+    lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+], ids=["genus2-quad", "genus2-mesh", "donut-12x8"])
+def test_block_fill_matches_pair_table_on_meshes(make):
+    cc = make()
+    assert_fill_matches(cs.build_sl_model(cc).eigenbasis, reference_pair_table_fill(cc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_bases(), st.floats(min_value=0.5, max_value=12.0))
+def test_torus_fill_matches_dense_arrays(basis, cutoff):
+    torus = cs.FlatTorus(basis)
+    model = cs.build_torus_model(torus, cutoff)
+    assert len(model.eigenbasis.blocks) == 1   # one block over all rows
+    assert_fill_matches(model.eigenbasis, reference_torus_fill(torus, cutoff))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_sides, st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 4),
+       st.integers(0, 2**32 - 1))
+def test_block_operator_zero_skip_matches_full_apply(sides, zero, width, seed):
+    # zero row slices of the operand, as D[:, R] B has them; the skipped
+    # terms would only have added zeros, so the outputs agree up to the sign
+    # of zero (array_equal takes -0.0 == 0.0)
+    cc = grid_complex(*sides)
+    j = cs.build_sl_model(cc).complex_structure
+    n0, n2 = cc.n0, cc.n2
+    x = np.random.default_rng(seed).standard_normal((j.dim, width + 1))
+    for part, z in zip((slice(0, n0), slice(n0, n0 + n2), slice(n0 + n2, j.dim)), zero):
+        if z:
+            x[part] = 0.0
+    for op in (j, j.T):
+        for operand in (x, x[:, 0]):
+            assert np.array_equal(op @ operand, apply_without_skip(op, operand))
+
+
+def test_sl_dim_limit():
+    cs.models.check_sl_dim(cs.models.MAX_SL_DIM, "the 32 x 32 grid")
+    with pytest.raises(ConfigError, match="gives a block model of dim 4097, above the limit"):
+        cs.models.check_sl_dim(cs.models.MAX_SL_DIM + 1, "a complex")
+
+
+def test_oversized_block_model_rejected_before_dense_arrays(square_t, monkeypatch):
+    # the 33 x 33 grid complex is sparse and small; the model would be dim 4356
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigenpairs for an oversized block model")
+
+    cc = cs.quad_torus_complex(square_t, 33)
+    monkeypatch.setattr(cs.models, "_grid_eigenpairs", dense)
+    monkeypatch.setattr(cs.models, "mass_eigh", dense)
+    with pytest.raises(ConfigError, match="1089 vertices, 2178 edges and 1089 faces gives a "
+                                          "block model of dim 4356, above the limit 4096"):
+        cs.build_sl_model(cc)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import cylspec as cs
 from cylspec.dec import mass_eigh
 from cylspec.errors import ConvergenceFailure, WindowExceedsCutoff
-from tests.conftest import lattice_bases
+from tests.conftest import apply_without_skip, lattice_bases
 
 
 def jacobi_eigenvalues(sym, sweeps=30, tol=1e-14):
@@ -226,3 +226,125 @@ def test_corrupt_eigenbasis_fails_residual_check(sl16):
                                                                      values=values))
     with pytest.raises(ConvergenceFailure):
         cs.eigendecompose(bad)
+
+
+# ---------------------------------------------------------------------------
+# the residual checked block by block against the dense J (D V) - V Lam, and
+# the cluster facts against the loops that ran on every call
+
+def dense_residual(model):
+    """Max column M-norm of J (D V) - V Lam for the block model, with the dense
+    eigenvectors V and J applied with no term skipped."""
+    basis = model.eigenbasis
+    v = basis.vectors
+    av = apply_without_skip(model.complex_structure, model.dirac @ v) - v * basis.values[None, :]
+    return float(np.sqrt(model.mass @ (av * av)).max())
+
+
+def assert_block_residual_matches_dense(model):
+    assert abs(cs.eigendecompose(model).meta["residual"] - dense_residual(model)) <= 1e-13
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=3, max_value=12), st.integers(min_value=3, max_value=12),
+       st.floats(min_value=1.0, max_value=8.0), st.floats(min_value=1.0, max_value=8.0))
+def test_block_residual_matches_dense_on_grids(n, m, width, height):
+    torus = cs.FlatTorus(np.diag([width, height]))
+    assert_block_residual_matches_dense(cs.build_sl_model(cs.quad_torus_complex(torus, n, m)))
+
+
+@pytest.mark.parametrize("make", [
+    cs.genus2_quad_complex,
+    lambda: cs.build_dec(cs.genus2_mesh()),
+    lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+], ids=["genus2-quad", "genus2-mesh", "donut-12x8"])
+def test_block_residual_matches_dense_on_meshes(make):
+    assert_block_residual_matches_dense(cs.build_sl_model(make()))
+
+
+def corrupt_block(model, index, mutate):
+    basis = model.eigenbasis
+    blocks = list(basis.blocks)
+    rows, cols, block = blocks[index]
+    blocks[index] = (rows, *mutate(cols.copy(), block.copy()))
+    return dataclasses.replace(model, eigenbasis=dataclasses.replace(basis, blocks=tuple(blocks)))
+
+
+def scale_a_column(cols, block):
+    block[:, 5] *= 1.0 + 1e-6     # still an eigenvector, no longer M-normal
+    return cols, block
+
+
+def swap_two_positions(cols, block):
+    cols[[0, -1]] = cols[[-1, 0]]   # two columns at each other's eigenvalues
+    return cols, block
+
+
+@pytest.mark.parametrize("mutate", [scale_a_column, swap_two_positions], ids=["scale", "swap"])
+def test_corrupt_column_block_fails_residual_check(sl16, square_t, mutate):
+    for model in (sl16[1], cs.build_torus_model(square_t, 2.5)):
+        for index in range(len(model.eigenbasis.blocks)):
+            with pytest.raises(ConvergenceFailure):
+                cs.eigendecompose(corrupt_block(model, index, mutate))
+
+
+def test_spectrum_leaves_dense_views_unfilled(square_t):
+    # the spectrum, its clusters, kernels and indices read the column blocks;
+    # the dense eigenvectors and jmat are filled only when read
+    spec = cs.eigendecompose(cs.build_sl_model(cs.quad_torus_complex(square_t, 8)))
+    ends = cs.EndSystem((spec,))
+    cs.fredholm_index(0.5, ends)
+    for c in spec.clusters:
+        kernel = cs.homogeneous_kernel(spec, c.lam)
+        assert kernel.shape == (spec.dim, c.dim)
+    assert "vectors" not in vars(spec.basis) and "jmat" not in vars(spec.basis)
+    assert spec.jmat is spec.jmat and spec.eigenvectors is spec.eigenvectors
+
+
+def test_homogeneous_kernel_is_the_dense_cluster(sl16_spec, torus_spec_25):
+    for spec in (sl16_spec, torus_spec_25):
+        for c in spec.clusters:
+            assert np.array_equal(cs.homogeneous_kernel(spec, c.lam),
+                                  spec.eigenvectors[:, c.start:c.stop])
+
+
+def reference_d0(spec):
+    for c in spec.clusters:
+        if abs(c.lam) <= max(spec.cluster_tol, 1e-12):
+            return c.dim
+    return 0
+
+
+def reference_nearest_root(spec, x):
+    lams = np.array([c.lam for c in spec.clusters])
+    i = int(np.argmin(np.abs(lams - x)))
+    return float(lams[i]), float(abs(lams[i] - x))
+
+
+def assert_cluster_facts_match(spec, points):
+    for _ in range(2):   # the cached facts read twice
+        assert spec.d0() == reference_d0(spec)
+        for x in points:
+            if spec.clusters:
+                assert spec.nearest_root(x) == reference_nearest_root(spec, x)
+            else:
+                with pytest.raises(ValueError):
+                    spec.nearest_root(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 6)), max_size=12),
+       st.lists(st.integers(-20, 20), min_size=1, max_size=8))
+def test_cluster_facts_match_loops(roots, points):
+    # roots on a half-integer grid: repeated roots make equal clusters, and
+    # quarter-integer points fall halfway between roots, where the first of
+    # the two equally near clusters wins
+    spec = cs.synthetic_spectrum([(0.5 * lam, d) for lam, d in roots], 6.0)
+    assert_cluster_facts_match(spec, [0.25 * x for x in points])
+
+
+def test_cluster_facts_match_loops_on_models(sl16_spec, torus_spec_25):
+    for spec in (sl16_spec, torus_spec_25):
+        lams = np.array([c.lam for c in spec.clusters])
+        assert_cluster_facts_match(spec, np.concatenate([lams, 0.5 * (lams[1:] + lams[:-1]),
+                                                         [-1e3, 1e3]]))
