@@ -2,7 +2,9 @@
 
 Commands: spectrum, indicial, index, wallcross, cylinder-solve, kernel-count,
 reproduce.  Flags may be combined with a JSON config file (--config); flags
-override file values.  Exit codes: 0 ok, 2 config error, 3 numerical failure,
+override file values.  Exit codes: 0 ok, 2 config error (bad flags or files,
+and input faults such as a singular lattice, a non-manifold mesh or a
+window or rate beyond the completeness radius), 3 numerical failure,
 4 critical rate/weight, 5 reproduction mismatch.  Every error path prints a
 machine-parsable line "ERR <CODE>: <detail>" to stderr.  Identical configs
 produce byte-identical JSON (keys sorted, no timestamps, seeds recorded), at

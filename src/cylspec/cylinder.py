@@ -520,9 +520,12 @@ def _lawson_march(z: np.ndarray, lams: np.ndarray, g: np.ndarray, pert: Perturba
 
 def _march_frame(op: CylinderOperator,
                  cols: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], float, int]:
-    """The decaying frame of ``_decaying_frame`` with the step counts of the
+    """Orthonormal frame at t = 0 of the solutions that start at t = T on the
+    mode columns cols, marched backward by a Lawson (integrating-factor) RK4
+    on a grid graded to the coupling's decay; with it, the step counts of the
     levels marched, in order, the final level's estimate and the number of
-    QRs over all levels (no levels, 0.0 and 0 when eps = 0).
+    QRs over all levels (the mode frame itself, no levels, 0.0 and 0 when
+    eps = 0).
 
     Each level is a Lawson march on the graded grid of ``_frame_grid``, whose
     length in s is S.  The first level takes N0 = ceil(S * max(1 / _FRAME_H0,
@@ -572,20 +575,12 @@ def _march_frame(op: CylinderOperator,
         m = min(max(n + 1, int(np.ceil(n * grow))), top) if grow < 4.0 else top
 
 
-def _decaying_frame(op: CylinderOperator, cols: np.ndarray) -> np.ndarray:
-    """Orthonormal frame at t = 0 of the solutions that start at t = T on the
-    mode columns cols, marched backward by a Lawson (integrating-factor) RK4
-    on a grid graded to the coupling's decay, at a level the H^4 error law
-    predicts and a pair of levels verifies to 1e-9 in principal angle."""
-    return _march_frame(op, cols)[0]
-
-
 def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) -> KernelCount:
     """Dimension of weighted-decaying solutions of the (possibly perturbed)
     cylinder equation vanishing on the boundary index set at t = 0.
 
     The admissible far-end subspace (modes with lam_j < weight) is marched
-    backward to t = 0 by the Lawson RK4 march of ``_decaying_frame``.  Its
+    backward to t = 0 by the Lawson RK4 march of ``_march_frame``.  Its
     steps grow like e^{-mu_pert t / 5}; their number is predicted from the
     H^4 error law and verified on a pair of levels, until the frame's
     principal-angle estimate is at most 1e-9 (ConvergenceFailure otherwise);

@@ -6,18 +6,21 @@ class CylspecError(Exception):
 
 
 class ConfigError(CylspecError):
-    """Invalid run configuration (bad flags, missing files, out-of-range values)."""
+    """Invalid run configuration (bad flags, missing files, out-of-range values).
+    The input faults below subclass it: a singular lattice, a non-manifold
+    or degenerate mesh, a window or rate beyond the completeness radius, an
+    unordered rate pair and a fixed rate that is not negative."""
 
 
-class DegenerateLattice(CylspecError):
+class DegenerateLattice(ConfigError):
     """Lattice basis is singular or numerically rank-deficient."""
 
 
-class NonManifoldEdge(CylspecError):
+class NonManifoldEdge(ConfigError):
     """An edge of a surface mesh is not shared by exactly two faces."""
 
 
-class DegenerateTriangle(CylspecError):
+class DegenerateTriangle(ConfigError):
     """A mesh face has (numerically) zero area."""
 
 
@@ -26,7 +29,7 @@ class ConvergenceFailure(CylspecError):
     or its result failed a residual or separation check."""
 
 
-class WindowExceedsCutoff(CylspecError):
+class WindowExceedsCutoff(ConfigError):
     """A root/rate query reaches beyond the spectral completeness radius."""
 
 
@@ -34,11 +37,11 @@ class CriticalRate(CylspecError):
     """A rate vector lies on (or within tolerance of) the wall of critical rates."""
 
 
-class NotOrdered(CylspecError):
+class NotOrdered(ConfigError):
     """Rate pair is not strictly ordered componentwise."""
 
 
-class NonNegativeRate(CylspecError):
+class NonNegativeRate(ConfigError):
     """A fixed-asymptotics rate must be negative in every component."""
 
 

@@ -36,18 +36,17 @@ back:
 
 where delta, t_up, d0 and t_up_adj are the blocks of D.  The block model
 stores J as these factors (a BlockOperator, never a dense dim x dim array);
-the torus model stores its J = Id x I3 as an array.  Every eigenvector of
-the block model lives on one row slice (vertex, face or cochain rows), so
-its eigenbasis is stored as three column blocks, and J in that basis as the
-pair table plus the harmonic block; neither is filled into a dense
-dim x dim array unless a caller reads it.  On quad-grid tori the Laplacian
-eigenpairs are in closed form, the real-Fourier diagonalisation of the
-circulant L0 (Strang, SIAM Review 41, 1999); other complexes solve for them
-densely.
+the torus model stores its J = Id x I3 as CSR.  Every eigenvector of the
+block model lives on one row slice (vertex, face or cochain rows), so its
+eigenbasis is stored as three column blocks.  Each model states J in its
+eigenbasis once, as CSR: a signed permutation on the torus, and the pair
+table plus the harmonic block on the block model.  On quad-grid tori the
+Laplacian eigenpairs are in closed form, the real-Fourier diagonalisation
+of the circulant L0 (Strang, SIAM Review 41, 1999); other complexes solve
+for them densely.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -69,16 +68,11 @@ class Eigenbasis:
     ``values`` ascend.  The M-orthonormal eigenvectors are column blocks
     (rows, cols, block): ``block`` holds the eigenvectors at the sorted
     positions ``cols``, each supported on the row slice ``rows`` alone.
-    J in that basis (V^T M J V, never formed as such) is the pair table
-    ``jpairs`` = (px, py), with J x = -y and J y = x for the eigenvectors x
-    at px and y at py, plus ``jblock`` = (positions, block), J among the
-    eigenvectors at those positions.  ``vectors`` and ``jmat`` are the dense
-    (n, n) arrays, filled when first read.
+    ``jmat`` is J in that basis (V^T M J V, never formed as such), as CSR.
     """
     values: np.ndarray   # (n,)
     blocks: tuple        # ((rows: slice, cols: (k,) int array, block: (rows, k) array), ...)
-    jpairs: tuple        # (px, py): int arrays of equal length
-    jblock: tuple        # (positions: (h,) int array, block: (h, h) array)
+    jmat: sparse.csr_matrix   # (n, n)
 
     @property
     def dim(self) -> int:
@@ -90,20 +84,6 @@ class Eigenbasis:
         for rows, cols, block in self.blocks:
             keep = (cols >= start) & (cols < stop)
             out[rows, cols[keep] - start] = block[:, keep]
-        return out
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return self.columns(0, self.dim)
-
-    @cached_property
-    def jmat(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        px, py = self.jpairs
-        out[py, px] = -1.0
-        out[px, py] = 1.0
-        positions, block = self.jblock
-        out[np.ix_(positions, positions)] = block
         return out
 
 
@@ -148,7 +128,7 @@ class DiracModel:
     label: str
     mass: np.ndarray                # (n,) positive diagonal
     dirac: sparse.csr_matrix        # (n, n)
-    complex_structure: np.ndarray | BlockOperator   # (n, n); an array on the torus
+    complex_structure: sparse.csr_matrix | BlockOperator   # (n, n); CSR on the torus
     completeness_radius: float
     area: float | None = None
     meta: dict = field(default_factory=dict)
@@ -161,8 +141,7 @@ class DiracModel:
     def composite(self) -> np.ndarray:
         """A = J D as a dense array, the M-self-adjoint operator carrying the
         spectral data."""
-        j = self.complex_structure
-        return (j if isinstance(j, np.ndarray) else j.toarray()) @ self.dirac
+        return self.complex_structure.toarray() @ self.dirac
 
 
 @dataclass(frozen=True)
@@ -211,8 +190,9 @@ def check_model(model: DiracModel) -> ModelDiagnostics:
 # ---------------------------------------------------------------------------
 # torus model
 
-# largest torus model dim build_torus_model accepts: its eigenbasis, J and the
-# spectrum downstream are dense dim x dim, 128 MB each at this size
+# largest torus model dim build_torus_model accepts: its eigenbasis and the
+# cylinder layer's coupling and grids are dense dim x dim, 128 MB each at
+# this size (J and J in the eigenbasis are CSR)
 MAX_TORUS_DIM = 4096
 
 
@@ -263,21 +243,16 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
     values = np.concatenate([np.zeros(4), np.repeat(np.stack([norms, -norms], axis=1), 4)])
     vectors = sparse.block_diag([eye] + [np.block([[eye, eye], [-s, s]]) for s in smats])
     swap = np.kron([[0.0, 1.0], [1.0, 0.0]], I3)
-    jeig = sparse.block_diag([I3] + [swap] * npairs, format="coo")
+    jeig = sparse.block_diag([I3] + [swap] * npairs, format="csr")
     dim = values.size
     order = np.argsort(values, kind="stable")
-    pos = np.empty(dim, dtype=int)
-    pos[order] = np.arange(dim)
-    # J in the eigenbasis is a skew signed permutation: its +1 entries J y = x
-    # give the pairs (x, y)
-    plus = jeig.data > 0
     basis = Eigenbasis(values[order],
                        ((slice(0, dim), np.arange(dim),
                          vectors.toarray()[:, order] / np.sqrt(area)),),
-                       (pos[jeig.row[plus]], pos[jeig.col[plus]]),
-                       (np.zeros(0, dtype=int), np.zeros((0, 0))))
+                       jeig[order][:, order])
 
-    return DiracModel("torus", mass, d, np.kron(np.eye(1 + 2 * npairs), I3),
+    return DiracModel("torus", mass, d,
+                      sparse.kron(sparse.identity(1 + 2 * npairs), I3, format="csr"),
                       completeness_radius=float(np.sqrt(cutoff)), area=area,
                       meta={"modes": modes, "cutoff": float(cutoff)}, eigenbasis=basis)
 
@@ -422,9 +397,9 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     cochains, and the two constants kf, kg.  The eigenbasis keeps the
     eigenvectors as three column blocks, one per row slice ([v0 kf] on the
     vertex rows, [w0 kg] on the face rows, [e c harm] on the cochain rows),
-    and J in that basis as the table's sorted positions plus the harmonic
-    block -J_H; neither is filled densely.  J itself is the BlockOperator of
-    the module docstring, N0 = V0 diag(mu^-1/2) V0^T M0 and N2 likewise over
+    and J in that basis as one CSR: the table at its sorted positions plus
+    the harmonic block -J_H.  J itself is the BlockOperator of the module
+    docstring, N0 = V0 diag(mu^-1/2) V0^T M0 and N2 likewise over
     the non-constant eigenpairs, with the rank-1 constant blocks kf (M kg)^T
     and -kg (M kf)^T; harmonic cochains carry the polar-corrected
     quarter-turn -J_H, the rank-2g block -harm J_H harm^T M1.  A complex that
@@ -487,8 +462,13 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
               (s2, np.concatenate([p_e, p_c, p_k[2:]]), np.hstack([e_vec, c_vec, harm])))
     # J pairs x with y, J x = -y and J y = x: vertex / exact, face / coexact
     # and the constants; harmonic cochains carry -J_H
-    jpairs = (np.concatenate([p_v, p_w, p_k[:1]]), np.concatenate([p_e, p_c, p_k[1:2]]))
-    basis = Eigenbasis(values[order], blocks, jpairs, (p_k[2:], -jh))
+    px, py = np.concatenate([p_v, p_w, p_k[:1]]), np.concatenate([p_e, p_c, p_k[1:2]])
+    ph = p_k[2:]
+    jmat = sparse.csr_matrix(
+        (np.concatenate([-np.ones(px.size), np.ones(px.size), -jh.ravel()]),
+         (np.concatenate([py, px, np.repeat(ph, ph.size)]),
+          np.concatenate([px, py, np.tile(ph, ph.size)]))), shape=(dim, dim))
+    basis = Eigenbasis(values[order], blocks, jmat)
 
     n0_mat = (v0 / root_mu[None, :]) @ (v0.T * m0[None, :])     # N0 = L0^{-1/2}
     n2_mat = (w0 / root_nu[None, :]) @ (w0.T * m2d[None, :])    # N2 = L0_dual^{-1/2}

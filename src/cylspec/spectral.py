@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import ConvergenceFailure, WindowExceedsCutoff
 from .models import DiracModel, Eigenbasis
@@ -28,10 +29,10 @@ class Cluster:
 class Spectrum:
     """Sorted spectrum of A = J D with gap-rule clusters.
 
-    ``basis`` is the model's eigenbasis, None for synthetic spectra built
-    from root lists alone.  ``eigenvectors`` (M-orthonormal columns aligned
-    with ``eigenvalues``) and ``jmat`` (J expressed in the eigenbasis) are
-    its dense arrays, filled when first read, and None without a basis.
+    ``basis`` is the model's eigenbasis (M-orthonormal eigenvectors aligned
+    with ``eigenvalues``), None for synthetic spectra built from root lists
+    alone.  ``jmat`` is J expressed in that basis, the basis's CSR, and
+    None without a basis.
     """
 
     eigenvalues: np.ndarray
@@ -48,11 +49,7 @@ class Spectrum:
         return int(self.eigenvalues.size)
 
     @property
-    def eigenvectors(self) -> np.ndarray | None:
-        return None if self.basis is None else self.basis.vectors
-
-    @property
-    def jmat(self) -> np.ndarray | None:
+    def jmat(self) -> sparse.csr_matrix | None:
         return None if self.basis is None else self.basis.jmat
 
     @property
@@ -99,16 +96,17 @@ class Spectrum:
 
 
 def _cluster(eigs: np.ndarray, tol: float) -> tuple:
+    """Clusters of the ascending eigs, cut where consecutive values are more
+    than tol apart."""
+    if not eigs.size:
+        return ()
+    cuts = np.flatnonzero(np.diff(eigs) > tol) + 1
     clusters = []
-    start = 0
-    for i in range(1, eigs.size + 1):
-        if i == eigs.size or eigs[i] - eigs[i - 1] > tol:
-            block = eigs[start:i]
-            lam = float(block.mean())
-            if abs(lam) <= tol:
-                lam = 0.0   # the kernel cluster is exactly the zero root
-            clusters.append(Cluster(lam, int(block.size), start, i))
-            start = i
+    for start, stop in zip(np.r_[0, cuts], np.r_[cuts, eigs.size]):
+        lam = float(eigs[start:stop].mean())
+        if abs(lam) <= tol:
+            lam = 0.0   # the kernel cluster is exactly the zero root
+        clusters.append(Cluster(lam, int(stop - start), int(start), int(stop)))
     return tuple(clusters)
 
 

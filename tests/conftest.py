@@ -44,13 +44,6 @@ def torus_end(torus_spec_25):
     return cs.EndSystem((torus_spec_25,))
 
 
-def dense_j(model):
-    """A model's J as a dense array: the torus model's own array, or the block
-    model's operator read with toarray()."""
-    j = model.complex_structure
-    return j if isinstance(j, np.ndarray) else j.toarray()
-
-
 def apply_without_skip(op, x):
     """A BlockOperator applied term by term with no term skipped, as it was
     before zero operand blocks were skipped."""

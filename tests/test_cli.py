@@ -367,3 +367,23 @@ def test_non_finite_lattice_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("ERR CONFIG: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["spectrum", "--torus", "1,0,0,0"], "lattice basis is singular (det=0.000e+00)"),
+    (["spectrum", "--model", "sl", "--mesh", "{dup}"], "directed side (0, 1) occurs twice"),
+    (["indicial", "--window=-5,5"], "window [-5.0, 5.0] exceeds completeness radius 1.58114"),
+    (["index", "--ends", "torus", "--rates=-5"],
+     "end 0: |rate| = 5 exceeds completeness radius 1.58114"),
+    (["wallcross", "--ends", "torus", "--rate1=0.5", "--rate2=-0.5"],
+     "need rate1 < rate2 componentwise"),
+], ids=["singular-lattice", "duplicated-side", "window", "rate", "unordered-rates"])
+def test_input_fault_is_config_error(tmp_path, capsys, argv, detail):
+    # faults in the input (lattice, mesh, window, rates), not numerical failures
+    dup = tmp_path / "dup.off"
+    dup.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 2\n")
+    out = tmp_path / "out"
+    argv = [a.format(dup=dup) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ERR CONFIG: {detail}\n"
+    assert not out.exists()

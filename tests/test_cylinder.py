@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
-from cylspec.cylinder import (CylinderOperator, CylinderSolution, _decaying_frame,
-                              _exp_moments, _frame_grid, _frame_length, _lawson_march,
+from cylspec.cylinder import (CylinderOperator, CylinderSolution, _exp_moments,
+                              _frame_grid, _frame_length, _lawson_march, _march_frame,
                               differentiate)
 from cylspec.errors import (ConvergenceFailure, CriticalWeight, InsufficientTail,
                             PerturbationTooLarge)
@@ -420,7 +420,7 @@ def test_kernel_limits_feed_symplectic_verifier(op15):
         coeffs.append(lim.coefficient)
     c0 = spec.cluster_at(0.0)
     # eigencoordinate coefficients -> constant-section fiber components
-    v0 = spec.eigenvectors[:, c0.start:c0.stop]
+    v0 = spec.basis.columns(c0.start, c0.stop)
     fiber = (v0[:4, :] @ np.array(coeffs).T[c0.start:c0.stop, :]) * np.sqrt(model.area)
     sk = cs.symplectic_form(np.eye(4), I3.T, model.area, kernel=np.eye(4))
     # the span of all four limits is the whole kernel: not Lagrangian
@@ -466,7 +466,7 @@ def test_decaying_frame_is_isotropic(torus_spec_15, eps, seed, weight):
     assume(np.abs(spec.eigenvalues - weight).min() >= 1e-3)
     pert = cs.make_perturbation(spec.dim, eps, -1.0, seed) if eps > 0 else None
     op = CylinderOperator(spec, 30.0, 0.01, pert)
-    z = _decaying_frame(op, np.flatnonzero(spec.eigenvalues < weight))
+    z = _march_frame(op, np.flatnonzero(spec.eigenvalues < weight))[0]
     assert np.abs(z.T @ spec.jmat @ z).max(initial=0.0) <= 1e-12
 
 
@@ -476,7 +476,7 @@ def test_decaying_frame_sees_kernel_pairing(torus_spec_15):
     spec = torus_spec_15
     cols = np.flatnonzero(spec.eigenvalues < 0.5)
     for pert in (None, cs.make_perturbation(spec.dim, 1e-3, -1.0, seed=11)):
-        z = _decaying_frame(CylinderOperator(spec, 30.0, 0.01, pert), cols)
+        z = _march_frame(CylinderOperator(spec, 30.0, 0.01, pert), cols)[0]
         assert np.linalg.matrix_rank(z.T @ spec.jmat @ z, tol=1e-8) == spec.d0() == 4
 
 
@@ -523,7 +523,7 @@ def assert_frame_matches_reference(spec, data, eps, mu_pert, seed):
     pert = cs.make_perturbation(spec.dim, eps, mu_pert, seed) if eps > 0 else None
     op = CylinderOperator(spec, 30.0, 0.01, pert)
     s = negative_modes(spec)
-    z, ref = _decaying_frame(op, cols), reference_frame(op, cols)
+    z, ref = _march_frame(op, cols)[0], reference_frame(op, cols)
     # largest principal-angle sine between the two frames
     assert np.linalg.norm(z - ref @ (ref.T @ z), 2) <= 1e-8
     sv, sv_ref = (np.linalg.svd(f[s], compute_uv=False) for f in (z, ref))
@@ -611,14 +611,14 @@ def test_lagrangian_boundary_halves_kernel(torus_spec_15, eps):
     c0 = spec.cluster_at(0.0)
     zero = np.arange(c0.start, c0.stop)
     # the zero modes are the constant sections: pick those along fiber axes 0 and 1
-    along = np.argmax(np.abs(spec.eigenvectors[:4, zero]), axis=1)
+    along = np.argmax(np.abs(spec.basis.columns(c0.start, c0.stop)[:4]), axis=1)
     s = negative_modes(spec) + zero[along[:2]].tolist()
-    omega0 = spec.jmat[np.ix_(zero, zero)]
+    omega0 = spec.jmat.toarray()[np.ix_(zero, zero)]
     pert = cs.make_perturbation(spec.dim, eps, -1.0, seed=11)
     op = CylinderOperator(spec, 30.0, 0.01, pert)
     count = cs.perturbed_kernel_count(op, 0.5, s)
     assert count.dimension == spec.d0() // 2 == 2
-    z = _decaying_frame(op, np.flatnonzero(spec.eigenvalues < 0.5))
+    z = _march_frame(op, np.flatnonzero(spec.eigenvalues < 0.5))[0]
     # kernel elements at t = 0: the frame combinations that vanish on s
     _, sv, vt = np.linalg.svd(z[s])
     kernel = z @ vt[sv.size:].T
@@ -668,7 +668,7 @@ def test_march_estimate_matches_finer_march(torus_spec_15, torus_spec_25, data, 
     assert all(n < m <= 4 * n for n, m in zip(levels, levels[1:]))
     assert count.march_qr >= len(levels)   # each level ends on a QR
     assert "march" not in count.to_json()
-    z = _decaying_frame(op, cols)
+    z = _march_frame(op, cols)[0]
     z0 = np.zeros((spec.dim, cols.size))
     z0[cols, np.arange(cols.size)] = 1.0
     fine, _ = _lawson_march(z0, spec.eigenvalues, spec.jmat @ pert.coupling, pert,
@@ -728,6 +728,6 @@ def test_frame_march_cap_is_finest_level(torus_spec_15, monkeypatch):
 
 def test_decaying_frame_of_no_columns(torus_spec_15):
     pert = cs.make_perturbation(torus_spec_15.dim, 1e-3, -1.0, seed=11)
-    z = _decaying_frame(CylinderOperator(torus_spec_15, 30.0, 0.01, pert),
-                        np.zeros(0, dtype=int))
+    z = _march_frame(CylinderOperator(torus_spec_15, 30.0, 0.01, pert),
+                     np.zeros(0, dtype=int))[0]
     assert z.shape == (torus_spec_15.dim, 0)

@@ -11,7 +11,7 @@ import cylspec as cs
 from cylspec.dec import mass_eigh
 from cylspec.errors import ConfigError
 from cylspec.models import _AXIOM_TOL, I1, I2, I3
-from tests.conftest import apply_without_skip, dense_j, lattice_bases
+from tests.conftest import apply_without_skip, lattice_bases
 
 
 def test_quaternion_algebra():
@@ -128,7 +128,7 @@ def test_torus_model_axioms_random_lattices():
 def exact_axiom_residuals(model: cs.DiracModel) -> dict:
     """Max-norm residuals of the model axioms over the whole matrices."""
     m = model.mass[:, None]
-    j = dense_j(model)
+    j = model.complex_structure.toarray()
     md = sparse.diags(model.mass) @ model.dirac
     return {
         "selfadjoint": float(abs(md - md.T).max()),
@@ -185,9 +185,9 @@ def test_probe_check_matches_exact(data, model, in_j, delta):
     # plant a single-entry error in J or in D
     i, k = (data.draw(st.integers(0, model.dim - 1)) for _ in range(2))
     if in_j:
-        jmat = dense_j(model).copy()
+        jmat = model.complex_structure.toarray()
         jmat[i, k] += delta
-        bad = replace(model, complex_structure=jmat)
+        bad = replace(model, complex_structure=sparse.csr_matrix(jmat))
     else:
         planted = sparse.csr_matrix(([delta], ([i], [k])), shape=model.dirac.shape)
         bad = replace(model, dirac=model.dirac + planted)
@@ -209,11 +209,12 @@ def test_check_model_catches_mutants(square_t):
     cc = cs.quad_torus_complex(square_t, 8)
     model = cs.build_sl_model(cc)
     s0, s1, s2 = slice(0, cc.n0), slice(cc.n0, cc.n0 + cc.n2), slice(cc.n0 + cc.n2, model.dim)
-    jmat = dense_j(model).copy()
+    jmat = model.complex_structure.toarray()
     jmat[s0, s2] *= -1
     mass = model.mass.copy()
     mass[s1] = 1.0
-    for mutant in (replace(model, complex_structure=jmat), replace(model, mass=mass)):
+    for mutant in (replace(model, complex_structure=sparse.csr_matrix(jmat)),
+                   replace(model, mass=mass)):
         assert not cs.check_model(mutant).passed
         assert not exact_passes(exact_axiom_residuals(mutant))
 
@@ -406,8 +407,8 @@ def test_check_model_catches_transpose_without_mass(make):
 
 # ---------------------------------------------------------------------------
 # the dense eigenbasis and J in that basis, filled from the pair table as
-# build_sl_model and build_torus_model once did; and the BlockOperator apply
-# with no term skipped
+# build_sl_model and build_torus_model once did, against the column blocks
+# and the CSR jmat; and the BlockOperator apply with no term skipped
 
 def reference_pair_table_fill(cc):
     """(values, vectors, jeig) of the block model: the eigenbasis vectors and
@@ -468,8 +469,9 @@ def reference_torus_fill(torus, cutoff):
 def assert_fill_matches(basis, reference):
     values, vectors, jeig = reference
     assert np.array_equal(basis.values, values)
-    assert np.array_equal(basis.vectors, vectors)
-    assert np.array_equal(basis.jmat, jeig)
+    assert np.array_equal(basis.columns(0, basis.dim), vectors)
+    assert basis.jmat.format == "csr"
+    assert np.array_equal(basis.jmat.toarray(), jeig)
     for start, stop in ((0, basis.dim), (1, basis.dim // 2), (basis.dim // 3, basis.dim - 1)):
         assert np.array_equal(basis.columns(start, stop), vectors[:, start:stop])
 
@@ -498,6 +500,10 @@ def test_torus_fill_matches_dense_arrays(basis, cutoff):
     model = cs.build_torus_model(torus, cutoff)
     assert len(model.eigenbasis.blocks) == 1   # one block over all rows
     assert_fill_matches(model.eigenbasis, reference_torus_fill(torus, cutoff))
+    # J = Id x I3, stored as CSR
+    j = model.complex_structure
+    assert j.format == "csr"
+    assert np.array_equal(j.toarray(), np.kron(np.eye(model.dim // 4), I3))
 
 
 @settings(max_examples=40, deadline=None)

@@ -51,7 +51,7 @@ def test_clusters_cutoff_15(torus_spec_15):
 
 
 def test_m_orthonormality(torus_spec_25):
-    v = torus_spec_25.eigenvectors
+    v = torus_spec_25.basis.columns(0, torus_spec_25.dim)
     g = v.T @ (torus_spec_25.mass[:, None] * v)
     assert np.abs(g - np.eye(v.shape[1])).max() <= 1e-8
 
@@ -156,12 +156,12 @@ def assert_matches_dense(model):
     bounds = np.concatenate([[0], cuts, [vals.size]])
     assert ([(c.start, c.stop, c.dim) for c in spec.clusters]
             == [(int(a), int(b), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])])
-    v = spec.eigenvectors
+    v = spec.basis.columns(0, model.dim)
     for c in spec.clusters:
         assert cs.principal_angle_gap(v[:, c.start:c.stop], vecs[:, c.start:c.stop],
                                       model.mass) <= 1e-8
     mv = model.mass[:, None] * v
-    assert np.abs(spec.jmat - mv.T @ (model.complex_structure @ v)).max() <= 1e-10
+    assert np.abs(spec.jmat.toarray() - mv.T @ (model.complex_structure @ v)).max() <= 1e-10
     assert np.abs(v.T @ mv - np.eye(model.dim)).max() <= 1e-10
 
 
@@ -195,7 +195,7 @@ def test_torus_eigenbasis_matches_dense(basis, cutoff):
 ], ids=["square", "rectangular", "oblique"])
 def test_torus_jmat_is_a_signed_permutation(basis, cutoff):
     spec = cs.eigendecompose(cs.build_torus_model(cs.FlatTorus(basis), cutoff))
-    jmat = spec.jmat
+    jmat = spec.jmat.toarray()
     assert set(np.unique(jmat)) <= {-1.0, 0.0, 1.0}
     assert np.all(np.count_nonzero(jmat, axis=0) == 1)
     assert np.all(np.count_nonzero(jmat, axis=1) == 1)
@@ -236,7 +236,7 @@ def dense_residual(model):
     """Max column M-norm of J (D V) - V Lam for the block model, with the dense
     eigenvectors V and J applied with no term skipped."""
     basis = model.eigenbasis
-    v = basis.vectors
+    v = basis.columns(0, basis.dim)
     av = apply_without_skip(model.complex_structure, model.dirac @ v) - v * basis.values[None, :]
     return float(np.sqrt(model.mass @ (av * av)).max())
 
@@ -290,22 +290,23 @@ def test_corrupt_column_block_fails_residual_check(sl16, square_t, mutate):
 
 def test_spectrum_leaves_dense_views_unfilled(square_t):
     # the spectrum, its clusters, kernels and indices read the column blocks;
-    # the dense eigenvectors and jmat are filled only when read
+    # no dense eigenbasis view exists, and J in the eigenbasis is the
+    # basis's own CSR
     spec = cs.eigendecompose(cs.build_sl_model(cs.quad_torus_complex(square_t, 8)))
     ends = cs.EndSystem((spec,))
     cs.fredholm_index(0.5, ends)
     for c in spec.clusters:
         kernel = cs.homogeneous_kernel(spec, c.lam)
         assert kernel.shape == (spec.dim, c.dim)
-    assert "vectors" not in vars(spec.basis) and "jmat" not in vars(spec.basis)
-    assert spec.jmat is spec.jmat and spec.eigenvectors is spec.eigenvectors
+    assert set(vars(spec.basis)) == {"values", "blocks", "jmat"}
+    assert spec.jmat is spec.basis.jmat and spec.jmat.format == "csr"
 
 
 def test_homogeneous_kernel_is_the_dense_cluster(sl16_spec, torus_spec_25):
     for spec in (sl16_spec, torus_spec_25):
         for c in spec.clusters:
             assert np.array_equal(cs.homogeneous_kernel(spec, c.lam),
-                                  spec.eigenvectors[:, c.start:c.stop])
+                                  spec.basis.columns(0, spec.dim)[:, c.start:c.stop])
 
 
 def reference_d0(spec):
@@ -348,3 +349,42 @@ def test_cluster_facts_match_loops_on_models(sl16_spec, torus_spec_25):
         lams = np.array([c.lam for c in spec.clusters])
         assert_cluster_facts_match(spec, np.concatenate([lams, 0.5 * (lams[1:] + lams[:-1]),
                                                          [-1e3, 1e3]]))
+
+
+def reference_cluster(eigs, tol):
+    """The loop _cluster replaced: one pass over consecutive gaps."""
+    clusters = []
+    start = 0
+    for i in range(1, eigs.size + 1):
+        if i == eigs.size or eigs[i] - eigs[i - 1] > tol:
+            block = eigs[start:i]
+            lam = float(block.mean())
+            if abs(lam) <= tol:
+                lam = 0.0   # the kernel cluster is exactly the zero root
+            clusters.append(cs.spectral.Cluster(lam, int(block.size), start, i))
+            start = i
+    return tuple(clusters)
+
+
+def cluster_bits(clusters):
+    return [(c.lam.hex(), c.dim, c.start, c.stop) for c in clusters]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), max_size=24), st.sampled_from([0.25, 0.5, 1.0]),
+       st.lists(st.floats(-3.0, 3.0), max_size=24), st.floats(1e-9, 1.0))
+def test_cluster_matches_loop(steps, tol, reals, real_tol):
+    # multiples of a power-of-two tol have gaps of exactly tol, 0 and 2 tol
+    # with no rounding, so the cut rule's strict inequality is exercised;
+    # the empty list is among the draws
+    for eigs, t in ((np.sort(np.array(steps, dtype=float)) * tol, tol),
+                    (np.sort(np.array(reals, dtype=float)), real_tol)):
+        assert (cluster_bits(cs.spectral._cluster(eigs, t))
+                == cluster_bits(reference_cluster(eigs, t)))
+    assert cs.spectral._cluster(np.zeros(0), tol) == ()
+
+
+def test_cluster_matches_loop_on_models(sl16_spec, torus_spec_25):
+    for spec in (sl16_spec, torus_spec_25):
+        assert (cluster_bits(spec.clusters)
+                == cluster_bits(reference_cluster(spec.eigenvalues, spec.cluster_tol)))
