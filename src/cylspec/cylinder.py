@@ -17,8 +17,8 @@ decaying frame backward and counts rank against boundary conditions.  That
 march is a Lawson (integrating-factor) RK4: e^{-lam H} acts exactly and only
 the eps-small coupling is stepped.  Its steps grow like e^{-mu_pert t / 5} as
 the coupling decays; their number is predicted from RK4's H^4 error law and
-verified on a pair of levels, until the Richardson estimate is 1e-9 in
-principal angle.
+verified on a pair of levels, until the Richardson estimate is 8e-10 in
+principal angle, so that the frame's error is within 1e-9.
 """
 
 from dataclasses import dataclass, field
@@ -425,7 +425,12 @@ class KernelCount:
 # in the graded variable s of _frame_grid; near t = 0 the step in t is about the
 # same.  The finest level, ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps, is
 # four times the finest needed at eps up to 0.2 and cutoffs up to 10 (T = 30).
+# A level is accepted once its estimate is _FRAME_ACCEPT * _FRAME_TOL: on the
+# first pair of levels (17 and 34 steps at cutoff 2.5) the H^4 law's next term
+# left an estimate of 9.85e-10 2% under the error against a march at four times
+# the steps; over 400 random draws the accepted errors stayed below 7.8e-10.
 _FRAME_TOL = 1e-9
+_FRAME_ACCEPT = 0.8
 _FRAME_H0 = 0.5
 _FRAME_HALVINGS = 7
 
@@ -534,12 +539,12 @@ def _march_frame(op: CylinderOperator,
     2 N0.  A level of m steps is verified against the one before it, of n
     steps: the estimate of its error is the largest principal-angle sine
     between the two frames over the Richardson factor (m/n)^4 - 1 (15 for
-    m = 2n).  At most _FRAME_TOL, the finer frame is returned.  Above it,
-    the next level is the one the H^4 law predicts for _FRAME_TOL / 2,
-    m (2 estimate / _FRAME_TOL)^{1/4} steps, clamped to [m + 1, min(4 m,
-    N_max)].  With N_max = ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps
-    marched and the estimate still above _FRAME_TOL, ConvergenceFailure is
-    raised."""
+    m = 2n).  At most _FRAME_ACCEPT * _FRAME_TOL, the finer frame is
+    returned.  Above it, the next level is the one the H^4 law predicts for
+    _FRAME_TOL / 2, m (2 estimate / _FRAME_TOL)^{1/4} steps, clamped to
+    [m + 1, min(4 m, N_max)].  With N_max = ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps
+    marched and the estimate still above _FRAME_ACCEPT * _FRAME_TOL,
+    ConvergenceFailure is raised."""
     z = np.zeros((op.dim, cols.size))
     z[cols, np.arange(cols.size)] = 1.0
     pert = op.perturbation
@@ -562,12 +567,12 @@ def _march_frame(op: CylinderOperator,
         estimate = angle / ((m / n) ** 4 - 1.0)
         levels.append(m)
         n, coarse = m, fine
-        if estimate <= _FRAME_TOL:
+        if estimate <= _FRAME_ACCEPT * _FRAME_TOL:
             return fine, tuple(levels), estimate, qrs
         if n >= n_max:
             raise ConvergenceFailure(
                 f"perturbed frame estimate {estimate:.3e} at {n} steps, the finest level, "
-                f"is above {_FRAME_TOL:.0e}")
+                f"is above {_FRAME_ACCEPT * _FRAME_TOL:.0e}")
         # the H^4 law aimed at half the tolerance; a zero tolerance or a NaN
         # estimate takes the largest step up
         grow = (2.0 * estimate / _FRAME_TOL) ** 0.25 if _FRAME_TOL > 0 else np.inf
@@ -583,7 +588,7 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
     backward to t = 0 by the Lawson RK4 march of ``_march_frame``.  Its
     steps grow like e^{-mu_pert t / 5}; their number is predicted from the
     H^4 error law and verified on a pair of levels, until the frame's
-    principal-angle estimate is at most 1e-9 (ConvergenceFailure otherwise);
+    principal-angle estimate is at most 8e-10 (ConvergenceFailure otherwise);
     the grid step h plays no part.  The count is (subspace dim) - rank(rows of
     the boundary set), with singular values judged against 1e-6 * sigma_max.
     For eps = 0 this reduces to #{j not in S : lam_j < weight}.  The result

@@ -9,6 +9,7 @@ minimum-image convention, since a flat torus has no isometric embedding in
 R^3.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,6 +271,19 @@ def genus2_mesh() -> TriangulatedSurface:
 # ---------------------------------------------------------------------------
 # OFF io
 
+# a comment runs from "#" to the end of its line (\n, \r\n or \r)
+_COMMENT = re.compile(r"#[^\r\n]*")
+
+
+def _off_tokens(path) -> list:
+    """The whitespace-separated tokens of an ASCII file, comments removed.
+    The file is decoded whole, so a non-ASCII byte is reported at its offset
+    in the file."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("ascii")
+    return _COMMENT.sub("", text).split()
+
+
 def _check_face(f: int, tokens: list, nv: int):
     """Raise the error of face f of an OFF file, from its tokens (the vertex
     count, then the indices), if it has one."""
@@ -283,12 +297,7 @@ def _check_face(f: int, tokens: list, nv: int):
 
 def read_off(path) -> TriangulatedSurface:
     """Read an ASCII OFF file (triangles only) into a surface."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+    tokens = _off_tokens(path)
     if not tokens or tokens[0] != "OFF":
         raise ValueError("not an OFF file (missing OFF header)")
     if len(tokens) < 4:

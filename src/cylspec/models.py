@@ -95,7 +95,9 @@ class BlockOperator:
     The transpose swaps rows and cols and transposes the factors in reverse
     order, so it comes from the same factors, never from an identity such
     as J^T = -M J M^{-1} that the model axioms would then hold by fiat.
-    A term whose operand block x[cols] is exactly zero is skipped."""
+    ``apply_pieces`` takes an operand that lives on some of the column
+    slices and runs only the terms that read them; ``@`` runs the same
+    term loop on every column slice, adding each product into the output."""
     dim: int
     terms: tuple   # ((rows: slice, cols: slice, factors: tuple), ...)
 
@@ -104,19 +106,53 @@ class BlockOperator:
         return BlockOperator(self.dim, tuple((cols, rows, tuple(f.T for f in reversed(factors)))
                                              for rows, cols, factors in self.terms))
 
+    @property
+    def column_slices(self) -> list:
+        """The distinct column slices of the terms, in term order."""
+        slices = []
+        for _, cols, _ in self.terms:
+            if cols not in slices:
+                slices.append(cols)
+        return slices
+
+    def _products(self, pieces: list):
+        """(rows, product) of every term that reads one of the row pieces
+        [(cols, block), ...], in term order."""
+        slices = self.column_slices
+        if any(s not in slices for s, _ in pieces):
+            raise ValueError("an operand piece off the operator's column slices")
+        for rows, cols, factors in self.terms:
+            y = next((block for s, block in pieces if s == cols), None)
+            if y is not None:
+                for f in reversed(factors):
+                    y = f @ y
+                yield rows, y
+
+    def apply_pieces(self, pieces: list) -> list:
+        """The operator applied to an operand that is zero outside its row
+        pieces [(rows, block), ...], each rows one of the terms' column
+        slices.  Returns the output as row pieces, one per output slice
+        that a term reaches from the operand: the first product on that
+        slice, with every later product added in place, in term order."""
+        out = []
+        for rows, y in self._products(pieces):
+            acc = next((block for s, block in out if s == rows), None)
+            if acc is None:
+                out.append((rows, y))
+            else:
+                acc += y
+            del y   # a product added in place is freed before the next is formed
+        return out
+
     def __matmul__(self, x):
         """The operator applied to a vector (dim,) or to columns (dim, k)."""
         x = np.asarray(x, dtype=float)
         if x.shape[:1] != (self.dim,):
             raise ValueError(f"operand of shape {x.shape} for an operator of dim {self.dim}")
         out = np.zeros(x.shape)
-        for rows, cols, factors in self.terms:
-            y = x[cols]
-            if not y.any():
-                continue
-            for f in reversed(factors):
-                y = f @ y
+        for rows, y in self._products([(cols, x[cols]) for cols in self.column_slices]):
             out[rows] += y
+            del y   # freed before the next product is formed
         return out
 
     def toarray(self) -> np.ndarray:
@@ -261,8 +297,8 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
 # block model on a DEC complex
 
 # largest block model dim build_sl_model accepts: the Laplacian eigenbases,
-# N0, N2 and the residual blocks are dense; `spectrum --model sl --grid 32`
-# (this dim) peaks at about 300 MB RSS
+# N0, N2 and the residual's row pieces are dense; `spectrum --model sl
+# --grid 32` (this dim) peaks at about 275 MB RSS
 MAX_SL_DIM = 4096
 
 
@@ -400,8 +436,9 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     and J in that basis as one CSR: the table at its sorted positions plus
     the harmonic block -J_H.  J itself is the BlockOperator of the module
     docstring, N0 = V0 diag(mu^-1/2) V0^T M0 and N2 likewise over
-    the non-constant eigenpairs, with the rank-1 constant blocks kf (M kg)^T
-    and -kg (M kf)^T; harmonic cochains carry the polar-corrected
+    the non-constant eigenpairs (one array on a grid whose dual masses
+    1/star2 equal star0 bitwise, as on square grids), with the rank-1
+    constant blocks kf (M kg)^T and -kg (M kf)^T; harmonic cochains carry the polar-corrected
     quarter-turn -J_H, the rank-2g block -harm J_H harm^T M1.  A complex that
     gives a dim above MAX_SL_DIM raises ConfigError before any dense array
     is formed.
@@ -471,7 +508,10 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     basis = Eigenbasis(values[order], blocks, jmat)
 
     n0_mat = (v0 / root_mu[None, :]) @ (v0.T * m0[None, :])     # N0 = L0^{-1/2}
-    n2_mat = (w0 / root_nu[None, :]) @ (w0.T * m2d[None, :])    # N2 = L0_dual^{-1/2}
+    if vecs2 is vecs0 and np.array_equal(m2d, m0):
+        n2_mat = n0_mat   # the same eigenpairs and masses: the same product
+    else:
+        n2_mat = (w0 / root_nu[None, :]) @ (w0.T * m2d[None, :])    # N2 = L0_dual^{-1/2}
     j = BlockOperator(dim, (
         (s0, s2, (n0_mat, delta)), (s1, s2, (n2_mat, t_up)),
         (s2, s0, (-d0, n0_mat)), (s2, s1, (-t_up_adj, n2_mat)),

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ConvergenceFailure, WindowExceedsCutoff
-from .models import DiracModel, Eigenbasis
+from .models import BlockOperator, DiracModel, Eigenbasis
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,24 @@ def _cluster(eigs: np.ndarray, tol: float) -> tuple:
     return tuple(clusters)
 
 
+def _residual_norms(model: DiracModel, j: BlockOperator, rows: slice, block: np.ndarray,
+                    lam: np.ndarray) -> np.ndarray:
+    """Column M-norms of J (D[:, R] B) - B Lam for the column block B on the
+    rows R at the values ``lam``.  D[:, R] B is taken as the row pieces
+    D[S, R] B on those column slices S of J that D reaches from R; J is
+    applied to the pieces alone, and the M-weighted squares are summed
+    piece by piece in row order."""
+    av = j.apply_pieces([(s, d @ block) for s in j.column_slices
+                         if (d := model.dirac[s, rows]).nnz])
+    own = next((piece for s, piece in av if s == rows), None)
+    if own is None:
+        av.append((rows, -(block * lam)))
+    else:
+        own -= block * lam
+    av.sort(key=lambda p: p[0].start)
+    return np.sqrt(sum(model.mass[s] @ (piece * piece) for s, piece in av))
+
+
 def eigendecompose(model: DiracModel) -> Spectrum:
     """Full spectrum of A = J D with respect to the mass inner product.
 
@@ -120,8 +138,10 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     column of the residual J (D[:, R] B) - B Lam must have an M-norm below
     1e-8 * max(1, spectral radius), and every column of B an M-norm within
     1e-8 of 1 (a rescaled eigenvector has no larger residual), or
-    ConvergenceFailure is raised.  Clusters merge eigenvalues closer than
-    cluster_tol = 1e-6 * spectral radius.
+    ConvergenceFailure is raised.  The residual is formed on row pieces
+    (_residual_norms), never as a dim x k array; a J stored as one matrix
+    (the torus CSR) is a single term over all rows.  Clusters merge
+    eigenvalues closer than cluster_tol = 1e-6 * spectral radius.
     """
     basis = model.eigenbasis
     if basis is None:
@@ -129,11 +149,14 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     vals = basis.values
     radius = float(np.abs(vals).max()) if vals.size else 0.0
 
+    j = model.complex_structure
+    if not isinstance(j, BlockOperator):   # the torus J: one CSR over all rows
+        whole = slice(0, model.dim)
+        j = BlockOperator(model.dim, ((whole, whole, (j,)),))
     resid = norm_error = 0.0
     for rows, cols, block in basis.blocks:
-        av = model.complex_structure @ (model.dirac[:, rows] @ block)
-        av[rows] -= block * vals[cols]
-        resid = max(resid, float(np.sqrt(model.mass @ (av * av)).max(initial=0.0)))
+        resid = max(resid, float(_residual_norms(model, j, rows, block, vals[cols])
+                                 .max(initial=0.0)))
         norms = np.einsum("i,ij,ij->j", model.mass[rows], block, block)
         norm_error = max(norm_error, float(np.abs(norms - 1.0).max(initial=0.0)))
     if resid > 1e-8 * max(1.0, radius):

@@ -45,8 +45,8 @@ def torus_end(torus_spec_25):
 
 
 def apply_without_skip(op, x):
-    """A BlockOperator applied term by term with no term skipped, as it was
-    before zero operand blocks were skipped."""
+    """A BlockOperator applied term by term into a zero output, every term
+    run on its full operand slice: the reference for its piece apply."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     for rows, cols, factors in op.terms:

@@ -212,6 +212,20 @@ def test_malformed_input_is_config_error(tmp_path, capsys, kind, text):
     assert err.startswith("ERR CONFIG: ") and err.count("\n") == 1
 
 
+def test_non_ascii_off_reports_file_offset(tmp_path, capsys):
+    # a 32 KB OFF with one non-ASCII byte near its end: the position printed
+    # is the byte's offset in the file, not in a decoder's chunk
+    path = tmp_path / "donut.off"
+    cs.write_off(path, cs.parametric_torus_mesh(24, 16))
+    data = bytearray(path.read_bytes())
+    assert len(data) > 32335
+    data[32335] = 0xE9
+    path.write_bytes(bytes(data))
+    assert main(["spectrum", "--model", "sl", "--mesh", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("ERR CONFIG: 'ascii' codec can't decode byte 0xe9 in "
+                                       "position 32335: ordinal not in range(128)\n")
+
+
 def test_cylinder_solve_rejects_bad_grid(capsys):
     rc = main(["cylinder-solve", "--torus", SQ, "--cutoff", "1.5", "--weight=-0.5",
                "--h", "50", "--T", "10"])

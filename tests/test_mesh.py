@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import cylspec as cs
 from cylspec.errors import NonManifoldEdge
 from cylspec.lattice import TWO_PI
-from cylspec.mesh import _genus2_quads, _match_sides
+from cylspec.mesh import _genus2_quads, _match_sides, _off_tokens
 from tests.conftest import lattice_bases
 
 
@@ -126,6 +126,26 @@ def test_off_malformed_faces_match_loop(tmp_path, faces):
     with pytest.raises(want.type) as got:
         cs.read_off(path)
     assert str(got.value) == str(want.value)
+
+
+def reference_off_tokens(path) -> list:
+    """The line-by-line tokenizer _off_tokens replaced."""
+    with open(path, "r", encoding="ascii") as fh:
+        tokens = []
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                tokens.extend(line.split())
+    return tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="3x.-# \t\r\n\x0b\x0c\x1c\x1f", max_size=60))
+def test_off_tokens_match_line_loop(tmp_path_factory, text):
+    # comments end at \n, \r\n or \r, as the text-mode line loop ended them
+    path = tmp_path_factory.getbasetemp() / "tokens.off"
+    path.write_bytes(text.encode("ascii"))
+    assert _off_tokens(path) == reference_off_tokens(path)
 
 
 def test_off_faces_match_loop(tmp_path):

@@ -506,23 +506,74 @@ def test_torus_fill_matches_dense_arrays(basis, cutoff):
     assert np.array_equal(j.toarray(), np.kron(np.eye(model.dim // 4), I3))
 
 
-@settings(max_examples=40, deadline=None)
-@given(grid_sides, st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 4),
-       st.integers(0, 2**32 - 1))
-def test_block_operator_zero_skip_matches_full_apply(sides, zero, width, seed):
-    # zero row slices of the operand, as D[:, R] B has them; the skipped
-    # terms would only have added zeros, so the outputs agree up to the sign
-    # of zero (array_equal takes -0.0 == 0.0)
-    cc = grid_complex(*sides)
+def assert_piece_apply_matches_full_apply(cc, width, seed):
+    # an operand on one row slice, as D[S, R] B is: the piece apply runs
+    # only the terms that read it, and the terms it skips would only have
+    # added zeros, so the outputs agree up to the sign of zero (array_equal
+    # takes -0.0 == 0.0); @ applies every slice at once
     j = cs.build_sl_model(cc).complex_structure
     n0, n2 = cc.n0, cc.n2
     x = np.random.default_rng(seed).standard_normal((j.dim, width + 1))
-    for part, z in zip((slice(0, n0), slice(n0, n0 + n2), slice(n0 + n2, j.dim)), zero):
-        if z:
-            x[part] = 0.0
     for op in (j, j.T):
-        for operand in (x, x[:, 0]):
+        # a contiguous vector: a strided one may take another BLAS path
+        for operand in (x, x[:, 0].copy()):
             assert np.array_equal(op @ operand, apply_without_skip(op, operand))
+            for part in (slice(0, n0), slice(n0, n0 + n2), slice(n0 + n2, j.dim)):
+                alone = np.zeros(operand.shape)
+                alone[part] = operand[part]
+                pieces = op.apply_pieces([(part, operand[part])])
+                assert len({(rows.start, rows.stop) for rows, _ in pieces}) == len(pieces)
+                out = np.zeros(operand.shape)
+                for rows, piece in pieces:
+                    out[rows] = piece
+                assert np.array_equal(out, apply_without_skip(op, alone))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_sides, st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_block_operator_piece_apply_matches_full_apply(sides, width, seed):
+    assert_piece_apply_matches_full_apply(grid_complex(*sides), width, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def mesh_complex(name):
+    return {"genus2-quad": cs.genus2_quad_complex,
+            "genus2-mesh": lambda: cs.build_dec(cs.genus2_mesh()),
+            "donut-12x8": lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8))}[name]()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["genus2-quad", "genus2-mesh", "donut-12x8"]), st.integers(0, 4),
+       st.integers(0, 2**32 - 1))
+def test_block_operator_piece_apply_matches_full_apply_on_meshes(name, width, seed):
+    assert_piece_apply_matches_full_apply(mesh_complex(name), width, seed)
+
+
+def test_piece_off_the_column_slices_rejected(sl16):
+    j = sl16[1].complex_structure
+    with pytest.raises(ValueError, match="off the operator's column slices"):
+        j.apply_pieces([(slice(0, 3), np.ones((3, 2)))])
+
+
+@pytest.mark.parametrize("sides", [(8, 8, 1.0, 1.0), (12, 12, 2.0, 2.0), (16, 16, 6.0, 6.0)])
+def test_self_dual_grid_forms_n0_once(sides):
+    # on a square grid L0_dual is L0 and 1/star2 equals star0 bitwise, so
+    # N2 is N0: the terms N0 delta and N2 t_up hold the same array
+    cc = grid_complex(*sides)
+    assert np.array_equal(1.0 / cc.star2, cc.star0)
+    terms = cs.build_sl_model(cc).complex_structure.terms
+    assert terms[0][2][0] is terms[1][2][0]
+    assert terms[2][2][1] is terms[3][2][1]
+
+
+def test_grid_with_unequal_masses_forms_n2_apart():
+    # the 7 x 5 grid of a 3 x 5.5 torus: 1/star2 is star0 up to rounding only,
+    # so N2 is formed apart and J still matches the pair table
+    cc = grid_complex(7, 5, 3.0, 5.5)
+    assert not np.array_equal(1.0 / cc.star2, cc.star0)
+    terms = cs.build_sl_model(cc).complex_structure.terms
+    assert terms[0][2][0] is not terms[1][2][0]
+    assert_j_matches_pair_table(cc)
 
 
 def test_sl_dim_limit():
