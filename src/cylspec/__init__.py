@@ -13,7 +13,7 @@ from .cylinder import (CylinderOperator, CylinderSolution, Perturbation,
 from .dec import (CochainComplex, SymmetricOperator, build_dec,
                   genus2_quad_complex, laplacian0, laplacian0_dual, laplacian1,
                   numeric_kernel_dim, quad_torus_complex, smallest_eigenvalues)
-from .index import (EndSystem, IndexReport, RateVector, SymplecticKernel,
+from .index import (EndSystem, IndexReport, SymplecticKernel,
                     fixed_moduli_vdim, fredholm_index, is_critical,
                     is_lagrangian, stratum_vdim, symplectic_form,
                     varying_moduli_vdim, wall_crossing)

@@ -594,7 +594,7 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
     For eps = 0 this reduces to #{j not in S : lam_j < weight}.  The result
     carries the march's levels, final step count, estimate and QR count.
     """
-    op.check_weight(weight)
+    gap = op.check_weight(weight)
     s_idx = np.asarray(sorted(int(i) for i in boundary_set), dtype=int)
     if s_idx.size and (s_idx.min() < 0 or s_idx.max() >= op.dim):
         raise ValueError("boundary set indices out of range")
@@ -604,11 +604,9 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
 
     pert = op.perturbation
     eps = 0.0 if pert is None else pert.eps
-    if pert is not None:
-        gap = float(np.abs(lams - weight).min())
-        if pert.eps >= 0.5 * gap:
-            raise PerturbationTooLarge(
-                f"eps = {pert.eps:.3g} is not small against the weight gap {gap:.3g}")
+    if pert is not None and pert.eps >= 0.5 * gap:
+        raise PerturbationTooLarge(
+            f"eps = {pert.eps:.3g} is not small against the weight gap {gap:.3g}")
 
     rank = 0
     svals = np.zeros(0)

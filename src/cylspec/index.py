@@ -47,29 +47,22 @@ class EndSystem:
         return 1e-8 * max(self.ends[i].spectral_radius, 1e-30)
 
 
-@dataclass(frozen=True)
-class RateVector:
-    rates: tuple
+def _as_rates(rate, m: int) -> tuple:
+    """The rate vector as a tuple of m finite floats; a scalar is one rate."""
+    rates = (float(rate),) if np.isscalar(rate) else tuple(float(r) for r in rate)
+    if len(rates) != m:
+        raise ValueError(f"rate vector has {len(rates)} components, system has {m} ends")
+    if not np.all(np.isfinite(rates)):
+        raise ValueError(f"rates must be finite, got {list(rates)}")
+    return rates
 
-    def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
-    def __len__(self):
-        return len(self.rates)
-
-
-def _as_rates(rate, m: int) -> RateVector:
-    if isinstance(rate, RateVector):
-        rv = rate
-    elif np.isscalar(rate):
-        rv = RateVector((float(rate),))
-    else:
-        rv = RateVector(tuple(rate))
-    if len(rv) != m:
-        raise ValueError(f"rate vector has {len(rv)} components, system has {m} ends")
-    if not np.all(np.isfinite(rv.rates)):
-        raise ValueError(f"rates must be finite, got {list(rv.rates)}")
-    return rv
+def _half_d0(spec: Spectrum, where: str = "") -> int:
+    """d_0 / 2 of an end; an odd d_0 raises OddKernelDimension."""
+    d0 = spec.d0()
+    if d0 % 2 != 0:
+        raise OddKernelDimension(f"{where}d_0 = {d0} is odd")
+    return d0 // 2
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class PerEndContribution:
 
 @dataclass(frozen=True)
 class IndexReport:
-    rate: RateVector
+    rate: tuple
     index: int
     per_end: tuple
     formula_tag: str
@@ -93,7 +86,7 @@ class IndexReport:
 
     def to_json(self) -> str:
         obj = {
-            "rates": list(self.rate.rates),
+            "rates": list(self.rate),
             "index": self.index,
             "per_end": [
                 {"end_id": p.end_id, "rate": p.rate, "contribution": p.contribution,
@@ -113,50 +106,39 @@ class IndexReport:
         return "\n".join(lines)
 
 
-def _check_radius(rate: RateVector, ends: EndSystem):
-    for i, r in enumerate(rate.rates):
+def is_critical(rate, ends: EndSystem) -> list[bool]:
+    """Per-end test: is rate_i within ends.criticality_tol(i) of that end's root set?
+    A rate beyond its end's completeness radius raises WindowExceedsCutoff."""
+    rates = _as_rates(rate, ends.m)
+    for i, r in enumerate(rates):
         radius = ends.ends[i].completeness_radius
         if abs(r) > radius * (1 + 1e-12):
             raise WindowExceedsCutoff(
                 f"end {i}: |rate| = {abs(r):.6g} exceeds completeness radius {radius:.6g}")
+    return [ends.ends[i].nearest_root(r)[1] <= ends.criticality_tol(i)
+            for i, r in enumerate(rates)]
 
 
-def is_critical(rate, ends: EndSystem) -> list[bool]:
-    """Per-end test: is rate_i within ends.criticality_tol(i) of that end's root set?"""
-    rv = _as_rates(rate, ends.m)
-    _check_radius(rv, ends)
-    out = []
-    for i, r in enumerate(rv.rates):
-        _, dist = ends.ends[i].nearest_root(r)
-        out.append(bool(dist <= ends.criticality_tol(i)))
-    return out
-
-
-def _require_noncritical(rv: RateVector, ends: EndSystem):
-    flags = is_critical(rv, ends)
+def _require_noncritical(rates: tuple, ends: EndSystem):
+    flags = is_critical(rates, ends)
     if any(flags):
         i = flags.index(True)
-        root, dist = ends.ends[i].nearest_root(rv.rates[i])
+        root, dist = ends.ends[i].nearest_root(rates[i])
         raise CriticalRate(
-            f"end {i}: rate {rv.rates[i]:.6g} is within {dist:.3e} of root {root:.6g}")
+            f"end {i}: rate {rates[i]:.6g} is within {dist:.3e} of root {root:.6g}")
 
 
-def _index(rv: RateVector, ends: EndSystem) -> IndexReport:
+def _index(rates: tuple, ends: EndSystem) -> IndexReport:
     """The index formula at a rate vector already checked to be non-critical."""
     per_end = []
-    for i, r in enumerate(rv.rates):
-        spec = ends.ends[i]
-        d0 = spec.d0()
-        if d0 % 2 != 0:
-            raise OddKernelDimension(f"end {i}: d_0 = {d0} is odd")
+    for i, (spec, r) in enumerate(zip(ends.ends, rates)):
+        half = _half_d0(spec, f"end {i}: ")
         crossed = spec.roots_between(min(0.0, r), max(0.0, r))
-        interior = sum(d for _, d in crossed)
-        contribution = d0 // 2 + interior
-        if r < 0:
-            contribution = -contribution
-        per_end.append(PerEndContribution(i, r, contribution, tuple(crossed)))
-    total = sum(p.contribution for p in per_end)
-    return IndexReport(rv, total, tuple(per_end), WEIGHTED_TAG)
+        contribution = half + sum(d for _, d in crossed)
+        per_end.append(PerEndContribution(i, r, contribution if r >= 0 else -contribution,
+                                          tuple(crossed)))
+    return IndexReport(rates, sum(p.contribution for p in per_end), tuple(per_end),
+                       WEIGHTED_TAG)
 
 
 def fredholm_index(rate, ends: EndSystem) -> IndexReport:
@@ -165,9 +147,9 @@ def fredholm_index(rate, ends: EndSystem) -> IndexReport:
     Per-end contribution: +(d_0/2 + interior multiplicities) for positive
     rates, the mirror-negative for negative rates.
     """
-    rv = _as_rates(rate, ends.m)
-    _require_noncritical(rv, ends)
-    return _index(rv, ends)
+    rates = _as_rates(rate, ends.m)
+    _require_noncritical(rates, ends)
+    return _index(rates, ends)
 
 
 def wall_crossing(rate1, rate2, ends: EndSystem) -> tuple[int, list]:
@@ -177,16 +159,15 @@ def wall_crossing(rate1, rate2, ends: EndSystem) -> tuple[int, list]:
     between the rates with their multiplicities.  The jump is cross-checked
     against the difference of the two index evaluations.
     """
-    rv1 = _as_rates(rate1, ends.m)
-    rv2 = _as_rates(rate2, ends.m)
-    if not all(a < b for a, b in zip(rv1.rates, rv2.rates)):
+    rates1 = _as_rates(rate1, ends.m)
+    rates2 = _as_rates(rate2, ends.m)
+    if not all(a < b for a, b in zip(rates1, rates2)):
         raise NotOrdered("need rate1 < rate2 componentwise")
-    _require_noncritical(rv1, ends)
-    _require_noncritical(rv2, ends)
-    crossed = [spec.roots_between(lo, hi)
-               for spec, lo, hi in zip(ends.ends, rv1.rates, rv2.rates)]
+    _require_noncritical(rates1, ends)
+    _require_noncritical(rates2, ends)
+    crossed = [spec.roots_between(lo, hi) for spec, lo, hi in zip(ends.ends, rates1, rates2)]
     jump = sum(d for roots in crossed for _, d in roots)
-    diff = _index(rv2, ends).index - _index(rv1, ends).index
+    diff = _index(rates2, ends).index - _index(rates1, ends).index
     if diff != jump:
         raise AssertionError(f"wall-crossing mismatch: index diff {diff} != jump {jump}")
     return jump, crossed
@@ -194,40 +175,24 @@ def wall_crossing(rate1, rate2, ends: EndSystem) -> tuple[int, list]:
 
 def fixed_moduli_vdim(rate, ends: EndSystem) -> int:
     """Virtual dimension at fixed asymptotic cross-section and negative rate:
-    -(sum d_{0,i}/2) - (sum of multiplicities in (mu_i, 0)); always <= 0."""
-    rv = _as_rates(rate, ends.m)
-    if any(r >= 0 for r in rv.rates):
+    -(sum d_{0,i}/2) - (sum of multiplicities in (mu_i, 0)); always <= 0.
+    This is the index at that rate."""
+    rates = _as_rates(rate, ends.m)
+    if any(r >= 0 for r in rates):
         raise NonNegativeRate("fixed-asymptotics rates must be negative in every component")
-    report = fredholm_index(rv, ends)
-    value = 0
-    for i, r in enumerate(rv.rates):
-        spec = ends.ends[i]
-        value -= spec.d0() // 2
-        value -= spec.multiplicity_between(r, 0.0)
-    if value != report.index:
-        raise AssertionError("fixed-rate formula disagrees with the index evaluation")
-    return value
+    return fredholm_index(rates, ends).index
 
 
 def varying_moduli_vdim(ends: EndSystem) -> int:
     """Virtual dimension with varying cross-section: sum of d_{0,i}/2; >= 0."""
-    total = 0
-    for i, spec in enumerate(ends.ends):
-        d0 = spec.d0()
-        if d0 % 2 != 0:
-            raise OddKernelDimension(f"end {i}: d_0 = {d0} is odd")
-        total += d0 // 2
-    return total
+    return sum(_half_d0(spec, f"end {i}: ") for i, spec in enumerate(ends.ends))
 
 
 def stratum_vdim(stratum_dim: int, end: Spectrum) -> int:
     """Index restricted to a stratum of cross-sections: stratum_dim - d_0/2."""
     if stratum_dim < 0:
         raise ValueError("stratum dimension must be >= 0")
-    d0 = end.d0()
-    if d0 % 2 != 0:
-        raise OddKernelDimension(f"d_0 = {d0} is odd")
-    return int(stratum_dim) - d0 // 2
+    return int(stratum_dim) - _half_d0(end)
 
 
 # ---------------------------------------------------------------------------

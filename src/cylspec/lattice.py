@@ -73,10 +73,6 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     dual = torus.dual_basis
-    smin = np.linalg.svd(dual, compute_uv=False)[-1]
-    if smin <= 0:
-        raise DegenerateLattice("dual lattice is rank deficient")
-    nmax = int(np.ceil(np.sqrt(cutoff) / smin)) + 1
     # enumerate over the reduced basis (b1, b2) = dual @ (u1, u2): its
     # coordinate box around the ball is about as large as the ball's point
     # count, however long and thin the lattice
@@ -85,10 +81,8 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     grid = np.stack(np.meshgrid(*(np.arange(-b, b + 1) for b in bound.astype(int) + 1),
                                 indexing="ij"), axis=-1)
     n = grid.reshape(-1, 2) @ np.column_stack([u1, u2]).T
-    # one representative of {n, -n} inside the box of side nmax, in box order
+    # one representative of {n, -n}
     n = n[(n[:, 0] > 0) | ((n[:, 0] == 0) & (n[:, 1] > 0))]
-    n = n[(np.abs(n) <= nmax).all(axis=1)]
-    n = n[np.lexsort((n[:, 1], n[:, 0]))]
     # k and |k|^2 by the same matmul calls per point as a loop over k = dual @ n
     k = np.matmul(dual, n.astype(float)[:, :, None])[:, :, 0]
     kk = np.matmul(k[:, None, :], k[:, :, None])[:, 0, 0]

@@ -36,11 +36,12 @@ back:
 
 where delta, t_up, d0 and t_up_adj are the blocks of D.  The block model
 stores J as these factors (a BlockOperator, never a dense dim x dim array);
-the torus model stores its J = Id x I3 as CSR.  Every eigenvector of the
-block model lives on one row slice (vertex, face or cochain rows), so its
-eigenbasis is stored as three column blocks.  Each model states J in its
-eigenbasis once, as CSR: a signed permutation on the torus, and the pair
-table plus the harmonic block on the block model.  On quad-grid tori the
+the torus model's J = Id x I3 is a BlockOperator of one term over a CSR
+factor.  Every eigenvector of the block model lives on one row slice
+(vertex, face or cochain rows), so its eigenbasis is stored as three column
+blocks.  Each model states J in its eigenbasis once, as CSR: a signed
+permutation on the torus, and the pair table plus the harmonic block on
+the block model.  On quad-grid tori the
 Laplacian eigenpairs are in closed form, the real-Fourier diagonalisation
 of the circulant L0 (Strang, SIAM Review 41, 1999); other complexes solve
 for them densely.
@@ -164,7 +165,7 @@ class DiracModel:
     label: str
     mass: np.ndarray                # (n,) positive diagonal
     dirac: sparse.csr_matrix        # (n, n)
-    complex_structure: sparse.csr_matrix | BlockOperator   # (n, n); CSR on the torus
+    complex_structure: BlockOperator   # (n, n)
     completeness_radius: float
     area: float | None = None
     meta: dict = field(default_factory=dict)
@@ -281,14 +282,14 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
     swap = np.kron([[0.0, 1.0], [1.0, 0.0]], I3)
     jeig = sparse.block_diag([I3] + [swap] * npairs, format="csr")
     dim = values.size
+    whole = slice(0, dim)
     order = np.argsort(values, kind="stable")
     basis = Eigenbasis(values[order],
-                       ((slice(0, dim), np.arange(dim),
-                         vectors.toarray()[:, order] / np.sqrt(area)),),
+                       ((whole, np.arange(dim), vectors.toarray()[:, order] / np.sqrt(area)),),
                        jeig[order][:, order])
+    j = sparse.kron(sparse.identity(1 + 2 * npairs), I3, format="csr")
 
-    return DiracModel("torus", mass, d,
-                      sparse.kron(sparse.identity(1 + 2 * npairs), I3, format="csr"),
+    return DiracModel("torus", mass, d, BlockOperator(dim, ((whole, whole, (j,)),)),
                       completeness_radius=float(np.sqrt(cutoff)), area=area,
                       meta={"modes": modes, "cutoff": float(cutoff)}, eigenbasis=basis)
 

@@ -52,7 +52,7 @@ class Spectrum:
     def jmat(self) -> sparse.csr_matrix | None:
         return None if self.basis is None else self.basis.jmat
 
-    @property
+    @cached_property
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max()) if self.dim else 0.0
 
@@ -139,9 +139,9 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     1e-8 * max(1, spectral radius), and every column of B an M-norm within
     1e-8 of 1 (a rescaled eigenvector has no larger residual), or
     ConvergenceFailure is raised.  The residual is formed on row pieces
-    (_residual_norms), never as a dim x k array; a J stored as one matrix
-    (the torus CSR) is a single term over all rows.  Clusters merge
-    eigenvalues closer than cluster_tol = 1e-6 * spectral radius.
+    (_residual_norms), never as a dim x k array; the torus J is a single
+    term over all rows.  Clusters merge eigenvalues closer than
+    cluster_tol = 1e-6 * spectral radius.
     """
     basis = model.eigenbasis
     if basis is None:
@@ -150,9 +150,6 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     radius = float(np.abs(vals).max()) if vals.size else 0.0
 
     j = model.complex_structure
-    if not isinstance(j, BlockOperator):   # the torus J: one CSR over all rows
-        whole = slice(0, model.dim)
-        j = BlockOperator(model.dim, ((whole, whole, (j,)),))
     resid = norm_error = 0.0
     for rows, cols, block in basis.blocks:
         resid = max(resid, float(_residual_norms(model, j, rows, block, vals[cols])

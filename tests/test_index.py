@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
@@ -239,3 +239,71 @@ def test_wall_crossing_checks_each_rate_once(ends2, monkeypatch):
     jump, crossed = cs.wall_crossing([-0.5, -1.2], [0.5, 1.2], ends2)
     assert jump == 4 + 20
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# rates as plain tuples, their faults, and the fixed-rate formula
+
+def test_index_report_rate_is_plain_tuple(square_t, torus_spec_25):
+    sl8 = cs.eigendecompose(cs.build_sl_model(cs.quad_torus_complex(square_t, 8)))
+    report = cs.fredholm_index((1.2, -1.2), cs.EndSystem((sl8, torus_spec_25)))
+    assert type(report.rate) is tuple and report.rate == (1.2, -1.2)
+    assert report.to_json() == (
+        '{"formula_tag": "weighted-end-sum", "index": 0, "per_end": [{"contribution": 10, '
+        '"crossed_roots": [{"d": 8, "lambda": 0.9744953584044327}], "end_id": 0, "rate": 1.2}, '
+        '{"contribution": -10, "crossed_roots": [{"d": 8, "lambda": -1.0}], "end_id": 1, '
+        '"rate": -1.2}], "rates": [1.2, -1.2]}')
+
+
+RATE_FAULTS = {   # (number of ends, rate, error, message) on the cutoff-2.5 torus
+    "wrong-length": (2, -0.5, ValueError, "rate vector has 1 components, system has 2 ends"),
+    "nan": (1, float("nan"), ValueError, "rates must be finite, got [nan]"),
+    "beyond-radius": (1, -2.0, WindowExceedsCutoff,
+                      "end 0: |rate| = 2 exceeds completeness radius 1.58114"),
+    "critical": (1, -1.0, CriticalRate, "end 0: rate -1 is within 0.000e+00 of root -1"),
+}
+RATE_FORMS = {"scalar": lambda r: r, "list": lambda r: [r], "ndarray": lambda r: np.array([r])}
+RATE_CALLS = {
+    "is_critical": cs.is_critical,
+    "fredholm_index": cs.fredholm_index,
+    "wall_crossing": lambda rate, ends: cs.wall_crossing(rate, 0.5, ends),
+    "fixed_moduli_vdim": cs.fixed_moduli_vdim,
+}
+
+
+@pytest.mark.parametrize("call", RATE_CALLS)
+@pytest.mark.parametrize("form", RATE_FORMS)
+@pytest.mark.parametrize("fault", RATE_FAULTS)
+def test_rate_faults_raise_their_error(torus_spec_25, fault, form, call):
+    m, rate, error, message = RATE_FAULTS[fault]
+    ends = cs.EndSystem((torus_spec_25,) * m)
+    rate = RATE_FORMS[form](rate)
+    if call == "is_critical" and error is CriticalRate:   # a flag, not an error
+        assert cs.is_critical(rate, ends) == [True]
+        return
+    with pytest.raises(error) as info:
+        RATE_CALLS[call](rate, ends)
+    assert str(info.value) == message
+
+
+@st.composite
+def synthetic_end(draw):
+    """A synthetic spectrum within radius 2: an even d_0 (possibly 0) and up
+    to six distinct nonzero roots."""
+    half = draw(st.integers(0, 3))
+    roots = draw(st.lists(st.tuples(st.floats(-1.9, 1.9).filter(lambda z: abs(z) > 1e-3),
+                                    st.integers(1, 8)),
+                          min_size=1, max_size=6, unique_by=lambda root: root[0]))
+    return cs.synthetic_spectrum(([(0.0, 2 * half)] if half else []) + roots, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(synthetic_end(), st.floats(-1.95, -1e-3)), min_size=1, max_size=3))
+def test_fixed_moduli_vdim_matches_brute_force(ends_and_rates):
+    specs, rates = zip(*ends_and_rates)
+    assume(all(np.abs(s.eigenvalues - r).min() > 1e-6 for s, r in ends_and_rates))
+    # -sum(d_0/2 + multiplicities strictly between the rate and 0), from raw eigenvalues
+    want = -sum(int(np.count_nonzero(s.eigenvalues == 0.0)) // 2
+                + int(np.count_nonzero((s.eigenvalues > r) & (s.eigenvalues < 0.0)))
+                for s, r in ends_and_rates)
+    assert cs.fixed_moduli_vdim(rates, cs.EndSystem(specs)) == want

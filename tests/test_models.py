@@ -500,9 +500,10 @@ def test_torus_fill_matches_dense_arrays(basis, cutoff):
     model = cs.build_torus_model(torus, cutoff)
     assert len(model.eigenbasis.blocks) == 1   # one block over all rows
     assert_fill_matches(model.eigenbasis, reference_torus_fill(torus, cutoff))
-    # J = Id x I3, stored as CSR
+    # J = Id x I3, one term over a CSR factor
     j = model.complex_structure
-    assert j.format == "csr"
+    [(_, _, (factor,))] = j.terms
+    assert factor.format == "csr"
     assert np.array_equal(j.toarray(), np.kron(np.eye(model.dim // 4), I3))
 
 
