@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, CriticalWeight, IllConditionedMatching,
+from .errors import (ConfigError, ConvergenceFailure, CriticalWeight, IllConditionedMatching,
                      InsufficientTail, PerturbationTooLarge)
 from .spectral import Spectrum
 
@@ -84,6 +84,20 @@ def make_perturbation(dim: int, eps: float, mu_pert: float, seed: int = 0) -> Pe
     return Perturbation(float(eps), float(mu_pert), int(seed), a0)
 
 
+# largest dim x points of a time grid: the Green solve holds a few dim x points
+# arrays and each level of the perturbed frame march six of dim x steps, 128 MB
+# each at this size (the cylinder-end bench runs 148 x 3001)
+MAX_GRID_VALUES = 2 ** 24
+
+
+def _check_grid_size(dim: int, points: int, about: str):
+    """ConfigError when ``about``, a time grid of ``points`` nodes, holds
+    more than MAX_GRID_VALUES values at dim ``dim``."""
+    if dim * points > MAX_GRID_VALUES:
+        raise ConfigError(f"{about} of {points} points at dim {dim} holds {dim * points} "
+                          f"values, above the limit {MAX_GRID_VALUES}")
+
+
 @dataclass(frozen=True)
 class CylinderOperator:
     """Mode-decomposed model operator on [0, T] with uniform step h."""
@@ -108,21 +122,22 @@ class CylinderOperator:
 
     @property
     def tgrid(self) -> np.ndarray:
+        """The nodes 0, h, ..., T; ConfigError when dim x nodes is above
+        MAX_GRID_VALUES."""
         n = int(round(self.t_final / self.step))
+        _check_grid_size(self.dim, n + 1,
+                         f"the time grid (T = {self.t_final:g}, h = {self.step:g})")
         return np.linspace(0.0, n * self.step, n + 1)
 
     def dirac_sigma(self) -> np.ndarray:
         """D expressed in eigencoordinates: D = -J A."""
         return -self.base.jmat @ np.diag(self.base.eigenvalues)
 
-    def weight_tol(self) -> float:
-        return 1e-8 * max(self.base.spectral_radius, 1e-30)
-
     def check_weight(self, weight: float):
         if not np.isfinite(weight):
             raise ValueError(f"weight must be finite, got {weight}")
         gap = float(np.abs(self.base.eigenvalues - weight).min())
-        if gap <= self.weight_tol():
+        if gap <= self.base.root_tol:
             raise CriticalWeight(
                 f"weight {weight:.6g} is within {gap:.3e} of an eigenvalue")
         return gap
@@ -544,7 +559,8 @@ def _march_frame(op: CylinderOperator,
     _FRAME_TOL / 2, m (2 estimate / _FRAME_TOL)^{1/4} steps, clamped to
     [m + 1, min(4 m, N_max)].  With N_max = ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps
     marched and the estimate still above _FRAME_ACCEPT * _FRAME_TOL,
-    ConvergenceFailure is raised."""
+    ConvergenceFailure is raised.  A level whose dim x (steps + 1) is above
+    MAX_GRID_VALUES raises ConfigError before its grid is formed."""
     z = np.zeros((op.dim, cols.size))
     z[cols, np.arange(cols.size)] = 1.0
     pert = op.perturbation
@@ -556,12 +572,15 @@ def _march_frame(op: CylinderOperator,
     n_max = int(np.ceil(length / _FRAME_H0)) * 2 ** _FRAME_HALVINGS
     n = min(int(np.ceil(length * max(1.0 / _FRAME_H0, float(np.ptp(lams))))), n_max // 2)
     spread = float(np.ptp(lams[cols])) if cols.size else 0.0
-    coarse, qrs = _lawson_march(z, lams, g, pert, _frame_grid(op.t_final, pert.mu_pert, n),
-                                spread)
+
+    def grid(steps: int) -> np.ndarray:
+        _check_grid_size(op.dim, steps + 1, "a perturbed frame level's grid")
+        return _frame_grid(op.t_final, pert.mu_pert, steps)
+
+    coarse, qrs = _lawson_march(z, lams, g, pert, grid(n), spread)
     levels, m = [n], 2 * n
     while True:
-        fine, q = _lawson_march(z, lams, g, pert, _frame_grid(op.t_final, pert.mu_pert, m),
-                                spread)
+        fine, q = _lawson_march(z, lams, g, pert, grid(m), spread)
         qrs += q
         angle = float(np.linalg.norm(fine - coarse @ (coarse.T @ fine), 2))
         estimate = angle / ((m / n) ** 4 - 1.0)

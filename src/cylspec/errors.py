@@ -25,8 +25,8 @@ class DegenerateTriangle(ConfigError):
 
 
 class ConvergenceFailure(CylspecError):
-    """A numerical solve failed: a dense or iterative eigensolver did not converge,
-    or its result failed a residual or separation check."""
+    """A numerical solve failed: an eigensolver or the perturbed frame march did
+    not converge, or an eigenbasis failed its residual check."""
 
 
 class WindowExceedsCutoff(ConfigError):

@@ -43,9 +43,6 @@ class EndSystem:
     def m(self) -> int:
         return len(self.ends)
 
-    def criticality_tol(self, i: int) -> float:
-        return 1e-8 * max(self.ends[i].spectral_radius, 1e-30)
-
 
 def _as_rates(rate, m: int) -> tuple:
     """The rate vector as a tuple of m finite floats; a scalar is one rate."""
@@ -107,7 +104,7 @@ class IndexReport:
 
 
 def is_critical(rate, ends: EndSystem) -> list[bool]:
-    """Per-end test: is rate_i within ends.criticality_tol(i) of that end's root set?
+    """Per-end test: is rate_i within that end's root_tol of its root set?
     A rate beyond its end's completeness radius raises WindowExceedsCutoff."""
     rates = _as_rates(rate, ends.m)
     for i, r in enumerate(rates):
@@ -115,8 +112,7 @@ def is_critical(rate, ends: EndSystem) -> list[bool]:
         if abs(r) > radius * (1 + 1e-12):
             raise WindowExceedsCutoff(
                 f"end {i}: |rate| = {abs(r):.6g} exceeds completeness radius {radius:.6g}")
-    return [ends.ends[i].nearest_root(r)[1] <= ends.criticality_tol(i)
-            for i, r in enumerate(rates)]
+    return [end.nearest_root(r)[1] <= end.root_tol for end, r in zip(ends.ends, rates)]
 
 
 def _require_noncritical(rates: tuple, ends: EndSystem):

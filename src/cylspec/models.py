@@ -44,7 +44,8 @@ permutation on the torus, and the pair table plus the harmonic block on
 the block model.  On quad-grid tori the
 Laplacian eigenpairs are in closed form, the real-Fourier diagonalisation
 of the circulant L0 (Strang, SIAM Review 41, 1999); other complexes solve
-for them densely.
+for them densely, one solve per function Laplacian; the harmonic cochains
+are the complement of the exact and coexact ones, with no solve of L1.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +54,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .dec import CochainComplex, laplacian0, laplacian0_dual, laplacian1, mass_eigh
-from .errors import ConfigError, ConvergenceFailure
+from .errors import ConfigError
 from .lattice import TWO_PI, FlatTorus, _reduced_basis, dual_lattice_points
 
 # quaternion left multiplications by i, j, k on R^4 with basis (1, i, j, k)
@@ -336,7 +337,7 @@ def _harmonic_complex_structure(harm: np.ndarray, mass1: np.ndarray,
                                 cc: CochainComplex) -> tuple[np.ndarray, float]:
     """M-orthogonal anti-involution on the harmonic space, as the polar
     correction of the compressed quarter-turn candidate; returns (J_H in
-    harmonic coordinates, correction magnitude)."""
+    harmonic coordinates, basis-independent correction ||cand - J_H||_2)."""
     dim = harm.shape[1]
     if dim == 0:
         return np.zeros((0, 0)), 0.0
@@ -350,10 +351,10 @@ def _harmonic_complex_structure(harm: np.ndarray, mass1: np.ndarray,
         for a in range(0, dim - 1, 2):
             jh[a, a + 1] = -1.0
             jh[a + 1, a] = 1.0
-        return jh, float(np.abs(cand - jh).max())
+        return jh, float(np.linalg.norm(cand - jh, 2))
     jh = u @ vt   # orthogonal polar factor of a skew matrix: orthogonal and skew
     jh = 0.5 * (jh - jh.T)
-    return jh, float(np.abs(cand - jh).max())
+    return jh, float(np.linalg.norm(cand - jh, 2))
 
 
 def _grid_harmonics(cc: CochainComplex) -> np.ndarray:
@@ -366,24 +367,22 @@ def _grid_harmonics(cc: CochainComplex) -> np.ndarray:
     return h
 
 
-def _harmonic_basis(cc: CochainComplex) -> np.ndarray:
-    """M1-orthonormal basis of harmonic 1-cochains."""
+def _harmonic_basis(cc: CochainComplex, exact: np.ndarray, coexact: np.ndarray) -> np.ndarray:
+    """M1-orthonormal basis of harmonic 1-cochains: on a connected surface, the
+    2*genus-dim M1-complement of the M1-orthonormal exact and coexact cochains
+    (discrete Hodge decomposition).  Quad-grid tori take their constant
+    cochains; other complexes project default_rng(0).standard_normal((n1,
+    2*genus)) off both twice and M1-orthonormalize it twice (CholeskyQR2)."""
+    m1 = cc.star1
     if cc.meta.get("kind") == "quad-grid-torus":
-        h = _grid_harmonics(cc)
+        h, passes = _grid_harmonics(cc), 1
     else:
-        lap1 = laplacian1(cc)
-        stiff = (sparse.diags(cc.star1) @ lap1.matrix).toarray()
-        stiff = 0.5 * (stiff + stiff.T)
-        vals, vecs = mass_eigh(stiff, cc.star1)
-        twog = 2 * cc.genus
-        h = vecs[:, :twog]
-        gap = vals[twog] if stiff.shape[0] > twog else np.inf
-        if twog > 0 and vals[twog - 1] > 1e-8 * max(gap, 1e-30):
-            raise ConvergenceFailure("harmonic subspace is not numerically separated")
-    # M1-orthonormalize
-    g = h.T @ (cc.star1[:, None] * h)
-    low = np.linalg.cholesky(g)
-    return h @ np.linalg.inv(low).T
+        h, passes = np.random.default_rng(0).standard_normal((cc.n1, 2 * cc.genus)), 2
+        for b in (exact, coexact, exact, coexact):
+            h -= b @ (b.T @ (m1[:, None] * h))
+    for _ in range(passes):
+        h = h @ np.linalg.inv(np.linalg.cholesky(h.T @ (m1[:, None] * h))).T
+    return h
 
 
 def _coo(pattern: sparse.coo_matrix, data: np.ndarray) -> sparse.coo_matrix:
@@ -428,7 +427,8 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     exact cochains (0, 0, e), e = d0 v / sqrt(mu); likewise +-sqrt(nu) on face
     functions (0, w, 0) and coexact cochains (0, 0, c); 0 on the kernel.  On
     quad-grid tori the eigenpairs are in closed form and the dual Laplacian
-    is the primal one; elsewhere both come from mass_eigh.
+    is the primal one; elsewhere both come from mass_eigh (the only dense
+    eigensolves).  A complex that is not connected raises ConfigError.
     J is stated once, as a table of pairs (x, y) with J x = -y and J y = x:
     vertex functions with exact cochains, face functions with coexact
     cochains, and the two constants kf, kg.  The eigenbasis keeps the
@@ -471,20 +471,19 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     tol0 = 1e-8 * max(vals0.max(), 1.0)
     tol2 = 1e-8 * max(vals2.max(), 1.0)
     if np.count_nonzero(vals0 < tol0) != 1 or np.count_nonzero(vals2 < tol2) != 1:
-        raise ConvergenceFailure("complex is not connected (multi-dimensional constants)")
+        raise ConfigError("complex is not connected (multi-dimensional constants)")
 
     area = float(m0.sum())
     kf = np.full((n0, 1), 1.0 / np.sqrt(area))
     kg = np.full((n2, 1), 1.0 / np.sqrt(float(m2d.sum())))
-
-    harm = _harmonic_basis(cc)
-    jh, jh_correction = _harmonic_complex_structure(harm, m1, cc)
 
     # eigenvectors of A = J D:  v, e = d0 v / sqrt(mu); w, c = M1^-1 d1^T w / sqrt(nu)
     root_mu, root_nu = np.sqrt(vals0[1:]), np.sqrt(vals2[1:])
     v0, w0 = vecs0[:, 1:], vecs2[:, 1:]
     e_vec = (d0 @ v0) / root_mu[None, :]
     c_vec = (cc.d1.T @ w0) / m1[:, None] / root_nu[None, :]
+    harm = _harmonic_basis(cc, e_vec, c_vec)
+    jh, jh_correction = _harmonic_complex_structure(harm, m1, cc)
 
     # eigenbasis of A in ascending order; pos[i] is the sorted column of entry i
     values = np.concatenate([root_mu, -root_mu, root_nu, -root_nu,

@@ -57,6 +57,11 @@ class Spectrum:
         return float(np.abs(self.eigenvalues).max()) if self.dim else 0.0
 
     @cached_property
+    def root_tol(self) -> float:
+        """Distance from a root within which a rate or weight is critical."""
+        return 1e-8 * max(self.spectral_radius, 1e-30)
+
+    @cached_property
     def _d0(self) -> int:
         for c in self.clusters:
             if abs(c.lam) <= max(self.cluster_tol, 1e-12):
@@ -72,12 +77,11 @@ class Spectrum:
         return self._d0
 
     def cluster_at(self, lam: float, tol: float | None = None):
-        tol = self.cluster_tol if tol is None else tol
-        best = None
-        for c in self.clusters:
-            if abs(c.lam - lam) <= tol and (best is None or abs(c.lam - lam) < abs(best.lam - lam)):
-                best = c
-        return best
+        """The nearest cluster (of two, the lower) if within tol of lam, else None."""
+        if not self.clusters:
+            return None
+        c = self.clusters[int(np.argmin(np.abs(self._lams - lam)))]
+        return c if abs(c.lam - lam) <= (self.cluster_tol if tol is None else tol) else None
 
     def roots_between(self, lo: float, hi: float) -> list[tuple[float, int]]:
         """Roots (lam, d_lam) with lam strictly inside (lo, hi), ascending."""

@@ -39,6 +39,19 @@ def test_spectrum_sl_mesh(tmp_path, capsys):
     assert zero and zero[0]["d"] == 4
 
 
+def test_disconnected_mesh_is_config_error(tmp_path, capsys):
+    # two disjoint tori pass the Euler check (chi = 0) but are no surface of genus 1
+    one = cs.parametric_torus_mesh(12, 8)
+    pos = one.vertex_positions
+    path = tmp_path / "two_tori.off"
+    cs.write_off(path, cs.surface_from_triangles(
+        np.vstack([pos, pos + 10.0]), np.vstack([one.triangles, one.triangles + len(pos)])))
+    rc = main(["spectrum", "--model", "sl", "--mesh", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "ERR CONFIG: complex is not connected (multi-dimensional constants)\n")
+
+
 def test_index_command(tmp_path, capsys):
     rc = main(["index", "--ends", "torus", "--rates=-0.5", "--torus", SQ,
                "--out", str(tmp_path)])
@@ -230,6 +243,16 @@ def test_cylinder_solve_rejects_bad_grid(capsys):
     rc = main(["cylinder-solve", "--torus", SQ, "--cutoff", "1.5", "--weight=-0.5",
                "--h", "50", "--T", "10"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cylinder-solve", "--cutoff", "1.5", "--T", "1e10"],
+    ["kernel-count", "--cutoff", "1.5", "--eps", "1e-3", "--mu-pert=-1e-9", "--T", "1e9"],
+], ids=["cylinder-solve", "kernel-count"])
+def test_oversized_cylinder_grid_is_config_error(tmp_path, capsys, argv):
+    assert main(argv + ["--torus", SQ, "--out", str(tmp_path)]) == 2
+    assert "above the limit 16777216" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cylinder_solve_rejects_partial_step(tmp_path, capsys):

@@ -10,7 +10,7 @@ import cylspec as cs
 from cylspec.cylinder import (CylinderOperator, CylinderSolution, _exp_moments,
                               _frame_grid, _frame_length, _lawson_march, _march_frame,
                               differentiate)
-from cylspec.errors import (ConvergenceFailure, CriticalWeight, InsufficientTail,
+from cylspec.errors import (ConfigError, ConvergenceFailure, CriticalWeight, InsufficientTail,
                             PerturbationTooLarge)
 
 
@@ -454,6 +454,31 @@ def test_operator_rejects_partial_steps(torus_spec_15):
             CylinderOperator(torus_spec_15, t_final, h)
     for t_final, h in ((30.0, 0.01), (45.0, 0.01), (6.9, 0.3), (12.0, 0.05)):
         assert CylinderOperator(torus_spec_15, t_final, h).tgrid[-1] == pytest.approx(t_final)
+
+
+def test_operator_rejects_oversized_grid(torus_spec_15):
+    # dim 20: T = 838859 at h = 1 is the longest grid within 2**24 values
+    assert torus_spec_15.dim == 20
+    assert CylinderOperator(torus_spec_15, 838859.0, 1.0).tgrid.size == 838860
+    with pytest.raises(ConfigError, match="838861 points at dim 20 holds 16777220 values, "
+                                          "above the limit 16777216"):
+        CylinderOperator(torus_spec_15, 838860.0, 1.0).tgrid
+    # 1e12 steps would be 7.28 TiB of tgrid alone
+    with pytest.raises(ConfigError, match=r"the time grid \(T = 1e\+10, h = 0.01\)"):
+        CylinderOperator(torus_spec_15, 1e10, 0.01).tgrid
+
+
+def test_frame_level_rejects_oversized_grid(torus_spec_15, monkeypatch):
+    # at mu_pert = -1e-9 the coupling barely decays over T = 1e9, and the
+    # first level takes 1.8e9 steps whatever h is: rejected before its grid
+    def no_grid(*args):
+        raise AssertionError("a frame grid above the size limit")
+
+    monkeypatch.setattr(cs.cylinder, "_frame_grid", no_grid)
+    pert = cs.make_perturbation(torus_spec_15.dim, 1e-3, -1e-9, seed=0)
+    op = CylinderOperator(torus_spec_15, 1e9, 0.01, pert)
+    with pytest.raises(ConfigError, match="a perturbed frame level's grid of 18126"):
+        cs.perturbed_kernel_count(op, 0.5, negative_modes(torus_spec_15))
 
 
 @settings(max_examples=15, deadline=None)

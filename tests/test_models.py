@@ -312,7 +312,7 @@ def reference_block_j(cc) -> np.ndarray:
     c_vec = (d1.T @ w0) / m1[:, None] / np.sqrt(vals2[1:])[None, :]
     kf = np.full((n0, 1), 1.0 / np.sqrt(m0.sum()))
     kg = np.full((n2, 1), 1.0 / np.sqrt(m2d.sum()))
-    harm = cs.models._harmonic_basis(cc)
+    harm = cs.models._harmonic_basis(cc, e_vec, c_vec)
     jh = cs.models._harmonic_complex_structure(harm, m1, cc)[0]
     j = np.zeros((dim, dim))
     for sx, mx, x, sy, my, y in ((s0, m0, v0, s2, m1, e_vec), (s1, m2d, w0, s2, m1, c_vec),
@@ -424,12 +424,12 @@ def reference_pair_table_fill(cc):
         (vals0, vecs0), (vals2, vecs2) = reference_function_eigenpairs(cc)
     kf = np.full((n0, 1), 1.0 / np.sqrt(float(m0.sum())))
     kg = np.full((n2, 1), 1.0 / np.sqrt(float(m2d.sum())))
-    harm = cs.models._harmonic_basis(cc)
-    jh = cs.models._harmonic_complex_structure(harm, m1, cc)[0]
     root_mu, root_nu = np.sqrt(vals0[1:]), np.sqrt(vals2[1:])
     v0, w0 = vecs0[:, 1:], vecs2[:, 1:]
     e_vec = (cc.d0 @ v0) / root_mu[None, :]
     c_vec = (cc.d1.T @ w0) / m1[:, None] / root_nu[None, :]
+    harm = cs.models._harmonic_basis(cc, e_vec, c_vec)
+    jh = cs.models._harmonic_complex_structure(harm, m1, cc)[0]
     values = np.concatenate([root_mu, -root_mu, root_nu, -root_nu,
                              np.zeros(2 + harm.shape[1])])
     order = np.argsort(values, kind="stable")
@@ -594,3 +594,95 @@ def test_oversized_block_model_rejected_before_dense_arrays(square_t, monkeypatc
     with pytest.raises(ConfigError, match="1089 vertices, 2178 edges and 1089 faces gives a "
                                           "block model of dim 4356, above the limit 4096"):
         cs.build_sl_model(cc)
+
+
+# ---------------------------------------------------------------------------
+# the harmonic cochains, the complement of the exact and coexact cochains,
+# against the 1-form Laplacian solve build_sl_model once ran for them
+
+def reference_harmonic_basis(cc):
+    """M1-orthonormal harmonic cochains as the 2*genus lowest eigenvectors of
+    the dense L1 stiffness, which must be separated from the rest."""
+    stiff = (sparse.diags(cc.star1) @ cs.laplacian1(cc).matrix).toarray()
+    vals, vecs = mass_eigh(0.5 * (stiff + stiff.T), cc.star1)
+    twog = 2 * cc.genus
+    gap = vals[twog] if cc.n1 > twog else np.inf
+    assert twog == 0 or vals[twog - 1] <= 1e-8 * max(gap, 1e-30)
+    h = vecs[:, :twog]
+    low = np.linalg.cholesky(h.T @ (cc.star1[:, None] * h))
+    return h @ np.linalg.inv(low).T
+
+
+def model_harmonics(model, cc):
+    """The harmonic columns of the model's cochain block [e c harm]."""
+    block = model.eigenbasis.blocks[2][2]
+    return block[:, block.shape[1] - 2 * cc.genus:]
+
+
+def octahedron():
+    """The regular octahedron, outward-oriented: a genus-0 surface."""
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    tris = [(x, y, z) if sx * sy * sz > 0 else (x, z, y)
+            for sx, x in ((1, 0), (-1, 3)) for sy, y in ((1, 1), (-1, 4))
+            for sz, z in ((1, 2), (-1, 5))]
+    return cs.surface_from_triangles(axes, tris)
+
+
+harmonic_complexes = pytest.mark.parametrize("make", [
+    cs.genus2_quad_complex,
+    lambda: cs.build_dec(cs.genus2_mesh()),
+    lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+    lambda: cs.build_dec(cs.triangulated_torus_mesh(cs.square_torus(), 8)),
+], ids=["genus2-quad", "genus2-mesh", "donut-12x8", "triangulated-torus-8"])
+
+
+@harmonic_complexes
+def test_harmonic_block_matches_l1_eigh(make):
+    cc = make()
+    model = cs.build_sl_model(cc)
+    harm = model_harmonics(model, cc)
+    assert harm.shape == (cc.n1, 2 * cc.genus)
+    assert cs.principal_angle_gap(harm, reference_harmonic_basis(cc), cc.star1) <= 1e-10
+    assert cs.check_model(model).passed
+
+
+def test_genus0_harmonic_block_is_empty():
+    cc = cs.build_dec(octahedron())
+    assert cc.genus == 0
+    model = cs.build_sl_model(cc)
+    assert model_harmonics(model, cc).shape == (cc.n1, 0)
+    assert reference_harmonic_basis(cc).shape == (cc.n1, 0)
+    assert model.meta["harmonic_correction"] == 0.0
+    assert cs.eigendecompose(model).d0() == 2
+    assert cs.check_model(model).passed
+
+
+@harmonic_complexes
+def test_mesh_model_solves_the_function_laplacians_only(monkeypatch, make):
+    cc = make()
+    sizes = []
+
+    def recording_eigh(stiff, mass):
+        sizes.append(stiff.shape)
+        return mass_eigh(stiff, mass)
+
+    def no_l1(*args, **kwargs):
+        raise AssertionError("a 1-form Laplacian for the harmonic cochains")
+
+    monkeypatch.setattr(cs.models, "mass_eigh", recording_eigh)
+    monkeypatch.setattr(cs.models, "laplacian1", no_l1)
+    cs.build_sl_model(cc)
+    assert sizes == [(cc.n0, cc.n0), (cc.n2, cc.n2)]
+
+
+@harmonic_complexes
+def test_harmonic_correction_ignores_the_basis(make):
+    # cand - J_H turns into Q^T (cand - J_H) Q under a change of basis by Q;
+    # its spectral norm does not move
+    cc = make()
+    model = cs.build_sl_model(cc)
+    harm = model_harmonics(model, cc)
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((harm.shape[1],) * 2))[0]
+    rotated = cs.models._harmonic_complex_structure(harm @ q, cc.star1, cc)[1]
+    assert abs(rotated - model.meta["harmonic_correction"]) <= 1e-12
+

@@ -338,6 +338,15 @@ def reference_nearest_root(spec, x):
     return float(lams[i]), float(abs(lams[i] - x))
 
 
+def reference_cluster_at(spec, lam, tol=None):
+    tol = spec.cluster_tol if tol is None else tol
+    best = None
+    for c in spec.clusters:
+        if abs(c.lam - lam) <= tol and (best is None or abs(c.lam - lam) < abs(best.lam - lam)):
+            best = c
+    return best
+
+
 def assert_cluster_facts_match(spec, points):
     for _ in range(2):   # the cached facts read twice
         assert spec.d0() == reference_d0(spec)
@@ -347,6 +356,8 @@ def assert_cluster_facts_match(spec, points):
             else:
                 with pytest.raises(ValueError):
                     spec.nearest_root(x)
+            for tol in (None, 0.0, 0.1, 0.25, 0.3, 1e3):
+                assert spec.cluster_at(x, tol) == reference_cluster_at(spec, x, tol)
 
 
 @settings(max_examples=200, deadline=None)
