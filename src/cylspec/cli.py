@@ -5,14 +5,15 @@ reproduce.  Flags may be combined with a JSON config file (--config); flags
 override file values.  Exit codes: 0 ok, 2 config error (bad flags or files,
 and input faults such as a singular lattice, a non-manifold mesh or a
 window or rate beyond the completeness radius), 3 numerical failure,
-4 critical rate/weight, 5 reproduction mismatch.  Every error path prints a
-machine-parsable line "ERR <CODE>: <detail>" to stderr.  Identical configs
-produce byte-identical JSON (keys sorted, no timestamps, seeds recorded), at
-any BLAS thread count except for block models on meshes, whose spectra come
-from a dense eigh.
+4 critical rate/weight, 5 reproduction mismatch.  Every error path, a bad
+flag included, prints one machine-parsable line "ERR <CODE>: <detail>" to
+stderr.  Identical configs produce byte-identical JSON (keys sorted, no
+timestamps, seeds recorded), at any BLAS thread count except for block
+models on meshes, whose spectra come from a dense eigh.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -314,8 +315,18 @@ def cmd_reproduce(cfg) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose faults (a bad value, an unknown flag or
+    command, a missing command) raise ConfigError instead of printing usage."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The command-line parser, built once per process."""
+    ap = _Parser(
         prog="cylspec",
         description="Dirac model spectra, weighted indices and cylinder-end solvers")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -389,16 +400,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        cfg = _merge_config(args)
-        if args.command == "reproduce" and getattr(args, "example", None):
-            cfg["example"] = args.example
-        return _COMMANDS[args.command](cfg)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](_merge_config(args))
+    except SystemExit as exc:   # --help
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except ConfigError as exc:
         _err("CONFIG", str(exc))
         return EXIT_CONFIG
@@ -408,7 +414,7 @@ def main(argv=None) -> int:
     except (CylspecError, np.linalg.LinAlgError) as exc:
         _err("NUMERIC", str(exc))
         return EXIT_NUMERIC
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _err("CONFIG", str(exc))
         return EXIT_CONFIG
 

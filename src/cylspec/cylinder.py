@@ -112,8 +112,12 @@ class CylinderOperator:
             raise ValueError("cylinder operators need a spectrum with jmat attached")
         if not 0 < self.step <= self.t_final < np.inf:
             raise ValueError("need 0 < h <= T")
-        n = round(self.t_final / self.step)
-        if abs(self.t_final / self.step - n) > 1e-9 * n:
+        steps = self.t_final / self.step
+        if not np.isfinite(steps):
+            raise ValueError(f"T = {self.t_final:g} over h = {self.step:g} overflows "
+                             "the step count")
+        n = round(steps)
+        if abs(steps - n) > 1e-9 * n:
             raise ValueError(f"T = {self.t_final:g} is not a whole number of steps h = {self.step:g}")
 
     @property

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from .errors import ConvergenceFailure, DegenerateTriangle
 from .lattice import FlatTorus
@@ -90,17 +89,16 @@ def _incidence_d1(face_edges, sense, n1: int) -> sparse.csr_matrix:
                              shape=(face_edges.shape[0], n1), dtype=np.int64)
 
 
-def _triangle_geometry(surface: TriangulatedSurface):
-    """Areas, per-corner cotangents and acuteness from intrinsic side lengths."""
-    s = surface.side_lengths()                 # (n2, 3): sides (a,b), (b,c), (c,a)
+def _triangle_geometry(surface: TriangulatedSurface, s: np.ndarray | None = None):
+    """Areas, per-corner cotangents and acuteness of a validated surface from
+    its side lengths s (surface.side_lengths() unless given)."""
+    if s is None:
+        s = surface.side_lengths()             # (n2, 3): sides (a,b), (b,c), (c,a)
     # angle opposite side k sits at the vertex not on side k:
     # side 0 = (a,b) is opposite vertex c, side 1 = (b,c) opposite a, side 2 = (c,a) opposite b.
     l0, l1, l2 = s[:, 0], s[:, 1], s[:, 2]
     sp = 0.5 * (l0 + l1 + l2)
-    area_sq = sp * (sp - l0) * (sp - l1) * (sp - l2)
-    if np.any(area_sq <= 0):
-        raise DegenerateTriangle(f"triangle {int(np.argmin(area_sq))} has non-positive area")
-    area = np.sqrt(area_sq)
+    area = np.sqrt(sp * (sp - l0) * (sp - l1) * (sp - l2))
     # cot of the angle opposite side k: (sum of other two squares - own square) / (4 area)
     sq = s * s
     cot = np.empty_like(s)
@@ -126,7 +124,8 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
     d0 = _incidence_d0(surface.edges, n0)
     d1 = _incidence_d1(tedges, surface.side_senses(), n1)
 
-    area, cot, acute = _triangle_geometry(surface)
+    s = surface.side_lengths()
+    area, cot, acute = _triangle_geometry(surface, s)
     if stars == "auto":
         mode = "circumcentric" if acute else "barycentric"
     elif stars in ("circumcentric", "barycentric"):
@@ -135,7 +134,6 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
         raise ValueError(f"unknown star mode {stars!r}")
 
     # per-triangle contributions, accumulated in triangle order
-    s = surface.side_lengths()
     sq = s * s
     if mode == "circumcentric":
         if not acute:
@@ -271,6 +269,7 @@ def smallest_eigenvalues(op: SymmetricOperator, k: int) -> np.ndarray:
     stiff = (0.5 * (stiff + stiff.T)).tocsc()
     if k >= n - 1 or n <= 600:
         return mass_eigh(stiff.toarray(), op.mass)[0][:k]
+    import scipy.sparse.linalg as sparse_linalg   # slow to import; only this path needs it
     mass = sparse.diags(op.mass).tocsc()
     sigma = -1e-6 * max(1.0, abs(stiff.diagonal()).max() / op.mass.max())
     try:

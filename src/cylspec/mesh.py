@@ -86,7 +86,7 @@ class TriangulatedSurface:
         # Heron in stable form
         sp = 0.5 * (a + b + c)
         area_sq = sp * (sp - a) * (sp - b) * (sp - c)
-        if np.any(area_sq <= 1e-12 * np.maximum(1.0, sp**4)):
+        if not np.all(area_sq > 1e-12 * np.maximum(1.0, sp**4)):   # NaN lengths fail too
             raise DegenerateTriangle(
                 f"triangle {int(np.argmin(area_sq))} has (near) zero area")
 
@@ -131,11 +131,15 @@ def surface_from_triangles(positions, triangles) -> TriangulatedSurface:
     """Build a surface from bare triangles, deriving edges by manifold matching
     and edge lengths from the positions.
 
-    Requires every directed side (u, v) to occur exactly once, with its reverse
-    (v, u) occurring exactly once in another triangle; meshes with doubled
-    vertex pairs must supply explicit combinatorics instead.
+    Requires finite positions and every directed side (u, v) to occur exactly
+    once, with its reverse (v, u) occurring exactly once in another triangle;
+    meshes with doubled vertex pairs must supply explicit combinatorics instead.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    finite = np.isfinite(positions).all(axis=1)
+    if not finite.all():
+        v = int(np.argmin(finite))
+        raise ValueError(f"vertex {v} has a non-finite coordinate: {positions[v].tolist()}")
     triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
     edges, tri_edges = _match_sides(triangles)
     d = positions[edges[:, 0]] - positions[edges[:, 1]]

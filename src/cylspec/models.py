@@ -97,9 +97,9 @@ class BlockOperator:
     The transpose swaps rows and cols and transposes the factors in reverse
     order, so it comes from the same factors, never from an identity such
     as J^T = -M J M^{-1} that the model axioms would then hold by fiat.
-    ``apply_pieces`` takes an operand that lives on some of the column
-    slices and runs only the terms that read them; ``@`` runs the same
-    term loop on every column slice, adding each product into the output."""
+    ``apply_pieces`` is the one term loop: it runs the terms that read an
+    operand living on some of the column slices; ``@`` runs it on every
+    column slice, adding into row views of a zero output."""
     dim: int
     terms: tuple   # ((rows: slice, cols: slice, factors: tuple), ...)
 
@@ -117,27 +117,21 @@ class BlockOperator:
                 slices.append(cols)
         return slices
 
-    def _products(self, pieces: list):
-        """(rows, product) of every term that reads one of the row pieces
-        [(cols, block), ...], in term order."""
+    def apply_pieces(self, pieces: list, out=()) -> list:
+        """The operator applied to an operand that is zero outside its row
+        pieces [(rows, block), ...], each rows one of the terms' column
+        slices, as row pieces: in term order, each product is added in place
+        into the piece (of ``out``, or made before) on its rows, or is one."""
         slices = self.column_slices
         if any(s not in slices for s, _ in pieces):
             raise ValueError("an operand piece off the operator's column slices")
+        out = list(out)
         for rows, cols, factors in self.terms:
             y = next((block for s, block in pieces if s == cols), None)
-            if y is not None:
-                for f in reversed(factors):
-                    y = f @ y
-                yield rows, y
-
-    def apply_pieces(self, pieces: list) -> list:
-        """The operator applied to an operand that is zero outside its row
-        pieces [(rows, block), ...], each rows one of the terms' column
-        slices.  Returns the output as row pieces, one per output slice
-        that a term reaches from the operand: the first product on that
-        slice, with every later product added in place, in term order."""
-        out = []
-        for rows, y in self._products(pieces):
+            if y is None:
+                continue
+            for f in reversed(factors):
+                y = f @ y
             acc = next((block for s, block in out if s == rows), None)
             if acc is None:
                 out.append((rows, y))
@@ -152,9 +146,8 @@ class BlockOperator:
         if x.shape[:1] != (self.dim,):
             raise ValueError(f"operand of shape {x.shape} for an operator of dim {self.dim}")
         out = np.zeros(x.shape)
-        for rows, y in self._products([(cols, x[cols]) for cols in self.column_slices]):
-            out[rows] += y
-            del y   # freed before the next product is formed
+        self.apply_pieces([(cols, x[cols]) for cols in self.column_slices],
+                          [(rows, out[rows]) for rows, _, _ in self.terms])
         return out
 
     def toarray(self) -> np.ndarray:
@@ -186,11 +179,6 @@ class DiracModel:
 class ModelDiagnostics:
     residuals: dict
     passed: bool
-
-    def __str__(self):
-        lines = [f"  {k:<22s} {v:.3e}" for k, v in self.residuals.items()]
-        lines.append(f"  passed: {self.passed}")
-        return "\n".join(lines)
 
 
 # max-norm tolerance of each model axiom

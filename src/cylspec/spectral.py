@@ -118,17 +118,11 @@ def _residual_norms(model: DiracModel, j: BlockOperator, rows: slice, block: np.
                     lam: np.ndarray) -> np.ndarray:
     """Column M-norms of J (D[:, R] B) - B Lam for the column block B on the
     rows R at the values ``lam``.  D[:, R] B is taken as the row pieces
-    D[S, R] B on those column slices S of J that D reaches from R; J is
-    applied to the pieces alone, and the M-weighted squares are summed
-    piece by piece in row order."""
+    D[S, R] B on those column slices S of J that D reaches from R; J adds
+    its products on those pieces alone into the piece -B Lam on R, and the
+    M-weighted squares are summed piece by piece, that piece first."""
     av = j.apply_pieces([(s, d @ block) for s in j.column_slices
-                         if (d := model.dirac[s, rows]).nnz])
-    own = next((piece for s, piece in av if s == rows), None)
-    if own is None:
-        av.append((rows, -(block * lam)))
-    else:
-        own -= block * lam
-    av.sort(key=lambda p: p[0].start)
+                         if (d := model.dirac[s, rows]).nnz], [(rows, -(block * lam))])
     return np.sqrt(sum(model.mass[s] @ (piece * piece) for s, piece in av))
 
 

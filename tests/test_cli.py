@@ -424,3 +424,94 @@ def test_input_fault_is_config_error(tmp_path, capsys, argv, detail):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"ERR CONFIG: {detail}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coord", ["nan", "inf"])
+def test_non_finite_off_vertex_is_config_error(tmp_path, capsys, coord):
+    # NaN fails every comparison, so the vertex is rejected as it enters,
+    # before any length or area is formed from it
+    path = tmp_path / "donut.off"
+    cs.write_off(path, cs.parametric_torus_mesh(12, 8))
+    lines = path.read_text().splitlines()
+    lines[5] = f"1 {coord} 0"   # vertex 3
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--model", "sl", "--mesh", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERR CONFIG: vertex 3 has a non-finite coordinate: [1.0, {coord}, 0.0]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cylinder-solve", "kernel-count"])
+def test_step_count_overflow_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--cutoff", "1.5", "--T", "1e300", "--h", "1e-10", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "ERR CONFIG: T = 1e+300 over h = 1e-10 overflows the step count\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["spectrum", "--grid", "x"], "argument --grid: invalid int value: 'x'"),
+    (["transform"], "argument command: invalid choice: 'transform' (choose from "
+     "'spectrum', 'indicial', 'index', 'wallcross', 'cylinder-solve', 'kernel-count', "
+     "'reproduce')"),
+    ([], "the following arguments are required: command"),
+    (["spectrum", "--gird", "8"], "unrecognized arguments: --gird 8"),
+], ids=["bad-value", "unknown-command", "no-command", "unknown-flag"])
+def test_bad_flags_print_one_error_line(capsys, argv, detail):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ERR CONFIG: {detail}\n"
+    assert captured.out == ""
+
+
+def test_help_exits_ok(capsys):
+    assert main(["spectrum", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cylspec spectrum")
+
+
+@pytest.mark.parametrize("argv, config, detail", [
+    (["indicial", "--window=1,2,3"], None, "expected 2 comma-separated reals, got 3"),
+    (["cylinder-solve", "--cutoff", "1.5", "--mode-lambda", "0.77"], None,
+     "mode_lambda 0.77 is not an eigenvalue of the end"),
+    (["spectrum", "--config", "{missing}"], None, "config file not found: {missing}"),
+    (["spectrum", "--config", "{cfg}"], {"model": "foo"}, "unknown model kind: foo"),
+    (["index", "--config", "{cfg}"], {"ends": "foo"}, "unknown end kind: foo"),
+], ids=["window-count", "mode-lambda", "missing-config", "config-model", "config-ends"])
+def test_config_faults_name_themselves(tmp_path, capsys, argv, config, detail):
+    paths = {"missing": tmp_path / "missing.json", "cfg": tmp_path / "cfg.json"}
+    if config is not None:
+        paths["cfg"].write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ERR CONFIG: {detail.format(**paths)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("boundary, dimension, boundary_set", [
+    ("none", 12, []), ("0,1,2", 9, [0, 1, 2])])
+def test_kernel_count_explicit_boundary(tmp_path, capsys, boundary, dimension, boundary_set):
+    # no boundary condition keeps the whole decaying subspace (dim 12 at
+    # weight 0.5 on cutoff 1.5); three independent modes fixed at t = 0 cut it by 3
+    assert main(["kernel-count", "--torus", SQ, "--cutoff", "1.5", "--boundary", boundary,
+                 "--out", str(tmp_path)]) == 0
+    count = json.loads((tmp_path / "kernel_count.json").read_text())
+    assert (count["dimension"], count["decaying_dim"]) == (dimension, 12)
+    assert count["boundary_set"] == boundary_set
+    assert f"boundary set S = {boundary_set}" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_the_sparse_solvers():
+    # scipy.sparse.linalg is imported only by the shift-invert eigsh path
+    probe = "import sys, {}; print('scipy.sparse.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = lambda module: subprocess.run([sys.executable, "-c", probe.format(module)],
+                                        capture_output=True, text=True, env=env,
+                                        timeout=120, check=True).stdout.strip()
+    if run("scipy.sparse") == "True":
+        pytest.skip("this scipy loads scipy.sparse.linalg with scipy.sparse")
+    assert run("cylspec.cli") == "False"

@@ -164,6 +164,22 @@ def test_degenerate_triangle_rejected():
         cs.surface_from_triangles(pos, [[0, 1, 2], [0, 2, 1]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_geometry_rejected(bad):
+    from cylspec.errors import DegenerateTriangle
+    surf = cs.parametric_torus_mesh(6, 4)
+    pos = surf.vertex_positions.copy()
+    pos[5, 2] = bad
+    with pytest.raises(ValueError, match=r"^vertex 5 has a non-finite coordinate"):
+        cs.surface_from_triangles(pos, surf.triangles)
+    # lengths given directly: a NaN length fails the area test, as no
+    # comparison with NaN holds
+    lengths = surf.edge_lengths.copy()
+    lengths[surf.triangle_edges[4, 1]] = np.nan
+    with pytest.raises(DegenerateTriangle, match="triangle 4 has"):
+        dataclasses.replace(surf, edge_lengths=lengths).validate()
+
+
 # ---------------------------------------------------------------------------
 # the per-side loops that vectorised matching and validation replaced
 

@@ -686,3 +686,17 @@ def test_harmonic_correction_ignores_the_basis(make):
     rotated = cs.models._harmonic_complex_structure(harm @ q, cc.star1, cc)[1]
     assert abs(rotated - model.meta["harmonic_correction"]) <= 1e-12
 
+
+
+@harmonic_complexes
+def test_degenerate_quarter_turn_falls_back_to_pairing(monkeypatch, make):
+    # a zero candidate has no polar factor: J_H pairs consecutive harmonic
+    # basis vectors instead, still an exact M-orthogonal anti-involution, at
+    # distance 1 from the candidate
+    cc = make()
+    monkeypatch.setattr(cs.models, "_face_cycle_rotation",
+                        lambda cc: sparse.csr_matrix((cc.n1, cc.n1)))
+    model = cs.build_sl_model(cc)
+    assert model.meta["harmonic_correction"] == 1.0
+    assert cs.check_model(model).passed
+    assert cs.eigendecompose(model).d0() == 2 + 2 * cc.genus
