@@ -76,6 +76,16 @@ def _torus_from(cfg) -> lattice.FlatTorus:
     return lattice.FlatTorus(np.array(vals).reshape(2, 2))
 
 
+def _int_from(cfg, key, default) -> int:
+    """cfg[key] as the integer flag would parse it: an integer, or a string
+    that int() reads; a float such as 4.9 or a bool is a ConfigError, not
+    truncated."""
+    val = cfg.get(key, default)
+    if isinstance(val, (bool, float)):
+        raise ConfigError(f"config key {key!r} must be an integer, got {val!r}")
+    return int(val)
+
+
 def _model(cfg, kind, role="model", grid=16, cutoff=2.5,
            use_mesh=True) -> models.DiracModel:
     """The torus or sl model named by kind; grid and cutoff are the defaults
@@ -83,13 +93,15 @@ def _model(cfg, kind, role="model", grid=16, cutoff=2.5,
     if kind == "torus":
         return models.build_torus_model(_torus_from(cfg), float(cfg.get("cutoff", cutoff)))
     if kind == "sl":
-        if use_mesh and cfg.get("mesh"):
-            path = cfg["mesh"]
+        path = cfg.get("mesh") if use_mesh else None
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"config key 'mesh' must be a file path, got {path!r}")
+        if path:
             if not os.path.exists(path):
                 raise ConfigError(f"mesh file not found: {path}")
             cc = dec.build_dec(mesh.read_off(path))
         else:
-            n = int(cfg.get("grid", grid))
+            n = _int_from(cfg, "grid", grid)
             if n >= 2:   # quad_torus_complex rejects the others
                 models.check_sl_dim(4 * n * n, f"grid {n}")
             cc = dec.quad_torus_complex(_torus_from(cfg), n)
@@ -233,7 +245,7 @@ def cmd_kernel_count(cfg) -> int:
     weight = float(cfg.get("weight", 0.5))
     eps = float(cfg.get("eps", 0.0))
     mu_pert = float(cfg.get("mu_pert", -1.0))
-    seed = int(cfg.get("seed", 0))
+    seed = _int_from(cfg, "seed", 0)
     if not eps >= 0:   # also rejects NaN
         raise ConfigError("eps must be >= 0")
     bnd = cfg.get("boundary", "negative")
@@ -301,8 +313,10 @@ def cmd_reproduce(cfg) -> int:
         cc2 = dec.genus2_quad_complex()
         model2 = models.build_sl_model(cc2)
         spec2 = spectral.eigendecompose(model2)
-        j1 = model1.complex_structure
-        jsq = float(np.abs(j1 @ j1.toarray() + np.eye(model1.dim)).max())
+        # max |J (J X) + X| over the identity's columns, a few at a time
+        j1, dim, width = model1.complex_structure, model1.dim, spectral._RESIDUAL_COLUMNS
+        jsq = max(float(np.abs(j1 @ (j1 @ x) + x).max())
+                  for x in (np.eye(dim, min(width, dim - s), -s) for s in range(0, dim, width)))
         checks = [
             ("genus-1 kernel 2+2g = 4", spec1.d0() == 4, f"d0 = {spec1.d0()}"),
             ("genus-2 kernel 2+2g = 6", spec2.d0() == 6, f"d0 = {spec2.d0()}"),

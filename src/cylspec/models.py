@@ -287,8 +287,8 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
 # block model on a DEC complex
 
 # largest block model dim build_sl_model accepts: the Laplacian eigenbases,
-# N0, N2 and the residual's row pieces are dense; `spectrum --model sl
-# --grid 32` (this dim) peaks at about 275 MB RSS
+# N0 and N2 are dense; `spectrum --model sl --grid 32` (this dim) peaks at
+# about 122 MB RSS with one BLAS thread
 MAX_SL_DIM = 4096
 
 
@@ -400,7 +400,20 @@ def _grid_eigenpairs(cc: CochainComplex) -> tuple[np.ndarray, np.ndarray]:
     psi, sy = _fourier_basis(m)
     vals = np.add.outer(4.0 / dy**2 * sy**2, 4.0 / dx**2 * sx**2).ravel()   # row q * n + p
     order = np.argsort(vals, kind="stable")
-    return vals[order], np.kron(psi, phi)[:, order] / np.sqrt(dx * dy)
+    vecs = np.kron(psi, phi)[:, order]
+    vecs /= np.sqrt(dx * dy)
+    return vals[order], vecs
+
+
+def _constant_last(vecs: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """[vecs[:, 1:] const] written over vecs, whose first column is the
+    constant eigenvector: each row moves left by one column, a few rows at a
+    time, so no second array of that size is formed."""
+    for r in range(0, vecs.shape[0], 128):
+        rows = vecs[r:r + 128]
+        rows[:, :-1] = rows[:, 1:].copy()
+    vecs[:, -1:] = const
+    return vecs
 
 
 def build_sl_model(cc: CochainComplex) -> DiracModel:
@@ -421,9 +434,11 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     vertex functions with exact cochains, face functions with coexact
     cochains, and the two constants kf, kg.  The eigenbasis keeps the
     eigenvectors as three column blocks, one per row slice ([v0 kf] on the
-    vertex rows, [w0 kg] on the face rows, [e c harm] on the cochain rows),
-    and J in that basis as one CSR: the table at its sorted positions plus
-    the harmonic block -J_H.  J itself is the BlockOperator of the module
+    vertex rows, [w0 kg] on the face rows, [e c harm] on the cochain rows;
+    the first two written over the Laplacian eigenvectors, one array when
+    they are bitwise equal, the third assembled in place), and J in that
+    basis as one CSR: the table at its sorted positions plus the harmonic
+    block -J_H.  J itself is the BlockOperator of the module
     docstring, N0 = V0 diag(mu^-1/2) V0^T M0 and N2 likewise over
     the non-constant eigenpairs (one array on a grid whose dual masses
     1/star2 equal star0 bitwise, as on square grids), with the rank-1
@@ -465,12 +480,24 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     kf = np.full((n0, 1), 1.0 / np.sqrt(area))
     kg = np.full((n2, 1), 1.0 / np.sqrt(float(m2d.sum())))
 
-    # eigenvectors of A = J D:  v, e = d0 v / sqrt(mu); w, c = M1^-1 d1^T w / sqrt(nu)
+    # the vertex and face blocks [v0 kf] and [w0 kg] over the eigenvectors
+    # themselves; one array on a grid whose dual masses equal star0 bitwise
+    same_blocks = vecs2 is vecs0 and np.array_equal(m2d, m0)
+    if vecs2 is vecs0 and not same_blocks:
+        vecs2 = vecs0.copy()
+    vblock = _constant_last(vecs0, kf)
+    wblock = vblock if same_blocks else _constant_last(vecs2, kg)
+
+    # eigenvectors of A = J D:  v, e = d0 v / sqrt(mu); w, c = M1^-1 d1^T w / sqrt(nu),
+    # written with the harmonic cochains into one cochain block [e c harm]
     root_mu, root_nu = np.sqrt(vals0[1:]), np.sqrt(vals2[1:])
-    v0, w0 = vecs0[:, 1:], vecs2[:, 1:]
-    e_vec = (d0 @ v0) / root_mu[None, :]
-    c_vec = (cc.d1.T @ w0) / m1[:, None] / root_nu[None, :]
+    v0, w0 = vblock[:, :-1], wblock[:, :-1]
+    cblock = np.empty((n1, n1))   # n0 - 1 + n2 - 1 + 2 genus columns
+    e_vec = np.divide(d0 @ v0, root_mu[None, :], out=cblock[:, :n0 - 1])
+    c_vec = np.divide(cc.d1.T @ w0, m1[:, None], out=cblock[:, n0 - 1:n0 + n2 - 2])
+    c_vec /= root_nu[None, :]
     harm = _harmonic_basis(cc, e_vec, c_vec)
+    cblock[:, n0 + n2 - 2:] = harm
     jh, jh_correction = _harmonic_complex_structure(harm, m1, cc)
 
     # eigenbasis of A in ascending order; pos[i] is the sorted column of entry i
@@ -482,9 +509,9 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     p_v, p_e, p_w, p_c, p_k = np.split(pos, np.cumsum([root_mu.size] * 2 + [root_nu.size] * 2))
 
     # every eigenvector lives on one row slice: one column block per slice
-    blocks = ((s0, np.concatenate([p_v, p_k[:1]]), np.hstack([v0, kf])),
-              (s1, np.concatenate([p_w, p_k[1:2]]), np.hstack([w0, kg])),
-              (s2, np.concatenate([p_e, p_c, p_k[2:]]), np.hstack([e_vec, c_vec, harm])))
+    blocks = ((s0, np.concatenate([p_v, p_k[:1]]), vblock),
+              (s1, np.concatenate([p_w, p_k[1:2]]), wblock),
+              (s2, np.concatenate([p_e, p_c, p_k[2:]]), cblock))
     # J pairs x with y, J x = -y and J y = x: vertex / exact, face / coexact
     # and the constants; harmonic cochains carry -J_H
     px, py = np.concatenate([p_v, p_w, p_k[:1]]), np.concatenate([p_e, p_c, p_k[1:2]])
@@ -496,7 +523,7 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     basis = Eigenbasis(values[order], blocks, jmat)
 
     n0_mat = (v0 / root_mu[None, :]) @ (v0.T * m0[None, :])     # N0 = L0^{-1/2}
-    if vecs2 is vecs0 and np.array_equal(m2d, m0):
+    if same_blocks:
         n2_mat = n0_mat   # the same eigenpairs and masses: the same product
     else:
         n2_mat = (w0 / root_nu[None, :]) @ (w0.T * m2d[None, :])    # N2 = L0_dual^{-1/2}

@@ -114,13 +114,23 @@ def _cluster(eigs: np.ndarray, tol: float) -> tuple:
     return tuple(clusters)
 
 
+# columns of an eigenvector block that eigendecompose checks at once: no
+# row piece of the residual is wider, whatever the block's width
+_RESIDUAL_COLUMNS = 128
+
+
 def _residual_norms(model: DiracModel, j: BlockOperator, rows: slice, block: np.ndarray,
                     lam: np.ndarray) -> np.ndarray:
     """Column M-norms of J (D[:, R] B) - B Lam for the column block B on the
     rows R at the values ``lam``.  D[:, R] B is taken as the row pieces
     D[S, R] B on those column slices S of J that D reaches from R; J adds
     its products on those pieces alone into the piece -B Lam on R, and the
-    M-weighted squares are summed piece by piece, that piece first."""
+    M-weighted squares are summed piece by piece, that piece first.  Every
+    term of J runs as stored, the block model's rank-1 constant terms
+    included, although their products on the cochain block are round-off:
+    the check is of J as the model applies it.  Each piece is as wide as B,
+    so a B of _RESIDUAL_COLUMNS columns keeps those pieces n0 x 128 and
+    n2 x 128 however many vertices and faces the complex has."""
     av = j.apply_pieces([(s, d @ block) for s in j.column_slices
                          if (d := model.dirac[s, rows]).nnz], [(rows, -(block * lam))])
     return np.sqrt(sum(model.mass[s] @ (piece * piece) for s, piece in av))
@@ -137,9 +147,10 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     1e-8 * max(1, spectral radius), and every column of B an M-norm within
     1e-8 of 1 (a rescaled eigenvector has no larger residual), or
     ConvergenceFailure is raised.  The residual is formed on row pieces
-    (_residual_norms), never as a dim x k array; the torus J is a single
-    term over all rows.  Clusters merge eigenvalues closer than
-    cluster_tol = 1e-6 * spectral radius.
+    (_residual_norms) of _RESIDUAL_COLUMNS columns of a block at a time, so
+    no piece is wider than that; the torus J is a single term over all
+    rows.  Clusters merge eigenvalues closer than cluster_tol = 1e-6 *
+    spectral radius.
     """
     basis = model.eigenbasis
     if basis is None:
@@ -150,8 +161,10 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     j = model.complex_structure
     resid = norm_error = 0.0
     for rows, cols, block in basis.blocks:
-        resid = max(resid, float(_residual_norms(model, j, rows, block, vals[cols])
-                                 .max(initial=0.0)))
+        for start in range(0, cols.size, _RESIDUAL_COLUMNS):
+            chunk = slice(start, start + _RESIDUAL_COLUMNS)
+            resid = max(resid, float(_residual_norms(model, j, rows, block[:, chunk],
+                                                     vals[cols[chunk]]).max()))
         norms = np.einsum("i,ij,ij->j", model.mass[rows], block, block)
         norm_error = max(norm_error, float(np.abs(norms - 1.0).max(initial=0.0)))
     if resid > 1e-8 * max(1.0, radius):

@@ -515,3 +515,45 @@ def test_cli_import_leaves_out_the_sparse_solvers():
     if run("scipy.sparse") == "True":
         pytest.skip("this scipy loads scipy.sparse.linalg with scipy.sparse")
     assert run("cylspec.cli") == "False"
+
+
+@pytest.mark.parametrize("command, text, detail", [
+    ("spectrum", '{"model": "sl", "grid": 4.9}', "config key 'grid' must be an integer, got 4.9"),
+    ("spectrum", '{"model": "sl", "grid": true}', "config key 'grid' must be an integer, got True"),
+    ("index", '{"ends": "sl", "grid": 4.9}', "config key 'grid' must be an integer, got 4.9"),
+    ("kernel-count", '{"cutoff": 1.5, "eps": 1e-3, "seed": 2.7}',
+     "config key 'seed' must be an integer, got 2.7"),
+    ("spectrum", '{"model": "sl", "mesh": Infinity}',
+     "config key 'mesh' must be a file path, got inf"),
+    ("spectrum", '{"model": "sl", "mesh": 2}', "config key 'mesh' must be a file path, got 2"),
+    ("spectrum", '{"model": "sl", "mesh": 0}', "config key 'mesh' must be a file path, got 0"),
+], ids=["grid-float", "grid-bool", "index-grid-float", "seed-float", "mesh-inf", "mesh-fd",
+        "mesh-zero"])
+def test_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, command, text, detail):
+    # a float is not truncated to an integer, and a number is not a mesh path
+    # (2 would name the stderr descriptor, 0 would fall back to the grid)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ERR CONFIG: {detail}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"model": "sl", "grid": 4}', '{"model": "sl", "grid": "4"}'],
+                         ids=["integer", "string"])
+def test_config_integer_keys_read_as_the_flag_reads_them(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("dim 64, ")
+
+
+def test_reproduce_sl_j_square_matches_the_dense_check(capsys):
+    # reproduce sl applies J twice to the identity 128 columns at a time;
+    # the dense J (J I) + I gives the printed residual too
+    model = cs.build_sl_model(cs.quad_torus_complex(cs.square_torus(), 12))
+    j = model.complex_structure
+    dense = float(np.abs(j @ j.toarray() + np.eye(model.dim)).max())
+    assert main(["reproduce", "sl"]) == 0
+    assert f"PASS J^2 = -1: residual {dense:.3e}\n" in capsys.readouterr().out

@@ -577,6 +577,56 @@ def test_grid_with_unequal_masses_forms_n2_apart():
     assert_j_matches_pair_table(cc)
 
 
+def reference_hstack_blocks(cc):
+    """The three column blocks [v0 kf], [w0 kg] and [e c harm] of the block
+    model as np.hstack assembled them, from eigenvectors formed apart (the
+    grid's closed form divided out of place)."""
+    m1, m2d = cc.star1, 1.0 / cc.star2
+    if cc.meta.get("kind") == "quad-grid-torus":
+        (n, m), (dx, dy) = cc.meta["shape"], cc.meta["spacing"]
+        phi, sx = cs.models._fourier_basis(n)
+        psi, sy = cs.models._fourier_basis(m)
+        vals = np.add.outer(4.0 / dy**2 * sy**2, 4.0 / dx**2 * sx**2).ravel()
+        order = np.argsort(vals, kind="stable")
+        vecs = np.kron(psi, phi)[:, order] / np.sqrt(dx * dy)
+        (vals0, vecs0), (vals2, vecs2) = (vals[order], vecs), (vals[order], vecs)
+    else:
+        (vals0, vecs0), (vals2, vecs2) = reference_function_eigenpairs(cc)
+    kf = np.full((cc.n0, 1), 1.0 / np.sqrt(float(cc.star0.sum())))
+    kg = np.full((cc.n2, 1), 1.0 / np.sqrt(float(m2d.sum())))
+    v0, w0 = vecs0[:, 1:], vecs2[:, 1:]
+    e_vec = (cc.d0 @ v0) / np.sqrt(vals0[1:])[None, :]
+    c_vec = (cc.d1.T @ w0) / m1[:, None] / np.sqrt(vals2[1:])[None, :]
+    harm = cs.models._harmonic_basis(cc, e_vec, c_vec)
+    return np.hstack([v0, kf]), np.hstack([w0, kg]), np.hstack([e_vec, c_vec, harm])
+
+
+def assert_blocks_match_hstack(cc):
+    blocks = [block for _, _, block in cs.build_sl_model(cc).eigenbasis.blocks]
+    for block, ref in zip(blocks, reference_hstack_blocks(cc)):
+        assert block.shape == ref.shape and np.array_equal(block, ref)
+    # one array for the vertex and face blocks exactly where N2 is N0
+    assert (blocks[0] is blocks[1]) == (cc.meta.get("kind") == "quad-grid-torus"
+                                         and np.array_equal(1.0 / cc.star2, cc.star0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_sides)
+def test_in_place_blocks_match_hstack_on_grids(sides):
+    assert_blocks_match_hstack(grid_complex(*sides))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid_complex(16, 16, 2 * np.pi, 2 * np.pi),
+    lambda: grid_complex(7, 5, 3.0, 5.5),
+    cs.genus2_quad_complex,
+    lambda: cs.build_dec(cs.genus2_mesh()),
+    lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+], ids=["square-16", "unequal-masses-7x5", "genus2-quad", "genus2-mesh", "donut-12x8"])
+def test_in_place_blocks_match_hstack_on_meshes(make):
+    assert_blocks_match_hstack(make())
+
+
 def test_sl_dim_limit():
     cs.models.check_sl_dim(cs.models.MAX_SL_DIM, "the 32 x 32 grid")
     with pytest.raises(ConfigError, match="gives a block model of dim 4097, above the limit"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
+from cylspec import spectral
 from cylspec.dec import mass_eigh
 from cylspec.errors import ConvergenceFailure, WindowExceedsCutoff
 from tests.conftest import apply_without_skip, lattice_bases
@@ -278,6 +279,80 @@ def test_block_residual_peak_memory(sl16, sl16_spec):
     assert peak <= 10 * 2**20
 
 
+def test_chunked_residual_peak_memory(sl16, sl16_spec):
+    # 128 columns at a time: the cochain block's dim x 512 pieces are
+    # dim x 128, and the check peaks at about 1.8 MiB on the 16 x 16 grid
+    tracemalloc.start()
+    try:
+        spec = cs.eigendecompose(sl16[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.meta["residual"] == sl16_spec.meta["residual"]
+    assert peak <= 3 * 2**20
+
+
+def chunked_residuals(model, width):
+    """meta["residual"] and the residual's column norms, block by block, when
+    eigendecompose checks ``width`` columns at a time; every chunk it passes
+    is asserted to be at most that wide."""
+    run = spectral._residual_norms
+    norms = []
+
+    def spy(model, j, rows, block, lam):
+        assert 0 < block.shape[1] <= width and lam.shape == block.shape[1:]
+        norms.append(run(model, j, rows, block, lam))
+        return norms[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_RESIDUAL_COLUMNS", width)
+        mp.setattr(spectral, "_residual_norms", spy)
+        resid = cs.eigendecompose(model).meta["residual"]
+    return resid, np.concatenate(norms)
+
+
+def assert_chunks_match_one_chunk(model, width):
+    # BLAS picks its kernels by operand width, so a column's norm may move
+    # by round-off between widths (1.26e-14 -> 1.17e-14 at width 1 on the
+    # 16 x 16 grid, 4.9e-14 apart on the 16 x 16 grid of the 1 x 8 torus,
+    # radius 32); the bound is 1e-5 of the residual gate
+    resid, norms = chunked_residuals(model, width)
+    ref_resid, ref_norms = chunked_residuals(model, model.dim)
+    tol = 1e-13 * max(1.0, float(np.abs(model.eigenbasis.values).max()))
+    assert resid == norms.max()
+    assert norms.shape == ref_norms.shape == (model.dim,)
+    assert np.abs(norms - ref_norms).max() <= tol
+    assert abs(resid - ref_resid) <= tol
+    if width == spectral._RESIDUAL_COLUMNS:
+        assert resid == cs.eigendecompose(model).meta["residual"]
+
+
+chunk_widths = st.sampled_from([1, 7, 128, None])   # None: the whole block
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=3, max_value=16), st.integers(min_value=3, max_value=16),
+       st.floats(min_value=1.0, max_value=8.0), st.floats(min_value=1.0, max_value=8.0),
+       chunk_widths)
+def test_chunked_residual_matches_one_chunk_on_grids(n, m, width, height, chunk):
+    model = cs.build_sl_model(cs.quad_torus_complex(cs.FlatTorus(np.diag([width, height])),
+                                                    n, m))
+    assert_chunks_match_one_chunk(model, chunk or model.dim)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128, None])
+@pytest.mark.parametrize("make", [
+    lambda: cs.build_sl_model(cs.genus2_quad_complex()),
+    lambda: cs.build_sl_model(cs.build_dec(cs.genus2_mesh())),
+    lambda: cs.build_sl_model(cs.build_dec(cs.parametric_torus_mesh(12, 8))),
+    lambda: cs.build_torus_model(cs.square_torus(), 10.0),
+    lambda: cs.build_torus_model(cs.FlatTorus(np.array([[3.0, 1.0], [0.5, 4.0]])), 12.0),
+], ids=["genus2-quad", "genus2-mesh", "donut-12x8", "square-torus", "oblique-torus"])
+def test_chunked_residual_matches_one_chunk_on_meshes_and_tori(make, chunk):
+    model = make()
+    assert_chunks_match_one_chunk(model, chunk or model.dim)
+
+
 def corrupt_block(model, index, mutate):
     basis = model.eigenbasis
     blocks = list(basis.blocks)
@@ -302,6 +377,28 @@ def test_corrupt_column_block_fails_residual_check(sl16, square_t, mutate):
         for index in range(len(model.eigenbasis.blocks)):
             with pytest.raises(ConvergenceFailure):
                 cs.eigendecompose(corrupt_block(model, index, mutate))
+
+
+@pytest.mark.parametrize("column", [127, 128])
+@pytest.mark.parametrize("how", ["scale", "mix"])
+def test_corrupt_column_at_a_chunk_edge_fails_residual_check(sl16, column, how):
+    # the last column of the cochain block's first chunk and the first of
+    # its second: a rescaled column fails the M-norm gate, one mixed with
+    # 1e-6 of the eigenvector farthest in value the residual gate
+    model = sl16[1]
+    values = model.eigenbasis.values
+
+    def mutate(cols, block):
+        if how == "scale":
+            block[:, column] *= 1.0 + 1e-6
+        else:
+            far = int(np.argmax(np.abs(values[cols] - values[cols[column]])))
+            block[:, column] += 1e-6 * block[:, far]
+        return cols, block
+
+    assert spectral._RESIDUAL_COLUMNS == 128
+    with pytest.raises(ConvergenceFailure, match="M-norm" if how == "scale" else "residual"):
+        cs.eigendecompose(corrupt_block(model, 2, mutate))
 
 
 def test_spectrum_leaves_dense_views_unfilled(square_t):
