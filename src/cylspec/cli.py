@@ -1,28 +1,33 @@
 """Command-line front end.
 
 Commands: spectrum, indicial, index, wallcross, cylinder-solve, kernel-count,
-reproduce.  Flags may be combined with a JSON config file (--config); flags
-override file values.  Exit codes: 0 ok, 2 config error (bad flags or files,
-and input faults such as a singular lattice, a non-manifold mesh or a
-window or rate beyond the completeness radius), 3 numerical failure,
-4 critical rate/weight, 5 reproduction mismatch.  Every error path, a bad
-flag included, prints one machine-parsable line "ERR <CODE>: <detail>" to
-stderr.  Identical configs produce byte-identical JSON (keys sorted, no
-timestamps, seeds recorded), at any BLAS thread count except for block
-models on meshes, whose spectra come from a dense eigh.
+reproduce.  One table, _KEYS, gives every flag its spelling, its kind (a
+real, an integer, a comma list of reals, mode indices, a name or a path)
+and its range, every real being finite; _COMMANDS lists the keys of each
+command at its defaults.  A JSON config file (--config) holds the same keys,
+each value read as its flag reads it; flags override file values.  Exit
+codes: 0 ok, 2 config error (bad flags or files and every input fault, from
+a JSON true for a number to a singular lattice, a degenerate mesh or a
+coupling too strong for the weight gap), 3 numerical failure, 4 critical
+rate/weight, 5 reproduction mismatch.  Every error path prints one line
+"ERR <CODE>: <detail>" to stderr.  Identical configs produce byte-identical
+JSON (keys sorted, no timestamps, seeds recorded), at any BLAS thread count
+except for block models on meshes, whose spectra come from a dense eigh.
 """
 
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 
 from . import dec, index, lattice, mesh, models, spectral
-from .cylinder import (CylinderOperator, make_perturbation,
+from .cylinder import (CylinderOperator, check_exponential, make_perturbation,
                        perturbed_kernel_count, solve_cylinder)
 from .errors import ConfigError, CriticalRate, CriticalWeight, CylspecError
 
@@ -33,104 +38,161 @@ EXIT_CRITICAL = 4
 EXIT_MISMATCH = 5
 
 
-def _err(code: str, detail: str):
-    print(f"ERR {code}: {detail}", file=sys.stderr)
+def _write(out, name, text):
+    """Write text and a newline to the file name in the directory out."""
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w", encoding="ascii") as fh:
+        fh.write(text + "\n")
 
 
-def _write_json(path, obj):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def reals(text: str) -> list:
+    """A comma list of reals; empty items are skipped."""
+    return [float(x) for x in text.split(",") if x != ""]
 
 
-def _merge_config(args):
-    """Start from the JSON config (if any), then let explicit flags override."""
-    cfg = {}
-    if getattr(args, "config", None):
+def modes(text: str):
+    """'negative', or a comma list of mode indices ('none' or '' for none)."""
+    if text == "negative":
+        return text
+    return [] if text in ("none", "") else [int(x) for x in text.split(",")]
+
+
+# How a value is read: ``parse`` reads a flag's text, and argparse names it
+# by its __name__ in a bad-value message.  A config file gives that text as
+# a JSON string or, where ``numbers``, as a JSON number, read as its text (a
+# JSON true reads "True", no number); ``what`` names the kind in the error.
+_Kind = namedtuple("_Kind", "parse what numbers", defaults=(True,))
+_REAL = _Kind(float, "a real number")
+_INT = _Kind(int, "an integer")
+_REALS = _Kind(reals, "a comma list of reals")
+_MODES = _Kind(modes, "'negative', 'none' or a comma list of mode indices")
+_NAME = _Kind(str, "a string", False)
+_PATH = _Kind(str, "a file path", False)
+
+
+# One flag and config key: its spelling, kind and help, the count of a
+# fixed-length list and the least allowed value; every real must be finite.
+_Key = namedtuple("_Key", "flag kind help count least", defaults=(None, None))
+_KEYS = {
+    "example": _Key("example", _NAME, "example id: tori or sl"),
+    "out": _Key("--out", _PATH, "output directory"),
+    "torus": _Key("--torus", _REALS, "lattice basis, 4 reals row-major", count=4),
+    "cutoff": _Key("--cutoff", _REAL, "spectral truncation |k|^2 <= cutoff"),
+    "model": _Key("--model", _NAME, "model kind: torus or sl"),
+    "mesh": _Key("--mesh", _PATH, "OFF mesh file (sl model)"),
+    "grid": _Key("--grid", _INT, "quad-grid resolution (sl model)"),
+    "window": _Key("--window", _REALS, "lo,hi", count=2),
+    "ends": _Key("--ends", _NAME, "comma list of end kinds (torus, sl)"),
+    "rates": _Key("--rates", _REALS, "comma list of rates, one per end"),
+    "rate1": _Key("--rate1", _REALS, "comma list of rates before the walls"),
+    "rate2": _Key("--rate2", _REALS, "comma list of rates after the walls"),
+    "weight": _Key("--weight", _REAL, "cylinder weight w"),
+    "T": _Key("--T", _REAL, "length of the time grid"),
+    "h": _Key("--h", _REAL, "step of the time grid"),
+    "mode_lambda": _Key("--mode-lambda", _REAL, "eigenvalue of the manufactured mode"),
+    "profile_rate": _Key("--profile-rate", _REAL, "decay rate of the manufactured profile"),
+    "eps": _Key("--eps", _REAL, "coupling strength", least=0.0),
+    "mu_pert": _Key("--mu-pert", _REAL, "decay rate of the coupling, negative"),
+    "seed": _Key("--seed", _INT, "seed of the coupling matrix"),
+    "boundary": _Key("--boundary", _MODES, "'negative', 'none', or comma list of mode indices"),
+}
+
+_SQUARE = [lattice.TWO_PI, 0.0, 0.0, lattice.TWO_PI]
+
+
+def _from_json(key: str, val):
+    """A config value read as its flag reads it."""
+    kind = _KEYS[key].kind
+    if isinstance(val, str) or (kind.numbers and isinstance(val, (int, float))):
+        try:
+            return kind.parse(str(val))
+        except ValueError:
+            pass
+    raise ConfigError(f"config key {key!r} must be {kind.what}, got {val!r}")
+
+
+def _check(key: str, val):
+    """ConfigError unless the typed value is finite and in the key's range."""
+    spec = _KEYS[key]
+    if spec.count is not None and len(val) != spec.count:
+        raise ConfigError(f"expected {spec.count} comma-separated reals, got {len(val)}")
+    if spec.kind in (_REAL, _REALS) and not all(map(math.isfinite, np.ravel(val))):
+        raise ConfigError(f"{key} must be finite, got {val}")
+    if spec.least is not None and not val >= spec.least:
+        raise ConfigError(f"{key} must be >= {spec.least:g}, got {val}")
+
+
+def _merge_config(args) -> dict:
+    """The command's keys at its defaults, overridden by the JSON config's
+    values (if any), then by the flags given; every value typed and checked
+    by its key's entry.  A config key the command does not take is ignored
+    if it holds a string or a number."""
+    defaults = _COMMANDS[args.command][2]
+    cfg = dict(defaults)
+    if args.config:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         with open(args.config, "r", encoding="ascii") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
+            try:
+                given = json.load(fh)
+            except ValueError as exc:   # a JSONDecodeError or a UnicodeDecodeError
+                raise ConfigError(str(exc)) from exc
+        if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, val in cfg.items():
-            if not isinstance(val, (str, int, float)):
+        for key, val in given.items():
+            if key in defaults:
+                cfg[key] = _from_json(key, val)
+            elif not isinstance(val, (str, int, float)):
                 raise ConfigError(f"config key {key!r} must hold a string or a number")
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
+    cfg.update((key, val) for key in defaults if (val := getattr(args, key)) is not None)
+    for key, val in cfg.items():
         if val is not None:
-            cfg[key] = val
+            _check(key, val)
     return cfg
 
 
-def _parse_floats(text, count=None):
-    vals = [float(x) for x in str(text).split(",") if x != ""]
-    if count is not None and len(vals) != count:
-        raise ConfigError(f"expected {count} comma-separated reals, got {len(vals)}")
-    return vals
-
-
-def _torus_from(cfg) -> lattice.FlatTorus:
-    vals = _parse_floats(cfg.get("torus", "6.283185307179586,0,0,6.283185307179586"), 4)
-    return lattice.FlatTorus(np.array(vals).reshape(2, 2))
-
-
-def _int_from(cfg, key, default) -> int:
-    """cfg[key] as the integer flag would parse it: an integer, or a string
-    that int() reads; a float such as 4.9 or a bool is a ConfigError, not
-    truncated."""
-    val = cfg.get(key, default)
-    if isinstance(val, (bool, float)):
-        raise ConfigError(f"config key {key!r} must be an integer, got {val!r}")
-    return int(val)
-
-
-def _model(cfg, kind, role="model", grid=16, cutoff=2.5,
-           use_mesh=True) -> models.DiracModel:
-    """The torus or sl model named by kind; grid and cutoff are the defaults
-    for the config keys, and the sl model reads cfg["mesh"] only if use_mesh."""
+def _model(cfg, kind, role="model") -> models.DiracModel:
+    """The torus or sl model named by kind, from the cutoff, grid and (on
+    commands that take it) mesh keys."""
     if kind == "torus":
-        return models.build_torus_model(_torus_from(cfg), float(cfg.get("cutoff", cutoff)))
+        return models.build_torus_model(lattice.FlatTorus(cfg["torus"]), cfg["cutoff"])
     if kind == "sl":
-        path = cfg.get("mesh") if use_mesh else None
-        if path is not None and not isinstance(path, str):
-            raise ConfigError(f"config key 'mesh' must be a file path, got {path!r}")
+        path = cfg.get("mesh")
         if path:
             if not os.path.exists(path):
                 raise ConfigError(f"mesh file not found: {path}")
             cc = dec.build_dec(mesh.read_off(path))
         else:
-            n = _int_from(cfg, "grid", grid)
+            n = cfg["grid"]
             if n >= 2:   # quad_torus_complex rejects the others
                 models.check_sl_dim(4 * n * n, f"grid {n}")
-            cc = dec.quad_torus_complex(_torus_from(cfg), n)
+            cc = dec.quad_torus_complex(lattice.FlatTorus(cfg["torus"]), n)
         return models.build_sl_model(cc)
     raise ConfigError(f"unknown {role} kind: {kind}")
 
 
 def _end_spectra(cfg) -> index.EndSystem:
     """One spectrum per listed end; a repeated end name is solved once."""
-    names = [name.strip() for name in str(cfg.get("ends", "torus")).split(",")]
-    spectra = {name: spectral.eigendecompose(_model(cfg, name, "end", grid=8, use_mesh=False))
+    names = [name.strip() for name in cfg["ends"].split(",")]
+    spectra = {name: spectral.eigendecompose(_model(cfg, name, "end"))
                for name in dict.fromkeys(names)}
     return index.EndSystem(tuple(spectra[name] for name in names))
 
 
 def _cylinder_end(cfg) -> CylinderOperator:
-    """Unperturbed operator on the torus end (cutoff default 1.5) and the time
-    grid (T, h); CylinderOperator rejects a grid that is not whole steps."""
-    spec = spectral.eigendecompose(_model(cfg, "torus", cutoff=1.5))
-    return CylinderOperator(spec, float(cfg.get("T", 30.0)), float(cfg.get("h", 0.01)))
+    """Unperturbed operator on the torus end and the time grid (T, h);
+    CylinderOperator rejects a grid that is not whole steps."""
+    spec = spectral.eigendecompose(_model(cfg, "torus"))
+    return CylinderOperator(spec, cfg["T"], cfg["h"])
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_spectrum(cfg) -> int:
-    model = _model(cfg, cfg.get("model", "torus"))
+    model = _model(cfg, cfg["model"])
     spec = spectral.eigendecompose(model)
-    out = cfg.get("out", ".")
+    out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "spectrum.csv")
     spectral.spectrum_to_csv(spec, csv_path)
@@ -141,7 +203,7 @@ def cmd_spectrum(cfg) -> int:
         "clusters": [{"lambda": c.lam, "d": c.dim} for c in spec.clusters],
         "csv": os.path.basename(csv_path),
     }
-    _write_json(os.path.join(out, "spectrum.json"), summary)
+    _write(out, "spectrum.json", json.dumps(summary, sort_keys=True, indent=1))
     print(f"dim {model.dim}, {len(spec.clusters)} clusters, "
           f"completeness radius {spec.completeness_radius:.6g}")
     for c in spec.clusters:
@@ -151,9 +213,8 @@ def cmd_spectrum(cfg) -> int:
 
 
 def cmd_indicial(cfg) -> int:
-    model = _model(cfg, cfg.get("model", "torus"))
-    spec = spectral.eigendecompose(model)
-    lo, hi = _parse_floats(cfg.get("window", "-1.2,1.2"), 2)
+    spec = spectral.eigendecompose(_model(cfg, cfg["model"]))
+    lo, hi = cfg["window"]
     roots = spectral.indicial_roots(spec, (lo, hi))
     print(f"indicial roots in [{lo:.6g}, {hi:.6g}]:")
     for lam, d in roots:
@@ -164,8 +225,7 @@ def cmd_indicial(cfg) -> int:
 
 
 def cmd_index(cfg) -> int:
-    ends = _end_spectra(cfg)
-    rates = _parse_floats(cfg.get("rates", "-0.5"))
+    ends, rates = _end_spectra(cfg), cfg["rates"]
     report = index.fredholm_index(rates, ends)
     print(report.table())
     if all(r < 0 for r in rates):
@@ -173,19 +233,14 @@ def cmd_index(cfg) -> int:
         print(f"fixed-cross-section virtual dimension:   {fixed:+d}  [{index.FIXED_TAG}]")
     varying = index.varying_moduli_vdim(ends)
     print(f"varying-cross-section virtual dimension: {varying:+d}  [{index.VARYING_TAG}]")
-    out = cfg.get("out")
-    if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "index.json"), "w", encoding="ascii") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+    if cfg["out"]:
+        _write(cfg["out"], "index.json", report.to_json())
     return EXIT_OK
 
 
 def cmd_wallcross(cfg) -> int:
     ends = _end_spectra(cfg)
-    r1 = _parse_floats(cfg.get("rate1", "-0.5"))
-    r2 = _parse_floats(cfg.get("rate2", "0.5"))
+    r1, r2 = cfg["rate1"], cfg["rate2"]
     jump, crossed = index.wall_crossing(r1, r2, ends)
     print(f"index jump {jump:+d} from rates {r1} to {r2}")
     for i, roots in enumerate(crossed):
@@ -197,11 +252,10 @@ def cmd_wallcross(cfg) -> int:
 def cmd_cylinder_solve(cfg) -> int:
     op = _cylinder_end(cfg)
     spec = op.base
-    weight = float(cfg.get("weight", -0.5))
-    rate = float(cfg.get("profile_rate", -1.0))
-    lam_target = float(cfg.get("mode_lambda", 1.0))
-    if not rate < weight:   # also rejects a NaN rate
+    weight, rate, lam_target = cfg["weight"], cfg["profile_rate"], cfg["mode_lambda"]
+    if not rate < weight:
         raise ConfigError("profile_rate must lie below the weight for a fair recovery")
+    check_exponential("profile_rate", rate, 1, op.t_final)
 
     cluster = spec.cluster_at(lam_target, tol=1e-6 * max(spec.spectral_radius, 1.0))
     if cluster is None:
@@ -216,11 +270,12 @@ def cmd_cylinder_solve(cfg) -> int:
     g_true[jmode] = du - spec.eigenvalues[jmode] * u_true[jmode]
     f = spec.jmat @ g_true   # g = -(J f)  =>  f = -J^{-1} g = J g
     sol = solve_cylinder(op, f, weight)
-    err = float((np.abs(sol.coeffs - u_true).max(axis=0) * np.exp(-weight * t)).max())
-    scale = float((np.abs(u_true).max(axis=0) * np.exp(-weight * t)).max())
+    wfac = np.exp(-weight * t)
+    err = float((np.abs(sol.coeffs - u_true).max(axis=0) * wfac).max())
+    scale = float((np.abs(u_true).max(axis=0) * wfac).max())
     rel = err / max(scale, 1e-300)
 
-    out = cfg.get("out", ".")
+    out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "cylinder_modes.csv")
     header = "t," + ",".join(f"mode_{j}" for j in range(op.dim))
@@ -233,7 +288,7 @@ def cmd_cylinder_solve(cfg) -> int:
         "manufactured_relative_error": rel,
         "csv": os.path.basename(csv_path),
     }
-    _write_json(os.path.join(out, "cylinder_solve.json"), summary)
+    _write(out, "cylinder_solve.json", json.dumps(summary, sort_keys=True, indent=1))
     print(f"weighted residual {sol.residual:.3e}, manufactured error {rel:.3e}")
     print(f"wrote {csv_path}")
     return EXIT_OK
@@ -242,27 +297,14 @@ def cmd_cylinder_solve(cfg) -> int:
 def cmd_kernel_count(cfg) -> int:
     op = _cylinder_end(cfg)
     spec = op.base
-    weight = float(cfg.get("weight", 0.5))
-    eps = float(cfg.get("eps", 0.0))
-    mu_pert = float(cfg.get("mu_pert", -1.0))
-    seed = _int_from(cfg, "seed", 0)
-    if not eps >= 0:   # also rejects NaN
-        raise ConfigError("eps must be >= 0")
-    bnd = cfg.get("boundary", "negative")
-    if bnd == "negative":
-        s_set = [int(j) for j in np.flatnonzero(spec.eigenvalues < -spec.cluster_tol)]
-    elif bnd in ("none", ""):
-        s_set = []
-    else:
-        s_set = [int(x) for x in str(bnd).split(",")]
+    weight, eps, mu_pert, seed = cfg["weight"], cfg["eps"], cfg["mu_pert"], cfg["seed"]
+    s_set = cfg["boundary"]
+    if s_set == "negative":
+        s_set = np.flatnonzero(spec.eigenvalues < -spec.cluster_tol).tolist()
     if eps > 0:
         op = replace(op, perturbation=make_perturbation(spec.dim, eps, mu_pert, seed))
     count = perturbed_kernel_count(op, weight, s_set)
-    out = cfg.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "kernel_count.json"), "w", encoding="ascii") as fh:
-        fh.write(count.to_json())
-        fh.write("\n")
+    _write(cfg["out"], "kernel_count.json", count.to_json())
     print(f"kernel dimension {count.dimension} at weight {weight:.6g} "
           f"(decaying subspace {count.decaying_dim}, eps {eps}, seed {seed})")
     print(f"boundary set S = {list(count.boundary_set)}")
@@ -270,15 +312,13 @@ def cmd_kernel_count(cfg) -> int:
 
 
 def _report(checks) -> int:
-    failures = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
-    return EXIT_OK if failures == 0 else EXIT_MISMATCH
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_MISMATCH
 
 
 def cmd_reproduce(cfg) -> int:
-    target = cfg.get("example", "")
+    target = cfg["example"]
     if target == "tori":
         torus = lattice.square_torus()
         model = models.build_torus_model(torus, 2.5)
@@ -339,98 +379,57 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+    """The command-line parser, built once per process: each command takes
+    --config and the flags of its keys, each read by its key's kind."""
     ap = _Parser(
         prog="cylspec",
         description="Dirac model spectra, weighted indices and cylinder-end solvers")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--torus", help="lattice basis, 4 reals row-major")
-        p.add_argument("--cutoff", type=float, help="spectral truncation |k|^2 <= cutoff")
-
-    p = sub.add_parser("spectrum", help="eigendecompose a model; write CSV + clusters")
-    add_common(p)
-    p.add_argument("--model", choices=["torus", "sl"])
-    p.add_argument("--mesh", help="OFF mesh file (sl model)")
-    p.add_argument("--grid", type=int, help="quad-grid resolution (sl model)")
-
-    p = sub.add_parser("indicial", help="indicial roots in a window")
-    add_common(p)
-    p.add_argument("--model", choices=["torus", "sl"])
-    p.add_argument("--mesh")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--window", help="lo,hi")
-
-    p = sub.add_parser("index", help="weighted index and virtual dimensions")
-    add_common(p)
-    p.add_argument("--ends", help="comma list of end kinds (torus, sl)")
-    p.add_argument("--rates", help="comma list of rates, one per end")
-    p.add_argument("--grid", type=int)
-
-    p = sub.add_parser("wallcross", help="index jump between two rate vectors")
-    add_common(p)
-    p.add_argument("--ends")
-    p.add_argument("--rate1")
-    p.add_argument("--rate2")
-    p.add_argument("--grid", type=int)
-
-    p = sub.add_parser("cylinder-solve", help="manufactured weighted Green solve")
-    add_common(p)
-    p.add_argument("--weight", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--mode-lambda", dest="mode_lambda", type=float)
-    p.add_argument("--profile-rate", dest="profile_rate", type=float)
-
-    p = sub.add_parser("kernel-count", help="perturbed kernel dimension at a weight")
-    add_common(p)
-    p.add_argument("--weight", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--mu-pert", dest="mu_pert", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--T", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--boundary", help="'negative', 'none', or comma list of mode indices")
-
-    p = sub.add_parser("reproduce", help="rerun a canned example and compare")
-    p.add_argument("example", help="example id: tori or sl")
-    p.add_argument("--config")
-
+        for key in defaults:
+            spec = _KEYS[key]
+            p.add_argument(spec.flag, type=spec.kind.parse, help=spec.help)
     return ap
 
 
+# each command: its function, its help and the keys it takes, at its defaults
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "indicial": cmd_indicial,
-    "index": cmd_index,
-    "wallcross": cmd_wallcross,
-    "cylinder-solve": cmd_cylinder_solve,
-    "kernel-count": cmd_kernel_count,
-    "reproduce": cmd_reproduce,
+    "spectrum": (cmd_spectrum, "eigendecompose a model; write CSV + clusters",
+                 dict(out=".", torus=_SQUARE, cutoff=2.5, model="torus", mesh=None, grid=16)),
+    "indicial": (cmd_indicial, "indicial roots in a window",
+                 dict(out=None, torus=_SQUARE, cutoff=2.5, model="torus", mesh=None, grid=16,
+                      window=[-1.2, 1.2])),
+    "index": (cmd_index, "weighted index and virtual dimensions",
+              dict(out=None, torus=_SQUARE, cutoff=2.5, ends="torus", rates=[-0.5], grid=8)),
+    "wallcross": (cmd_wallcross, "index jump between two rate vectors",
+                  dict(out=None, torus=_SQUARE, cutoff=2.5, ends="torus", rate1=[-0.5],
+                       rate2=[0.5], grid=8)),
+    "cylinder-solve": (cmd_cylinder_solve, "manufactured weighted Green solve",
+                       dict(out=".", torus=_SQUARE, cutoff=1.5, weight=-0.5, T=30.0, h=0.01,
+                            mode_lambda=1.0, profile_rate=-1.0)),
+    "kernel-count": (cmd_kernel_count, "perturbed kernel dimension at a weight",
+                     dict(out=".", torus=_SQUARE, cutoff=1.5, weight=0.5, eps=0.0,
+                          mu_pert=-1.0, seed=0, T=30.0, h=0.01, boundary="negative")),
+    "reproduce": (cmd_reproduce, "rerun a canned example and compare", dict(example=None)),
 }
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](_merge_config(args))
+        return _COMMANDS[args.command][0](_merge_config(args))
     except SystemExit as exc:   # --help
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except ConfigError as exc:
-        _err("CONFIG", str(exc))
-        return EXIT_CONFIG
+    except (ConfigError, OSError) as exc:   # input faults, unreadable files
+        status, code, detail = EXIT_CONFIG, "CONFIG", str(exc)
     except (CriticalRate, CriticalWeight) as exc:
-        _err("CRITICAL_RATE", str(exc))
-        return EXIT_CRITICAL
+        status, code, detail = EXIT_CRITICAL, "CRITICAL_RATE", str(exc)
     except (CylspecError, np.linalg.LinAlgError) as exc:
-        _err("NUMERIC", str(exc))
-        return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
-        _err("CONFIG", str(exc))
-        return EXIT_CONFIG
+        status, code, detail = EXIT_NUMERIC, "NUMERIC", str(exc)
+    print(f"ERR {code}: {detail}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

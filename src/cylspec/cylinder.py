@@ -21,12 +21,13 @@ verified on a pair of levels, until the Richardson estimate is 8e-10 in
 principal angle, so that the frame's error is within 1e-9.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, ConvergenceFailure, CriticalWeight, IllConditionedMatching,
-                     InsufficientTail, PerturbationTooLarge)
+                     InputError, InsufficientTail, PerturbationTooLarge)
 from .spectral import Spectrum
 
 
@@ -38,7 +39,7 @@ def differentiate(values: np.ndarray, h: float) -> np.ndarray:
     u = np.asarray(values, dtype=float)
     n = u.shape[-1]
     if n < 5:
-        raise ValueError("need at least 5 grid points for the 4th-order stencil")
+        raise InputError("need at least 5 grid points for the 4th-order stencil")
     du = np.empty_like(u)
     du[..., 2:-2] = (u[..., :-4] - 8 * u[..., 1:-3] + 8 * u[..., 3:-1] - u[..., 4:]) / (12 * h)
     du[..., 0] = (-25 * u[..., 0] + 48 * u[..., 1] - 36 * u[..., 2]
@@ -73,10 +74,12 @@ class Perturbation:
 
     def __post_init__(self):
         if not self.mu_pert < 0:   # also rejects NaN
-            raise ValueError("mu_pert must be negative (decaying coupling)")
+            raise InputError("mu_pert must be negative (decaying coupling)")
 
 
 def make_perturbation(dim: int, eps: float, mu_pert: float, seed: int = 0) -> Perturbation:
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((dim, dim))
     a0 = 0.5 * (r + r.T)
@@ -98,6 +101,19 @@ def _check_grid_size(dim: int, points: int, about: str):
                           f"values, above the limit {MAX_GRID_VALUES}")
 
 
+# e^x is a finite float up to this x
+_EXP_MAX = math.log(np.finfo(float).max)
+
+
+def check_exponential(name: str, value: float, sign: int, t_final: float):
+    """InputError unless e^(sign * value * t) is a finite float for t in
+    [0, t_final] and the product sign * value * t_final is finite."""
+    x = sign * float(value) * float(t_final)
+    if not (math.isfinite(x) and x <= _EXP_MAX):
+        raise InputError(f"{name} = {value:g} and T = {t_final:g} put "
+                         f"e^({'-' if sign < 0 else ''}{name} t) out of float range")
+
+
 @dataclass(frozen=True)
 class CylinderOperator:
     """Mode-decomposed model operator on [0, T] with uniform step h."""
@@ -111,14 +127,15 @@ class CylinderOperator:
         if self.base.jmat is None:
             raise ValueError("cylinder operators need a spectrum with jmat attached")
         if not 0 < self.step <= self.t_final < np.inf:
-            raise ValueError("need 0 < h <= T")
+            raise InputError("need 0 < h <= T")
         steps = self.t_final / self.step
         if not np.isfinite(steps):
-            raise ValueError(f"T = {self.t_final:g} over h = {self.step:g} overflows "
+            raise InputError(f"T = {self.t_final:g} over h = {self.step:g} overflows "
                              "the step count")
         n = round(steps)
         if abs(steps - n) > 1e-9 * n:
-            raise ValueError(f"T = {self.t_final:g} is not a whole number of steps h = {self.step:g}")
+            raise InputError(f"T = {self.t_final:g} is not a whole number of steps "
+                             f"h = {self.step:g}")
 
     @property
     def dim(self) -> int:
@@ -139,7 +156,7 @@ class CylinderOperator:
 
     def check_weight(self, weight: float):
         if not np.isfinite(weight):
-            raise ValueError(f"weight must be finite, got {weight}")
+            raise InputError(f"weight must be finite, got {weight}")
         gap = float(np.abs(self.base.eigenvalues - weight).min())
         if gap <= self.base.root_tol:
             raise CriticalWeight(
@@ -247,11 +264,14 @@ def solve_cylinder(op: CylinderOperator, rhs: np.ndarray, weight: float) -> Cyli
     integral of e^{lam(h - tau)} against the cubic interpolant of g on four
     neighbouring nodes (4th order).  Modes with lam_j < weight step forward
     from u(0) = 0, the rest backward from u(T) = 0, so e^{-w t} u stays
-    bounded.  Raises CriticalWeight when the weight hits an eigenvalue.
+    bounded.  Raises CriticalWeight when the weight hits an eigenvalue and
+    InputError when the weight factor e^(-w t) is out of float range on
+    [0, T].
     """
     if op.perturbation is not None:
         raise ValueError("solve_cylinder handles the unperturbed operator only")
     op.check_weight(weight)
+    check_exponential("weight", weight, -1, op.t_final)
     t = op.tgrid
     nt = t.size
     h = op.step
@@ -259,7 +279,7 @@ def solve_cylinder(op: CylinderOperator, rhs: np.ndarray, weight: float) -> Cyli
     if f.shape != (op.dim, nt):
         raise ValueError(f"rhs has shape {f.shape}, expected {(op.dim, nt)}")
     if nt < 4:
-        raise ValueError("grid too short for the cubic interpolant")
+        raise InputError("grid too short for the cubic interpolant")
 
     g = -(op.base.jmat @ f)
     lams = op.base.eigenvalues
@@ -322,7 +342,7 @@ def kernel_in_window(op: CylinderOperator, window: tuple[float, float]) -> Windo
     endpoint weights must be non-critical."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
+        raise InputError("window must satisfy lo < hi")
     op.check_weight(lo)
     op.check_weight(hi)
     lams = op.base.eigenvalues
@@ -456,9 +476,9 @@ _FRAME_HALVINGS = 7
 
 def _frame_length(t_final: float, mu_pert: float) -> float:
     """Length S = (1 - e^{-a T}) / a of [0, T] in the graded variable s of
-    _frame_grid, a = -mu_pert / 5; S -> T as a -> 0."""
+    _frame_grid, a = -mu_pert / 5; S = T where a underflows to 0."""
     a = -mu_pert / 5.0
-    return float(-np.expm1(-a * t_final) / a)
+    return float(-np.expm1(-a * t_final) / a) if a else float(t_final)
 
 
 def _frame_grid(t_final: float, mu_pert: float, n: int) -> np.ndarray:
@@ -468,11 +488,11 @@ def _frame_grid(t_final: float, mu_pert: float, n: int) -> np.ndarray:
     The step grows like e^{a t}.  RK4's local error for the coupling
     c(t) = eps e^{mu_pert t} scales like c(t) H^5, so it is spread evenly over
     the steps.  The ends are set exactly: the last node would take log1p(-1)
-    once e^{-a T} underflows."""
+    once e^{-a T} underflows.  Where a underflows to 0, t = s."""
     a = -mu_pert / 5.0
     s = _frame_length(t_final, mu_pert) / n * np.arange(1, n)
     t = np.empty(n + 1)
-    t[0], t[1:-1], t[-1] = 0.0, -np.log1p(-a * s) / a, t_final
+    t[0], t[1:-1], t[-1] = 0.0, -np.log1p(-a * s) / a if a else s, t_final
     return t
 
 
@@ -496,8 +516,9 @@ def _lawson_march(z: np.ndarray, lams: np.ndarray, g: np.ndarray, pert: Perturba
     last QR) reaches ln 10, spread being the eigenvalue spread of the marched
     columns, and at the end."""
     hs = np.diff(tgrid)
-    c = pert.eps * np.exp(pert.mu_pert * tgrid)
-    cmid = pert.eps * np.exp(pert.mu_pert * (0.5 * (tgrid[:-1] + tgrid[1:])))
+    with np.errstate(over="ignore"):   # mu_pert t at -inf: the coupling e^{mu_pert t} is 0
+        c = pert.eps * np.exp(pert.mu_pert * tgrid)
+        cmid = pert.eps * np.exp(pert.mu_pert * (0.5 * (tgrid[:-1] + tgrid[1:])))
     # one row per step: E, E^2 and, with y1 ... y4 the step's four products
     # by g, the factors that give -H/2 E k1 = e_k1 y1, -H/2 k2 = h_k2 y2,
     # -H E k3 = e_k3 y3 and the update's terms e2_k1 y1, e_k23 (y2 + y3), h_k4 y4
@@ -618,9 +639,10 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
     carries the march's levels, final step count, estimate and QR count.
     """
     gap = op.check_weight(weight)
-    s_idx = np.asarray(sorted(int(i) for i in boundary_set), dtype=int)
-    if s_idx.size and (s_idx.min() < 0 or s_idx.max() >= op.dim):
-        raise ValueError("boundary set indices out of range")
+    s_idx = sorted(int(i) for i in boundary_set)
+    if s_idx and (s_idx[0] < 0 or s_idx[-1] >= op.dim):   # before an index can overflow int64
+        raise InputError("boundary set indices out of range")
+    s_idx = np.asarray(s_idx, dtype=int)
     lams = op.base.eigenvalues
     cols = np.flatnonzero(lams < weight)
     p = int(cols.size)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import ConvergenceFailure, DegenerateTriangle
+from .errors import ConvergenceFailure, DegenerateTriangle, InputError
 from .lattice import FlatTorus
 from .mesh import TriangulatedSurface, _genus2_quads, _match_sides, _side_senses
 
@@ -171,10 +171,10 @@ def quad_torus_complex(torus: FlatTorus, n: int, m: int | None = None) -> Cochai
     if m is None:
         m = n
     if n < 2 or m < 2:
-        raise ValueError("need n, m >= 2")
+        raise InputError("need n, m >= 2")
     b = torus.basis
     if abs(float(b[:, 0] @ b[:, 1])) > 1e-12 * abs(np.linalg.det(b)):
-        raise ValueError("quad-grid complexes require an orthogonal lattice basis")
+        raise InputError("quad-grid complexes require an orthogonal lattice basis")
     dx = float(np.linalg.norm(b[:, 0])) / n
     dy = float(np.linalg.norm(b[:, 1])) / m
     nm = n * m

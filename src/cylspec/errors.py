@@ -9,7 +9,14 @@ class ConfigError(CylspecError):
     """Invalid run configuration (bad flags, missing files, out-of-range values).
     The input faults below subclass it: a singular lattice, a non-manifold
     or degenerate mesh, a window or rate beyond the completeness radius, an
-    unordered rate pair and a fixed rate that is not negative."""
+    unordered rate pair, a fixed rate that is not negative and a coupling
+    too strong for the weight gap."""
+
+
+class InputError(ConfigError, ValueError):
+    """A value handed to the library is out of its domain: a non-finite or
+    out-of-range number, a malformed OFF file, a grid too short.  It is still
+    a ValueError for library callers and a ConfigError for the command line."""
 
 
 class DegenerateLattice(ConfigError):
@@ -65,5 +72,5 @@ class IllConditionedMatching(CylspecError):
     """Rank decision in the boundary-matching map is too close to the threshold."""
 
 
-class PerturbationTooLarge(CylspecError):
+class PerturbationTooLarge(ConfigError):
     """Coupling strength breaks diagonal dominance of the mode system at t=0."""

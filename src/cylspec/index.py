@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CriticalRate, NonNegativeRate, NotInKernel, NotOrdered,
+from .errors import (CriticalRate, InputError, NonNegativeRate, NotInKernel, NotOrdered,
                      OddKernelDimension, WindowExceedsCutoff)
 from .spectral import Spectrum
 
@@ -48,9 +48,9 @@ def _as_rates(rate, m: int) -> tuple:
     """The rate vector as a tuple of m finite floats; a scalar is one rate."""
     rates = (float(rate),) if np.isscalar(rate) else tuple(float(r) for r in rate)
     if len(rates) != m:
-        raise ValueError(f"rate vector has {len(rates)} components, system has {m} ends")
+        raise InputError(f"rate vector has {len(rates)} components, system has {m} ends")
     if not np.all(np.isfinite(rates)):
-        raise ValueError(f"rates must be finite, got {list(rates)}")
+        raise InputError(f"rates must be finite, got {list(rates)}")
     return rates
 
 

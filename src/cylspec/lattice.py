@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLattice
+from .errors import DegenerateLattice, InputError
 
 TWO_PI = 2.0 * np.pi
 
@@ -25,7 +25,10 @@ class FlatTorus:
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float).reshape(2, 2)
         if not np.isfinite(b).all():   # a NaN would pass the determinant test below
-            raise ValueError(f"lattice basis must be finite, got {b.ravel().tolist()}")
+            raise InputError(f"lattice basis must be finite, got {b.ravel().tolist()}")
+        if np.abs(b).max() > 1e150:   # the determinant test below would overflow
+            raise InputError(f"lattice basis entries must be at most 1e150 in size, "
+                             f"got {b.ravel().tolist()}")
         det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
         if abs(det) < 1e-12 * max(1.0, float(np.abs(b).max()) ** 2):
             raise DegenerateLattice(f"lattice basis is singular (det={det:.3e})")
@@ -69,9 +72,9 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     deterministic.
     """
     if not np.isfinite(cutoff):
-        raise ValueError(f"cutoff must be finite, got {cutoff}")
+        raise InputError(f"cutoff must be finite, got {cutoff}")
     if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+        raise InputError("cutoff must be positive")
     dual = torus.dual_basis
     # enumerate over the reduced basis (b1, b2) = dual @ (u1, u2): its
     # coordinate box around the ball is about as large as the ball's point

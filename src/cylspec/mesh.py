@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTriangle, NonManifoldEdge
+from .errors import DegenerateTriangle, InputError, NonManifoldEdge
 from .lattice import TWO_PI, FlatTorus
 
 
@@ -131,19 +131,28 @@ def surface_from_triangles(positions, triangles) -> TriangulatedSurface:
     """Build a surface from bare triangles, deriving edges by manifold matching
     and edge lengths from the positions.
 
-    Requires finite positions and every directed side (u, v) to occur exactly
-    once, with its reverse (v, u) occurring exactly once in another triangle;
-    meshes with doubled vertex pairs must supply explicit combinatorics instead.
+    Requires finite positions and edge lengths (huge coordinates can give an
+    infinite length, an InputError raised before any area is formed from it)
+    and every directed side (u, v) to occur exactly once, with its reverse
+    (v, u) occurring exactly once in another triangle; meshes with doubled
+    vertex pairs must supply explicit combinatorics instead.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     finite = np.isfinite(positions).all(axis=1)
     if not finite.all():
         v = int(np.argmin(finite))
-        raise ValueError(f"vertex {v} has a non-finite coordinate: {positions[v].tolist()}")
+        raise InputError(f"vertex {v} has a non-finite coordinate: {positions[v].tolist()}")
     triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
     edges, tri_edges = _match_sides(triangles)
-    d = positions[edges[:, 0]] - positions[edges[:, 1]]
+    with np.errstate(over="ignore"):   # an overflow is the infinite length rejected below
+        d = positions[edges[:, 0]] - positions[edges[:, 1]]
     edge_lengths = np.sqrt(np.einsum("ij,ij->i", d, d))
+    finite = np.isfinite(edge_lengths)
+    if not finite.all():
+        e = int(np.argmin(finite))
+        u, v = edges[e].tolist()
+        raise InputError(f"edge {e} from vertex {u} to {v} has a non-finite length "
+                         f"{edge_lengths[e]}")
     surf = TriangulatedSurface(positions, triangles, edges, tri_edges, edge_lengths)
     surf.validate()
     return surf
@@ -284,34 +293,48 @@ def _off_tokens(path) -> list:
     The file is decoded whole, so a non-ASCII byte is reported at its offset
     in the file."""
     with open(path, "rb") as fh:
-        text = fh.read().decode("ascii")
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from exc
     return _COMMENT.sub("", text).split()
+
+
+def _parsed(convert, tokens):
+    """convert(tokens), where a token that is no number raises InputError
+    with convert's own message."""
+    try:
+        return convert(tokens)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _check_face(f: int, tokens: list, nv: int):
     """Raise the error of face f of an OFF file, from its tokens (the vertex
     count, then the indices), if it has one."""
-    cnt = int(tokens[0])
+    cnt = _parsed(int, tokens[0])
     if cnt != 3:
-        raise ValueError(f"face {f} has {cnt} vertices; only triangles are supported")
-    tri = np.array([int(t) for t in tokens[1:4]], dtype=int)
+        raise InputError(f"face {f} has {cnt} vertices; only triangles are supported")
+    tri = np.array([_parsed(int, t) for t in tokens[1:4]], dtype=int)
     if tri.min() < 0 or tri.max() >= nv:
-        raise ValueError(f"face {f} has a vertex index outside [0, {nv}): {tri.tolist()}")
+        raise InputError(f"face {f} has a vertex index outside [0, {nv}): {tri.tolist()}")
 
 
 def read_off(path) -> TriangulatedSurface:
     """Read an ASCII OFF file (triangles only) into a surface."""
     tokens = _off_tokens(path)
     if not tokens or tokens[0] != "OFF":
-        raise ValueError("not an OFF file (missing OFF header)")
+        raise InputError("not an OFF file (missing OFF header)")
     if len(tokens) < 4:
-        raise ValueError("truncated OFF file: missing the vertex, face and edge counts")
-    nv, nf = int(tokens[1]), int(tokens[2])
+        raise InputError("truncated OFF file: missing the vertex, face and edge counts")
+    nv, nf = _parsed(int, tokens[1]), _parsed(int, tokens[2])
     pos = 4  # skip the edge count
     if min(nv, nf) < 0 or len(tokens) < pos + 3 * nv + 4 * nf:
-        raise ValueError(f"truncated OFF file: {nv} vertices and {nf} triangles need "
+        raise InputError(f"truncated OFF file: {nv} vertices and {nf} triangles need "
                          f"{pos + 3 * nv + 4 * nf} tokens, found {len(tokens)}")
-    verts = np.asarray(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
+    verts = _parsed(lambda t: np.asarray(t, dtype=float), tokens[pos:pos + 3 * nv])
+    verts = verts.reshape(nv, 3)
     pos += 3 * nv
     block = tokens[pos:pos + 4 * nf]
     try:

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import ConvergenceFailure, WindowExceedsCutoff
+from .errors import ConvergenceFailure, InputError, WindowExceedsCutoff
 from .models import BlockOperator, DiracModel, Eigenbasis
 
 
@@ -119,11 +119,12 @@ def _cluster(eigs: np.ndarray, tol: float) -> tuple:
 _RESIDUAL_COLUMNS = 128
 
 
-def _residual_norms(model: DiracModel, j: BlockOperator, rows: slice, block: np.ndarray,
+def _residual_norms(model: DiracModel, j: BlockOperator, reach: tuple, block: np.ndarray,
                     lam: np.ndarray) -> np.ndarray:
     """Column M-norms of J (D[:, R] B) - B Lam for the column block B on the
-    rows R at the values ``lam``.  D[:, R] B is taken as the row pieces
-    D[S, R] B on those column slices S of J that D reaches from R; J adds
+    rows R at the values ``lam``, with ``reach`` = (R, [(S, D[S, R]), ...])
+    over those column slices S of J that D reaches from R, sliced once per
+    block.  D[:, R] B is taken as the row pieces D[S, R] B; J adds
     its products on those pieces alone into the piece -B Lam on R, and the
     M-weighted squares are summed piece by piece, that piece first.  Every
     term of J runs as stored, the block model's rank-1 constant terms
@@ -131,8 +132,8 @@ def _residual_norms(model: DiracModel, j: BlockOperator, rows: slice, block: np.
     the check is of J as the model applies it.  Each piece is as wide as B,
     so a B of _RESIDUAL_COLUMNS columns keeps those pieces n0 x 128 and
     n2 x 128 however many vertices and faces the complex has."""
-    av = j.apply_pieces([(s, d @ block) for s in j.column_slices
-                         if (d := model.dirac[s, rows]).nnz], [(rows, -(block * lam))])
+    rows, pieces = reach
+    av = j.apply_pieces([(s, d @ block) for s, d in pieces], [(rows, -(block * lam))])
     return np.sqrt(sum(model.mass[s] @ (piece * piece) for s, piece in av))
 
 
@@ -161,9 +162,10 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     j = model.complex_structure
     resid = norm_error = 0.0
     for rows, cols, block in basis.blocks:
+        reach = rows, [(s, d) for s in j.column_slices if (d := model.dirac[s, rows]).nnz]
         for start in range(0, cols.size, _RESIDUAL_COLUMNS):
             chunk = slice(start, start + _RESIDUAL_COLUMNS)
-            resid = max(resid, float(_residual_norms(model, j, rows, block[:, chunk],
+            resid = max(resid, float(_residual_norms(model, j, reach, block[:, chunk],
                                                      vals[cols[chunk]]).max()))
         norms = np.einsum("i,ij,ij->j", model.mass[rows], block, block)
         norm_error = max(norm_error, float(np.abs(norms - 1.0).max(initial=0.0)))
@@ -201,7 +203,7 @@ def indicial_roots(spectrum: Spectrum, window: tuple[float, float]) -> list[tupl
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
+        raise InputError("window must satisfy lo < hi")
     r = spectrum.completeness_radius
     if max(abs(lo), abs(hi)) > r * (1 + 1e-12):
         raise WindowExceedsCutoff(

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cylspec as cs
+from cylspec import cli
 from cylspec.cli import main
+from cylspec.errors import ConfigError, InputError
 
 SQ = "6.283185307179586,0,0,6.283185307179586"
 
@@ -557,3 +565,227 @@ def test_reproduce_sl_j_square_matches_the_dense_check(capsys):
     dense = float(np.abs(j @ j.toarray() + np.eye(model.dim)).max())
     assert main(["reproduce", "sl"]) == 0
     assert f"PASS J^2 = -1: residual {dense:.3e}\n" in capsys.readouterr().out
+
+
+def run_quietly(argv):
+    """main(argv) with its stdout, stderr and warnings captured; a warning of
+    any kind is recorded, not printed, and an exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["kernel-count", "--eps=10"], "eps = 10 is not small against the weight gap 0.5"),
+    (["cylinder-solve", "--weight=1e308"],
+     "weight = 1e+308 and T = 30 put e^(-weight t) out of float range"),
+    (["cylinder-solve", "--weight=-1e308", "--profile-rate=-inf"],
+     "profile_rate must be finite, got -inf"),
+    (["cylinder-solve", "--profile-rate=-inf"], "profile_rate must be finite, got -inf"),
+    (["cylinder-solve", "--profile-rate=-1e308", "--T", "5"],
+     "profile_rate = -1e+308 and T = 5 put e^(profile_rate t) out of float range"),
+    (["kernel-count", "--eps", "1e-3", "--mu-pert=-inf"], "mu_pert must be finite, got -inf"),
+    (["kernel-count", "--eps", "1e-3", "--seed=-1"], "seed must be >= 0, got -1"),
+    (["cylinder-solve", "--T", "1.5", "--h", "0.5"],
+     "need at least 5 grid points for the 4th-order stencil"),
+], ids=["eps-too-large", "weight-overflow", "rate-inf-first", "profile-rate-inf",
+        "profile-rate-overflow", "mu-pert-inf", "negative-seed", "short-grid"])
+def test_input_fault_prints_one_line_and_no_warning(tmp_path, argv, detail):
+    # faults in the values given, not numerical failures: one ERR CONFIG
+    # line, no RuntimeWarning from an overflowing exponential, no output
+    out = tmp_path / "out"
+    rc, stdout, stderr, caught = run_quietly(argv + ["--cutoff", "1.5", "--out", str(out)])
+    assert (rc, stdout, stderr, caught) == (2, "", f"ERR CONFIG: {detail}\n", [])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["-1e308", "-5e-324"])
+def test_coupling_rate_at_the_ends_of_float_range_is_quiet(tmp_path, mu):
+    # mu_pert t overflows to -inf on the frame grid (the coupling is 0
+    # there), or the grading rate -mu_pert / 5 underflows to 0 (the grid is
+    # uniform): a count, with no warning
+    rc, stdout, stderr, caught = run_quietly(["kernel-count", "--eps", "1e-3", f"--mu-pert={mu}",
+                                              "--out", str(tmp_path)])
+    assert (rc, stderr, caught) == (0, "", [])
+    assert stdout.startswith("kernel dimension 4 at weight 0.5 ")
+
+
+def test_huge_off_vertex_is_config_error(tmp_path):
+    # a finite coordinate whose edge lengths overflow: rejected as the
+    # lengths are formed, before Heron's formula subtracts infinities
+    path = tmp_path / "donut.off"
+    cs.write_off(path, cs.parametric_torus_mesh(12, 8))
+    lines = path.read_text().splitlines()
+    lines[2] = "1e308 0 0"   # vertex 0
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc, stdout, stderr, caught = run_quietly(["spectrum", "--model", "sl", "--mesh", str(path),
+                                              "--out", str(out)])
+    assert (rc, stdout, caught) == (2, "", [])
+    assert stderr == "ERR CONFIG: edge 0 from vertex 0 to 1 has a non-finite length inf\n"
+    assert not out.exists()
+
+
+NUMERIC_KEYS = {   # each number-valued key and a command that takes it
+    "cutoff": "spectrum", "grid": "spectrum", "torus": "spectrum", "window": "indicial",
+    "rates": "index", "rate1": "wallcross", "rate2": "wallcross", "weight": "cylinder-solve",
+    "T": "cylinder-solve", "h": "cylinder-solve", "mode_lambda": "cylinder-solve",
+    "profile_rate": "cylinder-solve", "eps": "kernel-count", "mu_pert": "kernel-count",
+    "seed": "kernel-count",
+}
+
+
+def test_numeric_keys_cover_the_key_table():
+    kinds = {key: spec.kind.what for key, spec in cli._KEYS.items()}
+    assert sorted(NUMERIC_KEYS) == sorted(key for key, what in kinds.items()
+                                          if what in ("a real number", "an integer",
+                                                      "a comma list of reals"))
+    for key, command in NUMERIC_KEYS.items():
+        assert key in cli._COMMANDS[command][2]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_json_true_is_no_number(tmp_path, capsys, key):
+    # bool is an int in Python; a JSON true once built the cutoff-1 model
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: True}))
+    out = tmp_path / "out"
+    assert main([NUMERIC_KEYS[key], "--config", str(cfg), "--out", str(out)]) == 2
+    what = cli._KEYS[key].kind.what
+    assert capsys.readouterr().err == f"ERR CONFIG: config key {key!r} must be {what}, got True\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ('{"out": 5}', "config key 'out' must be a file path, got 5"),
+    ('{"cutoff": NaN}', "cutoff must be finite, got nan"),
+    ('{"cutoff": 1e400}', "cutoff must be finite, got inf"),
+    ('{"cutoff": "1.5", "unused": 4.9}', None),
+], ids=["bad-json", "out-number", "nan", "overflowing-number", "string-number"])
+def test_config_values_are_typed_by_the_key_table(tmp_path, capsys, text, detail):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(out)])
+    if detail is None:
+        assert rc == 0 and capsys.readouterr().out.startswith("dim 20, ")
+    else:
+        assert rc == 2
+        assert capsys.readouterr().err == f"ERR CONFIG: {detail}\n"
+        assert not out.exists()
+
+
+def test_config_number_reads_as_its_flag_text(tmp_path, capsys):
+    # a JSON number is read as the flag would read its text: one rate, one
+    # boundary mode
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rates": -0.5, "boundary": 0, "cutoff": 1.5}))
+    assert main(["index", "--config", str(cfg)]) == 0
+    assert "index = -2" in capsys.readouterr().out
+    assert main(["kernel-count", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "boundary set S = [0]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cs.FlatTorus(np.array([[np.nan, 0], [0, 1.0]])),
+    lambda: cs.FlatTorus(np.array([[1e200, 0], [0, 1e200]])),
+    lambda: cs.dual_lattice_points(cs.square_torus(), 0.0),
+    lambda: cs.quad_torus_complex(cs.square_torus(), 1),
+    lambda: cs.quad_torus_complex(cs.FlatTorus(np.array([[6.0, 1.0], [0.0, 6.0]])), 4),
+    lambda: cs.surface_from_triangles([[np.inf, 0, 0]] * 3, [[0, 1, 2], [0, 2, 1]]),
+    lambda: cs.fredholm_index([-0.5, -0.5], cs.EndSystem((cs.synthetic_spectrum([], 2.0),))),
+    lambda: cs.indicial_roots(cs.synthetic_spectrum([], 2.0), (1.0, 0.0)),
+    lambda: cs.cylinder.Perturbation(1e-3, 1.0, 0),
+    lambda: cs.cylinder.make_perturbation(4, 1e-3, -1.0, seed=-1),
+    lambda: cs.cylinder.differentiate(np.zeros(4), 0.1),
+], ids=["lattice-nan", "lattice-huge", "cutoff", "grid", "oblique-grid", "vertex-inf", "rate-count",
+        "window", "mu-pert", "seed", "stencil"])
+def test_library_input_checks_raise_input_error(call):
+    # an InputError is a ValueError for library callers and a ConfigError
+    # for the command line
+    with pytest.raises(InputError) as info:
+        call()
+    assert isinstance(info.value, ValueError) and isinstance(info.value, ConfigError)
+
+
+# values the property below draws for each key: valid ones kept small
+# (cutoff <= 2.5, grid <= 4, T <= 5), then faults the key table or the
+# library must catch, drawn one time in four, with the FAULTS of every key;
+# a value is given as a flag's text or as a JSON config value
+FAULTS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, True, False, "x", "1,2"]
+POOLS = {
+    "cutoff": ([0.5, 1.5, 2.5], [-1.0, 0.0]),
+    "grid": ([2, 3, 4], [0, -3, 4.9]),
+    "T": ([2.0, 5.0, 0.5], [-1.0, 0.0]),
+    "h": ([0.05, 0.1, 0.5], [-0.1, 0.0, 1e-300]),
+    "weight": ([-0.5, 0.5, 0.25, -2.0, 1.0], [-1e300, 1e300]),
+    "mode_lambda": ([1.0, -1.0], [0.77]),
+    "profile_rate": ([-1.0, -2.5, 0.0, 3.0], [-1e300, 1e300]),
+    "eps": ([0.0, 1e-3, 0.05], [10.0, -0.1]),
+    "mu_pert": ([-1.0, -5.0, -50.0, -1e300], [1.0, 0.0]),
+    "seed": ([0, 7], [-1, 2.7]),
+    "torus": ([SQ, "6,0,0,3"], ["1,0,0,0", "6,1,0,6", "1,2,3", "nan,0,0,6", "inf,0,0,6", -0.5,
+                                   "1e308,0,0,1e308"]),
+    "window": (["-1.2,1.2", "0,1"], ["1,0", "-5,5", "nan,1", "1,2,3", 0.5]),
+    "rates": (["-0.5", "0.5", "-0.5,0.5", -0.5], ["0", "-5", "", "nan", "1e308"]),
+    "ends": (["torus", "sl", "torus,sl"], ["foo", "", 3]),
+    "model": (["torus", "sl"], ["foo", 2]),
+    "mesh": (["{mesh}"], ["missing.off", 2, float("inf")]),
+    "boundary": (["negative", "none", "0,1", 3],
+                 ["x", "-1", "999", 2.5, "99999999999999999999"]),
+}
+POOLS["rate1"] = POOLS["rate2"] = POOLS["rates"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command with some of its keys (never out) drawn from POOLS, each
+    given as a flag or in the config file."""
+    command = draw(st.sampled_from(sorted(set(NUMERIC_KEYS.values()))))
+    flags, config = [], {}
+    for key in cli._COMMANDS[command][2]:
+        if key == "out" or not draw(st.booleans()):
+            continue
+        valid, faults = POOLS[key]
+        val = draw(st.sampled_from(faults + FAULTS if draw(st.integers(0, 3)) == 0 else valid))
+        if draw(st.booleans()):
+            config[key] = val
+        else:
+            flags.append(f"{cli._KEYS[key].flag}={val}")
+    return command, flags, config
+
+
+@pytest.fixture(scope="module")
+def small_mesh(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mesh") / "donut.off"
+    cs.write_off(path, cs.parametric_torus_mesh(6, 4))
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_input_exits_with_a_code_and_one_line(small_mesh, line):
+    # drawn from the key table: whatever the values, main returns an exit
+    # code (no exception escapes), a failure prints exactly one ERR line and
+    # no run prints a warning
+    command, flags, config = line
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + [f.replace("{mesh}", small_mesh) for f in flags]
+        argv += ["--out", os.path.join(tmp, "out")]
+        if config:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                fh.write(json.dumps(config).replace("{mesh}", small_mesh))
+            argv += ["--config", path]
+        rc, _, stderr, caught = run_quietly(argv)
+    assert rc in (0, 2, 3, 4, 5)
+    assert caught == []
+    assert "Warning" not in stderr and "Traceback" not in stderr
+    if rc == 0:
+        assert stderr == ""
+    else:
+        assert stderr.count("\n") == 1 and stderr.startswith("ERR ")
