@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import (ConfigError, ConvergenceFailure, CriticalWeight, IllConditionedMatching,
                      InputError, InsufficientTail, PerturbationTooLarge)
@@ -150,9 +151,9 @@ class CylinderOperator:
                          f"the time grid (T = {self.t_final:g}, h = {self.step:g})")
         return np.linspace(0.0, n * self.step, n + 1)
 
-    def dirac_sigma(self) -> np.ndarray:
+    def dirac_sigma(self) -> sparse.csr_matrix:
         """D expressed in eigencoordinates: D = -J A."""
-        return -self.base.jmat @ np.diag(self.base.eigenvalues)
+        return -(self.base.jmat @ sparse.diags(self.base.eigenvalues)).tocsr()
 
     def check_weight(self, weight: float):
         if not np.isfinite(weight):
@@ -207,13 +208,12 @@ def homogeneous_apply(spectrum: Spectrum, lam: float, j: int, nu: np.ndarray,
     if np.abs(np.diff(t) - h).max() > 1e-12 * max(h, 1.0):
         raise ValueError("t_samples must be uniform")
     nu = np.asarray(nu, dtype=float)
-    jmat = spectrum.jmat
-    dsig = CylinderOperator(spectrum).dirac_sigma()
+    jmat, lams = spectrum.jmat, spectrum.eigenvalues
 
     profile = np.exp(lam * t) * t**j
     u = nu[:, None] * profile[None, :]
-    lhs = jmat @ differentiate(u, h) + dsig @ u
-    core = (lam * (jmat @ nu) + dsig @ nu)[:, None] * profile[None, :]
+    lhs = jmat @ differentiate(u, h) - jmat @ (lams[:, None] * u)   # J u' + D u, D = -J A
+    core = (lam * (jmat @ nu) - jmat @ (lams * nu))[:, None] * profile[None, :]
     if j > 0:
         core = core + (jmat @ nu)[:, None] * (j * np.exp(lam * t) * t**(j - 1))[None, :]
     residual = float(np.linalg.norm(lhs - core, axis=0).max())

@@ -3,9 +3,10 @@
 Incidence operators d0, d1 are integer sparse matrices with d1 @ d0 == 0
 exactly.  Hodge stars are positive diagonal mass operators.  Triangle
 meshes get circumcentric (primal-dual) stars when every triangle is acute,
-with a barycentric lumped fallback otherwise; structured quad-grid tori get
-the uniform rectangle stars, for which the primal and dual 0-form
-Laplacians coincide entrywise.
+with a barycentric lumped fallback otherwise; the side senses, side
+lengths and areas come from the surface's one ``validate`` call.  Structured
+quad-grid tori get the uniform rectangle stars, for which the primal and
+dual 0-form Laplacians coincide entrywise.
 """
 
 from dataclasses import dataclass, field
@@ -89,24 +90,17 @@ def _incidence_d1(face_edges, sense, n1: int) -> sparse.csr_matrix:
                              shape=(face_edges.shape[0], n1), dtype=np.int64)
 
 
-def _triangle_geometry(surface: TriangulatedSurface, s: np.ndarray | None = None):
-    """Areas, per-corner cotangents and acuteness of a validated surface from
-    its side lengths s (surface.side_lengths() unless given)."""
-    if s is None:
-        s = surface.side_lengths()             # (n2, 3): sides (a,b), (b,c), (c,a)
+def _triangle_geometry(sq: np.ndarray, area: np.ndarray):
+    """Per-corner cotangents and acuteness of triangles with squared side
+    lengths sq (n2, 3), sides (a,b), (b,c), (c,a), and the given areas."""
     # angle opposite side k sits at the vertex not on side k:
     # side 0 = (a,b) is opposite vertex c, side 1 = (b,c) opposite a, side 2 = (c,a) opposite b.
-    l0, l1, l2 = s[:, 0], s[:, 1], s[:, 2]
-    sp = 0.5 * (l0 + l1 + l2)
-    area = np.sqrt(sp * (sp - l0) * (sp - l1) * (sp - l2))
     # cot of the angle opposite side k: (sum of other two squares - own square) / (4 area)
-    sq = s * s
-    cot = np.empty_like(s)
+    cot = np.empty_like(sq)
     for k in range(3):
         others = sq[:, (k + 1) % 3] + sq[:, (k + 2) % 3]
         cot[:, k] = (others - sq[:, k]) / (4.0 * area)
-    acute = bool(np.all(cot > 1e-12))
-    return area, cot, acute
+    return cot, bool(np.all(cot > 1e-12))
 
 
 def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainComplex:
@@ -117,15 +111,15 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
     "barycentric" force the choice (circumcentric on a non-acute mesh may
     produce non-positive masses and is rejected).
     """
-    surface.validate()
+    sense, s, area = surface.validate()
     n0, n1 = surface.n_vertices, surface.n_edges
     tris, tedges = surface.triangles, surface.triangle_edges
 
     d0 = _incidence_d0(surface.edges, n0)
-    d1 = _incidence_d1(tedges, surface.side_senses(), n1)
+    d1 = _incidence_d1(tedges, sense, n1)
 
-    s = surface.side_lengths()
-    area, cot, acute = _triangle_geometry(surface, s)
+    sq = s * s
+    cot, acute = _triangle_geometry(sq, area)
     if stars == "auto":
         mode = "circumcentric" if acute else "barycentric"
     elif stars in ("circumcentric", "barycentric"):
@@ -134,7 +128,6 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
         raise ValueError(f"unknown star mode {stars!r}")
 
     # per-triangle contributions, accumulated in triangle order
-    sq = s * s
     if mode == "circumcentric":
         if not acute:
             raise DegenerateTriangle("circumcentric stars require an acute mesh")
@@ -154,8 +147,7 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
     np.add.at(star1, tedges.ravel(), side.ravel())
     star2 = 1.0 / area
 
-    meta = {"kind": "triangulated", "genus": surface.genus, "total_area": float(area.sum())}
-    return CochainComplex(d0, d1, star0, star1, star2, mode, meta)
+    return CochainComplex(d0, d1, star0, star1, star2, mode, {"kind": "triangulated"})
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +187,7 @@ def quad_torus_complex(torus: FlatTorus, n: int, m: int | None = None) -> Cochai
     star0 = np.full(nm, dx * dy)
     star1 = np.concatenate([np.full(nm, dy / dx), np.full(nm, dx / dy)])
     star2 = np.full(nm, 1.0 / (dx * dy))
-    meta = {"kind": "quad-grid-torus", "genus": 1, "shape": (n, m), "spacing": (dx, dy),
-            "total_area": float(torus.area), "self_dual": True}
+    meta = {"kind": "quad-grid-torus", "shape": (n, m), "spacing": (dx, dy)}
     return CochainComplex(d0, d1, star0, star1, star2, "uniform-quad", meta)
 
 
@@ -211,8 +202,7 @@ def genus2_quad_complex() -> CochainComplex:
     star0 = np.bincount(quads.ravel(), minlength=n0) / 4.0
     star1 = np.ones(n1)
     star2 = np.ones(n2)
-    meta = {"kind": "quad-voxel", "genus": 2, "total_area": float(n2)}
-    return CochainComplex(d0, d1, star0, star1, star2, "uniform-quad", meta)
+    return CochainComplex(d0, d1, star0, star1, star2, "uniform-quad", {"kind": "quad-voxel"})
 
 
 # ---------------------------------------------------------------------------

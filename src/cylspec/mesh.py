@@ -6,7 +6,9 @@ every triangle side) so that structured tori with repeated vertex pairs
 metric is intrinsic: per-edge lengths, defaulting to Euclidean distances of
 the vertex positions.  Flat-torus meshes override the lengths with the
 minimum-image convention, since a flat torus has no isometric embedding in
-R^3.
+R^3.  ``TriangulatedSurface.validate`` checks a surface and measures it once:
+the DEC complex is built from the side senses, lengths and areas it returns.
+Its metric tests are relative to the mesh's size, so any unit of length works.
 """
 
 import re
@@ -16,6 +18,9 @@ import numpy as np
 
 from .errors import DegenerateTriangle, InputError, NonManifoldEdge
 from .lattice import TWO_PI, FlatTorus
+
+# the longest edge validate accepts; Heron's sp**4 leaves float range near 1e77
+MAX_EDGE_LENGTH = 1e75
 
 
 @dataclass(frozen=True)
@@ -59,14 +64,13 @@ class TriangulatedSurface:
         """Per-triangle side lengths, aligned with ``triangle_edges``; shape (n2, 3)."""
         return self.edge_lengths[self.triangle_edges]
 
-    def side_senses(self) -> np.ndarray:
-        """+1 where side k of triangle t runs along its edge, -1 where it runs
-        against it, 0 where it does not join the edge's endpoints; shape (n2, 3)."""
-        return _side_senses(self.triangles, self.edges, self.triangle_edges)
-
-    def validate(self):
-        """Check closedness, orientability and metric nondegeneracy."""
-        sense = self.side_senses()
+    def validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Check closedness, orientability, the Euler characteristic, edge
+        lengths up to MAX_EDGE_LENGTH and areas above 1e-6 sp^2 (sp the
+        semi-perimeter).  Returns the side senses (+1 where side k of triangle
+        t runs along its edge, -1 against it) and side lengths, (n2, 3) like
+        ``triangle_edges``, and the (n2,) areas."""
+        sense = _side_senses(self.triangles, self.edges, self.triangle_edges)
         if not sense.all():
             t, k = np.argwhere(sense == 0)[0]
             raise NonManifoldEdge(f"triangle {t} side {k} does not match endpoints "
@@ -81,14 +85,23 @@ class TriangulatedSurface:
         if clash.size:
             raise NonManifoldEdge(f"edge {clash[0]} is traversed twice in the same "
                                   f"direction (orientation clash)")
+        self.genus   # raises on an Euler characteristic no closed surface has
+        too_long = self.edge_lengths > MAX_EDGE_LENGTH   # False for NaN, left to the area test
+        if too_long.any():
+            e = int(np.argmax(too_long))
+            u, v = self.edges[e].tolist()
+            length = self.edge_lengths[e]
+            what = ("a non-finite length" if np.isinf(length)
+                    else f"a length above {MAX_EDGE_LENGTH:g}:")
+            raise InputError(f"edge {e} from vertex {u} to {v} has {what} {length}")
         s = self.side_lengths()
         a, b, c = s[:, 0], s[:, 1], s[:, 2]
-        # Heron in stable form
         sp = 0.5 * (a + b + c)
-        area_sq = sp * (sp - a) * (sp - b) * (sp - c)
-        if not np.all(area_sq > 1e-12 * np.maximum(1.0, sp**4)):   # NaN lengths fail too
+        area_sq = sp * (sp - a) * (sp - b) * (sp - c)   # Heron
+        if not np.all(area_sq > 1e-12 * sp**4):   # NaN lengths fail too
             raise DegenerateTriangle(
                 f"triangle {int(np.argmin(area_sq))} has (near) zero area")
+        return sense, s, np.sqrt(area_sq)
 
 
 def _side_senses(faces, edges, face_edges) -> np.ndarray:
@@ -131,11 +144,11 @@ def surface_from_triangles(positions, triangles) -> TriangulatedSurface:
     """Build a surface from bare triangles, deriving edges by manifold matching
     and edge lengths from the positions.
 
-    Requires finite positions and edge lengths (huge coordinates can give an
-    infinite length, an InputError raised before any area is formed from it)
-    and every directed side (u, v) to occur exactly once, with its reverse
-    (v, u) occurring exactly once in another triangle; meshes with doubled
-    vertex pairs must supply explicit combinatorics instead.
+    Requires finite positions and every directed side (u, v) to occur
+    exactly once, with its reverse (v, u) occurring exactly once in another
+    triangle; meshes with doubled vertex pairs must supply explicit
+    combinatorics instead.  Huge coordinates can give an infinite edge
+    length, which validate rejects before any area is formed from it.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     finite = np.isfinite(positions).all(axis=1)
@@ -144,15 +157,9 @@ def surface_from_triangles(positions, triangles) -> TriangulatedSurface:
         raise InputError(f"vertex {v} has a non-finite coordinate: {positions[v].tolist()}")
     triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
     edges, tri_edges = _match_sides(triangles)
-    with np.errstate(over="ignore"):   # an overflow is the infinite length rejected below
+    with np.errstate(over="ignore"):   # an overflow is the infinite length validate rejects
         d = positions[edges[:, 0]] - positions[edges[:, 1]]
     edge_lengths = np.sqrt(np.einsum("ij,ij->i", d, d))
-    finite = np.isfinite(edge_lengths)
-    if not finite.all():
-        e = int(np.argmin(finite))
-        u, v = edges[e].tolist()
-        raise InputError(f"edge {e} from vertex {u} to {v} has a non-finite length "
-                         f"{edge_lengths[e]}")
     surf = TriangulatedSurface(positions, triangles, edges, tri_edges, edge_lengths)
     surf.validate()
     return surf
@@ -316,9 +323,9 @@ def _check_face(f: int, tokens: list, nv: int):
     cnt = _parsed(int, tokens[0])
     if cnt != 3:
         raise InputError(f"face {f} has {cnt} vertices; only triangles are supported")
-    tri = np.array([_parsed(int, t) for t in tokens[1:4]], dtype=int)
-    if tri.min() < 0 or tri.max() >= nv:
-        raise InputError(f"face {f} has a vertex index outside [0, {nv}): {tri.tolist()}")
+    tri = [_parsed(int, t) for t in tokens[1:4]]   # Python ints: past int64 is out of range too
+    if min(tri) < 0 or max(tri) >= nv:
+        raise InputError(f"face {f} has a vertex index outside [0, {nv}): {tri}")
 
 
 def read_off(path) -> TriangulatedSurface:

@@ -471,8 +471,8 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
         d1_dense = cc.d1.toarray().astype(float)
         vals0, vecs0 = mass_eigh((d0_dense.T * m1[None, :]) @ d0_dense, m0)
         vals2, vecs2 = mass_eigh((d1_dense / m1[None, :]) @ d1_dense.T, m2d)
-    tol0 = 1e-8 * max(vals0.max(), 1.0)
-    tol2 = 1e-8 * max(vals2.max(), 1.0)
+    tol0 = 1e-8 * vals0.max()   # relative: the decision does not depend on the mesh's unit
+    tol2 = 1e-8 * vals2.max()
     if np.count_nonzero(vals0 < tol0) != 1 or np.count_nonzero(vals2 < tol2) != 1:
         raise ConfigError("complex is not connected (multi-dimensional constants)")
 

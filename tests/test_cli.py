@@ -614,19 +614,45 @@ def test_coupling_rate_at_the_ends_of_float_range_is_quiet(tmp_path, mu):
 
 
 def test_huge_off_vertex_is_config_error(tmp_path):
-    # a finite coordinate whose edge lengths overflow: rejected as the
-    # lengths are formed, before Heron's formula subtracts infinities
+    # a finite coordinate whose edge length overflows, or is finite but so
+    # long that Heron's formula would: rejected before any area is formed
     path = tmp_path / "donut.off"
     cs.write_off(path, cs.parametric_torus_mesh(12, 8))
     lines = path.read_text().splitlines()
-    lines[2] = "1e308 0 0"   # vertex 0
-    path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
+    for vertex, length in (("1e308 0 0", "a non-finite length inf"),
+                           ("1e100 0 0", "a length above 1e+75: 1e+100")):
+        lines[2] = vertex   # vertex 0
+        path.write_text("\n".join(lines) + "\n")
+        rc, stdout, stderr, caught = run_quietly(["spectrum", "--model", "sl", "--mesh",
+                                                  str(path), "--out", str(out)])
+        assert (rc, stdout, caught) == (2, "", [])
+        assert stderr == f"ERR CONFIG: edge 0 from vertex 0 to 1 has {length}\n"
+        assert not out.exists()
+
+
+def test_off_face_index_past_int64_is_config_error(tmp_path):
+    path = tmp_path / "big.off"
+    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "3 0 2 1\n3 0 1 3\n3 1 2 99999999999999999999\n3 0 3 2\n")
     rc, stdout, stderr, caught = run_quietly(["spectrum", "--model", "sl", "--mesh", str(path),
-                                              "--out", str(out)])
+                                              "--out", str(tmp_path / "out")])
     assert (rc, stdout, caught) == (2, "", [])
-    assert stderr == "ERR CONFIG: edge 0 from vertex 0 to 1 has a non-finite length inf\n"
-    assert not out.exists()
+    assert stderr == ("ERR CONFIG: face 2 has a vertex index outside [0, 4): "
+                      "[1, 2, 99999999999999999999]\n")
+
+
+def test_two_tetrahedra_on_one_vertex_fail_the_euler_check(tmp_path):
+    # every edge in two triangles, consistently oriented, but chi = 7 - 12 + 8 = 3
+    pos = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n-1 0 0\n0 -1 0\n0 0 -1\n"
+    faces = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2),
+             (0, 4, 5), (0, 6, 4), (4, 6, 5), (0, 5, 6)]
+    path = tmp_path / "two_tetra.off"
+    path.write_text("OFF\n7 8 12\n" + pos + "".join(f"3 {a} {b} {c}\n" for a, b, c in faces))
+    rc, stdout, stderr, caught = run_quietly(["spectrum", "--model", "sl", "--mesh", str(path),
+                                              "--out", str(tmp_path / "out")])
+    assert (rc, stdout, caught) == (2, "", [])
+    assert stderr == "ERR CONFIG: Euler characteristic 3 is not that of a closed surface\n"
 
 
 NUMERIC_KEYS = {   # each number-valued key and a command that takes it

@@ -10,8 +10,8 @@ import cylspec as cs
 from cylspec.cylinder import (CylinderOperator, CylinderSolution, _exp_moments,
                               _frame_grid, _frame_length, _lawson_march, _march_frame,
                               differentiate)
-from cylspec.errors import (ConfigError, ConvergenceFailure, CriticalWeight, InsufficientTail,
-                            PerturbationTooLarge)
+from cylspec.errors import (ConfigError, ConvergenceFailure, CriticalWeight,
+                            IllConditionedMatching, InsufficientTail, PerturbationTooLarge)
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +360,28 @@ def test_perturbation_too_large(torus_spec_15):
     op = CylinderOperator(torus_spec_15, 30.0, 0.01, pert)
     with pytest.raises(PerturbationTooLarge):
         cs.perturbed_kernel_count(op, 0.5, [])
+
+
+@pytest.mark.parametrize("small", [5e-6, 2e-5])
+def test_rank_near_the_threshold_is_ill_conditioned(torus_spec_15, monkeypatch, small):
+    # boundary singular values (1, small) against the threshold 1e-6: a kept
+    # value within 10x of it raises, one beyond 10x counts to the rank
+    op = CylinderOperator(torus_spec_15, 30.0, 0.01)
+
+    def planted_frame(op, cols):
+        frame = np.zeros((op.dim, cols.size))
+        frame[0, 0], frame[1, 1] = 1.0, small
+        return frame, (), 0.0, 0
+
+    monkeypatch.setattr(cs.cylinder, "_march_frame", planted_frame)
+    p = int(np.count_nonzero(torus_spec_15.eigenvalues < 0.5))
+    if small < 1e-5:
+        with pytest.raises(IllConditionedMatching):
+            cs.perturbed_kernel_count(op, 0.5, [0, 1])
+    else:
+        count = cs.perturbed_kernel_count(op, 0.5, [0, 1])
+        assert np.array_equal(count.singular_values, [1.0, small])
+        assert count.dimension == p - 2
 
 
 def test_boundary_set_recorded(torus_spec_15):

@@ -149,8 +149,8 @@ def reference_d1(surf):
 
 def reference_stars(surf, mode):
     """build_dec's Hodge stars, accumulated triangle by triangle."""
-    area, cot, _ = _triangle_geometry(surf)
-    s = surf.side_lengths()
+    _, s, area = surf.validate()
+    cot, _ = _triangle_geometry(s * s, area)
     tedges = surf.triangle_edges
     star0 = np.zeros(surf.n_vertices)
     star1 = np.zeros(surf.n_edges)

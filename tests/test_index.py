@@ -51,6 +51,18 @@ def test_is_critical_radius_guard(ends1):
         cs.is_critical(2.0, ends1)
 
 
+def test_radius_guards_allow_only_rounding(ends1):
+    # both guards forgive 1e-12 of the completeness radius, and no more
+    spec = ends1.ends[0]
+    radius = spec.completeness_radius
+    assert cs.is_critical(-radius * (1 + 1e-13), ends1) == [False]
+    assert cs.indicial_roots(spec, (-radius * (1 + 1e-13), 0.5))
+    with pytest.raises(WindowExceedsCutoff):
+        cs.is_critical(-radius * (1 + 1e-9), ends1)
+    with pytest.raises(WindowExceedsCutoff):
+        cs.indicial_roots(spec, (-radius * (1 + 1e-9), 0.5))
+
+
 def test_fredholm_index_values(ends1, ends2):
     assert cs.fredholm_index(-0.5, ends1).index == -2
     assert cs.fredholm_index(0.5, ends1).index == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
-from cylspec.errors import NonManifoldEdge
+from cylspec.errors import InputError, NonManifoldEdge
 from cylspec.lattice import TWO_PI
-from cylspec.mesh import _genus2_quads, _match_sides, _off_tokens
+from cylspec.mesh import MAX_EDGE_LENGTH, _genus2_quads, _match_sides, _off_tokens
 from tests.conftest import lattice_bases
 
 
@@ -97,10 +98,10 @@ def reference_read_faces(path) -> np.ndarray:
         cnt = int(tokens[pos])
         if cnt != 3:
             raise ValueError(f"face {f} has {cnt} vertices; only triangles are supported")
-        tris[f] = [int(t) for t in tokens[pos + 1:pos + 4]]
-        if tris[f].min() < 0 or tris[f].max() >= nv:
-            raise ValueError(f"face {f} has a vertex index outside [0, {nv}): "
-                             f"{tris[f].tolist()}")
+        tri = [int(t) for t in tokens[pos + 1:pos + 4]]
+        if min(tri) < 0 or max(tri) >= nv:
+            raise ValueError(f"face {f} has a vertex index outside [0, {nv}): {tri}")
+        tris[f] = tri
         pos += 4
     return tris
 
@@ -121,7 +122,7 @@ def test_off_malformed_faces_match_loop(tmp_path, faces):
     # exception and message, as the loop it replaced
     path = tmp_path / "bad.off"
     path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n" + "\n".join(faces) + "\n")
-    with pytest.raises((ValueError, OverflowError)) as want:
+    with pytest.raises(ValueError) as want:
         reference_read_faces(path)
     with pytest.raises(want.type) as got:
         cs.read_off(path)
@@ -177,6 +178,23 @@ def test_non_finite_geometry_rejected(bad):
     lengths = surf.edge_lengths.copy()
     lengths[surf.triangle_edges[4, 1]] = np.nan
     with pytest.raises(DegenerateTriangle, match="triangle 4 has"):
+        dataclasses.replace(surf, edge_lengths=lengths).validate()
+
+
+def test_edge_length_limit():
+    # at the limit Heron's formula stays in float range with no warning;
+    # just above it validate names the edge
+    surf = cs.parametric_torus_mesh(6, 4)
+    lengths = np.minimum(surf.edge_lengths * (MAX_EDGE_LENGTH / surf.edge_lengths.max()),
+                         MAX_EDGE_LENGTH)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, s, area = dataclasses.replace(surf, edge_lengths=lengths).validate()
+    assert s.max() == MAX_EDGE_LENGTH and np.all(np.isfinite(area) & (area > 0))
+    lengths[7] = np.nextafter(MAX_EDGE_LENGTH, np.inf)
+    u, v = surf.edges[7]
+    with pytest.raises(InputError, match=rf"^edge 7 from vertex {u} to {v} has a length above "
+                                         rf"1e\+75: 1\.0000000000000001e\+75$"):
         dataclasses.replace(surf, edge_lengths=lengths).validate()
 
 

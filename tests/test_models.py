@@ -83,6 +83,23 @@ def test_sl_model_on_triangulated_complex(square_t):
     assert cs.eigendecompose(model).d0() == 4
 
 
+@pytest.mark.parametrize("make, d0", [(lambda: cs.parametric_torus_mesh(12, 8), 4),
+                                      (cs.genus2_mesh, 6)], ids=["donut", "genus2"])
+def test_sl_mesh_spectrum_does_not_depend_on_the_unit(make, d0):
+    # a mesh scaled by s has the eigenvalues / s and the same decisions: the
+    # area floor of validate and the constants' tolerance are relative
+    surf = make()
+    unit = cs.eigendecompose(cs.build_sl_model(cs.build_dec(surf)))
+    assert unit.d0() == d0
+    for scale in (1e-3, 1e4):
+        scaled = cs.surface_from_triangles(surf.vertex_positions * scale, surf.triangles)
+        spec = cs.eigendecompose(cs.build_sl_model(cs.build_dec(scaled)))
+        assert spec.d0() == d0
+        assert [c.dim for c in spec.clusters] == [c.dim for c in unit.clusters]
+        drift = np.abs(spec.eigenvalues * scale - unit.eigenvalues).max()
+        assert drift <= 1e-13 * unit.spectral_radius
+
+
 def test_sl_nonzero_spectrum_matches_laplacians(sl16):
     cc, model = sl16
     spec = cs.eigendecompose(model)
