@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import (ConfigError, ConvergenceFailure, CriticalWeight, IllConditionedMatching,
                      InputError, InsufficientTail, PerturbationTooLarge)
@@ -151,10 +150,6 @@ class CylinderOperator:
                          f"the time grid (T = {self.t_final:g}, h = {self.step:g})")
         return np.linspace(0.0, n * self.step, n + 1)
 
-    def dirac_sigma(self) -> sparse.csr_matrix:
-        """D expressed in eigencoordinates: D = -J A."""
-        return -(self.base.jmat @ sparse.diags(self.base.eigenvalues)).tocsr()
-
     def check_weight(self, weight: float):
         if not np.isfinite(weight):
             raise InputError(f"weight must be finite, got {weight}")
@@ -212,8 +207,8 @@ def homogeneous_apply(spectrum: Spectrum, lam: float, j: int, nu: np.ndarray,
 
     profile = np.exp(lam * t) * t**j
     u = nu[:, None] * profile[None, :]
-    lhs = jmat @ differentiate(u, h) - jmat @ (lams[:, None] * u)   # J u' + D u, D = -J A
-    core = (lam * (jmat @ nu) - jmat @ (lams * nu))[:, None] * profile[None, :]
+    lhs = jmat @ (differentiate(u, h) - lams[:, None] * u)   # J u' + D u, D = -J A
+    core = (jmat @ (lam * nu - lams * nu))[:, None] * profile[None, :]
     if j > 0:
         core = core + (jmat @ nu)[:, None] * (j * np.exp(lam * t) * t**(j - 1))[None, :]
     residual = float(np.linalg.norm(lhs - core, axis=0).max())

@@ -160,8 +160,7 @@ def quad_torus_complex(torus: FlatTorus, n: int, m: int | None = None) -> Cochai
     Laplacian has exactly the same matrix as the primal one; this is the
     complex on which the block Dirac identity is exact.
     """
-    if m is None:
-        m = n
+    m = n if m is None else m
     if n < 2 or m < 2:
         raise InputError("need n, m >= 2")
     b = torus.basis
@@ -171,9 +170,7 @@ def quad_torus_complex(torus: FlatTorus, n: int, m: int | None = None) -> Cochai
     dy = float(np.linalg.norm(b[:, 1])) / m
     nm = n * m
 
-    def vid(i, j):
-        return (j % m) * n + (i % n)
-
+    vid = lambda i, j: (j % m) * n + (i % n)           # vertex (i, j)
     he = lambda i, j: (j % m) * n + (i % n)            # horizontal edge (i,j)->(i+1,j)
     ve = lambda i, j: nm + (j % m) * n + (i % n)       # vertical edge (i,j)->(i,j+1)
 

@@ -8,7 +8,8 @@ the vertex positions.  Flat-torus meshes override the lengths with the
 minimum-image convention, since a flat torus has no isometric embedding in
 R^3.  ``TriangulatedSurface.validate`` checks a surface and measures it once:
 the DEC complex is built from the side senses, lengths and areas it returns.
-Its metric tests are relative to the mesh's size, so any unit of length works.
+Its metric tests are relative to the mesh's size, so every edge length from
+MIN_EDGE_LENGTH to MAX_EDGE_LENGTH is measured alike, whatever its unit.
 """
 
 import re
@@ -21,6 +22,9 @@ from .lattice import TWO_PI, FlatTorus
 
 # the longest edge validate accepts; Heron's sp**4 leaves float range near 1e77
 MAX_EDGE_LENGTH = 1e75
+# the least longest side of a triangle it accepts: from there up, the area
+# floor 1e-12 sp**4 is a normal float, so an accepted area keeps its bits
+MIN_EDGE_LENGTH = 1e-73
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,8 @@ class TriangulatedSurface:
 
     def validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Check closedness, orientability, the Euler characteristic, edge
-        lengths up to MAX_EDGE_LENGTH and areas above 1e-6 sp^2 (sp the
+        lengths up to MAX_EDGE_LENGTH, a longest side of each triangle of
+        MIN_EDGE_LENGTH or more and areas above 1e-6 sp^2 (sp the
         semi-perimeter).  Returns the side senses (+1 where side k of triangle
         t runs along its edge, -1 against it) and side lengths, (n2, 3) like
         ``triangle_edges``, and the (n2,) areas."""
@@ -95,6 +100,11 @@ class TriangulatedSurface:
                     else f"a length above {MAX_EDGE_LENGTH:g}:")
             raise InputError(f"edge {e} from vertex {u} to {v} has {what} {length}")
         s = self.side_lengths()
+        longest = s.max(axis=1)
+        if np.any(longest < MIN_EDGE_LENGTH):   # False for NaN, left to the area test
+            t = int(np.argmax(longest < MIN_EDGE_LENGTH))
+            raise InputError(f"triangle {t} has no side of length {MIN_EDGE_LENGTH:g} "
+                             f"or more: the longest is {longest[t]}")
         a, b, c = s[:, 0], s[:, 1], s[:, 2]
         sp = 0.5 * (a + b + c)
         area_sq = sp * (sp - a) * (sp - b) * (sp - c)   # Heron
@@ -176,8 +186,7 @@ def triangulated_torus_mesh(torus: FlatTorus, n: int, m: int | None = None) -> T
     from the minimum-image convention in lattice coordinates; vertex positions
     are the unrolled fundamental domain at z=0 and are for reference only.
     """
-    if m is None:
-        m = n
+    m = n if m is None else m
     if n < 2 or m < 2 or m % 2 != 0:
         raise ValueError("need n >= 2 and even m >= 2 for a closed offset-row torus mesh")
 
@@ -278,11 +287,7 @@ def _genus2_quads() -> tuple[np.ndarray, np.ndarray]:
 def genus2_mesh() -> TriangulatedSurface:
     """Triangulated closed genus-2 surface (each boundary quad split in two)."""
     positions, quads = _genus2_quads()
-    tris = []
-    for (a, b, c, d) in quads:
-        tris.append((a, b, c))
-        tris.append((a, c, d))
-    surf = surface_from_triangles(positions, np.asarray(tris, dtype=int))
+    surf = surface_from_triangles(positions, quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
     if surf.genus != 2:
         raise NonManifoldEdge(f"voxel surface has genus {surf.genus}, expected 2")
     return surf
@@ -340,8 +345,7 @@ def read_off(path) -> TriangulatedSurface:
     if min(nv, nf) < 0 or len(tokens) < pos + 3 * nv + 4 * nf:
         raise InputError(f"truncated OFF file: {nv} vertices and {nf} triangles need "
                          f"{pos + 3 * nv + 4 * nf} tokens, found {len(tokens)}")
-    verts = _parsed(lambda t: np.asarray(t, dtype=float), tokens[pos:pos + 3 * nv])
-    verts = verts.reshape(nv, 3)
+    verts = _parsed(lambda t: np.asarray(t, dtype=float), tokens[pos:pos + 3 * nv]).reshape(nv, 3)
     pos += 3 * nv
     block = tokens[pos:pos + 4 * nf]
     try:

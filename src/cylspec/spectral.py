@@ -59,12 +59,12 @@ class Spectrum:
     @cached_property
     def root_tol(self) -> float:
         """Distance from a root within which a rate or weight is critical."""
-        return 1e-8 * max(self.spectral_radius, 1e-30)
+        return 1e-8 * max(self.spectral_radius, 1e-300)
 
     @cached_property
     def _d0(self) -> int:
         for c in self.clusters:
-            if abs(c.lam) <= max(self.cluster_tol, 1e-12):
+            if abs(c.lam) <= self.cluster_tol:
                 return c.dim
         return 0
 
@@ -145,13 +145,14 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     without one raises ValueError.  The eigenpairs are checked one column
     block at a time: for the block B on the rows R at the values Lam, every
     column of the residual J (D[:, R] B) - B Lam must have an M-norm below
-    1e-8 * max(1, spectral radius), and every column of B an M-norm within
+    1e-8 * spectral radius, and every column of B an M-norm within
     1e-8 of 1 (a rescaled eigenvector has no larger residual), or
     ConvergenceFailure is raised.  The residual is formed on row pieces
     (_residual_norms) of _RESIDUAL_COLUMNS columns of a block at a time, so
     no piece is wider than that; the torus J is a single term over all
     rows.  Clusters merge eigenvalues closer than cluster_tol = 1e-6 *
-    spectral radius.
+    spectral radius.  Every tolerance is relative to the spectral radius, so
+    a model whose D is scaled by 1/s gets the same decisions.
     """
     basis = model.eigenbasis
     if basis is None:
@@ -169,12 +170,13 @@ def eigendecompose(model: DiracModel) -> Spectrum:
                                                      vals[cols[chunk]]).max()))
         norms = np.einsum("i,ij,ij->j", model.mass[rows], block, block)
         norm_error = max(norm_error, float(np.abs(norms - 1.0).max(initial=0.0)))
-    if resid > 1e-8 * max(1.0, radius):
-        raise ConvergenceFailure(f"eigenpair residual {resid:.2e} exceeds 1e-8")
+    if resid > 1e-8 * max(radius, 1e-300):
+        raise ConvergenceFailure(f"eigenpair residual {resid:.2e} exceeds 1e-8 of the "
+                                 f"spectral radius {radius:.2e}")
     if norm_error > 1e-8:
         raise ConvergenceFailure(f"eigenvector M-norm off 1 by {norm_error:.2e}, above 1e-8")
 
-    cluster_tol = 1e-6 * max(radius, 1e-30)
+    cluster_tol = 1e-6 * max(radius, 1e-300)
     clusters = _cluster(vals, cluster_tol)
     return Spectrum(vals, clusters, model.completeness_radius, cluster_tol, basis=basis,
                     mass=model.mass, label=model.label, meta={"residual": resid})
@@ -192,7 +194,7 @@ def synthetic_spectrum(roots: list[tuple[float, int]],
         start += d
     radius = max((abs(l) for l, _ in roots), default=0.0)
     return Spectrum(eigs, tuple(clusters), float(completeness_radius),
-                    cluster_tol=1e-6 * max(radius, 1e-30), label="synthetic")
+                    cluster_tol=1e-6 * max(radius, 1e-300), label="synthetic")
 
 
 def indicial_roots(spectrum: Spectrum, window: tuple[float, float]) -> list[tuple[float, int]]:

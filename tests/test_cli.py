@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -629,6 +630,31 @@ def test_huge_off_vertex_is_config_error(tmp_path):
         assert (rc, stdout, caught) == (2, "", [])
         assert stderr == f"ERR CONFIG: edge 0 from vertex 0 to 1 has {length}\n"
         assert not out.exists()
+
+
+def test_scaled_off_keeps_its_clusters_or_is_config_error(tmp_path):
+    # the donut scaled by 1e32 has the unscaled cluster multiplicities (d0 = 4
+    # first); scaled by 1e-80 its triangles are below the side-length limit
+    surf = cs.parametric_torus_mesh(12, 8)
+    dims = {}
+    for scale in (1.0, 1e32, 1e-80):
+        path, out = tmp_path / f"donut_{scale:g}.off", tmp_path / f"out_{scale:g}"
+        path.write_text(f"OFF\n{surf.n_vertices} {surf.n_triangles} 0\n"
+                        + "".join(" ".join(map(repr, p)) + "\n"
+                                  for p in (surf.vertex_positions * scale).tolist())
+                        + "".join(f"3 {a} {b} {c}\n" for a, b, c in surf.triangles.tolist()))
+        rc, stdout, stderr, caught = run_quietly(["spectrum", "--model", "sl", "--mesh",
+                                                  str(path), "--out", str(out)])
+        if scale < 1.0:
+            assert (rc, stdout, caught) == (2, "", [])
+            assert re.fullmatch(r"ERR CONFIG: triangle \d+ has no side of length 1e-73 or "
+                                r"more: the longest is \S+\n", stderr)
+            continue
+        assert (rc, stderr, caught) == (0, "", [])
+        clusters = json.loads((out / "spectrum.json").read_text())["clusters"]
+        dims[scale] = [c["d"] for c in clusters]
+        assert [c["d"] for c in clusters if c["lambda"] == 0.0] == [4]
+    assert dims[1e32] == dims[1.0]
 
 
 def test_off_face_index_past_int64_is_config_error(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cylspec as cs
 from cylspec.errors import InputError, NonManifoldEdge
 from cylspec.lattice import TWO_PI
-from cylspec.mesh import MAX_EDGE_LENGTH, _genus2_quads, _match_sides, _off_tokens
+from cylspec.mesh import MAX_EDGE_LENGTH, MIN_EDGE_LENGTH, _genus2_quads, _match_sides, _off_tokens
 from tests.conftest import lattice_bases
 
 
@@ -196,6 +196,21 @@ def test_edge_length_limit():
     with pytest.raises(InputError, match=rf"^edge 7 from vertex {u} to {v} has a length above "
                                          rf"1e\+75: 1\.0000000000000001e\+75$"):
         dataclasses.replace(surf, edge_lengths=lengths).validate()
+
+
+def test_side_length_lower_limit():
+    # equilateral triangles with sides at the limit keep every bit of their
+    # area; a triangle whose sides are all below it is named
+    surf = cs.parametric_torus_mesh(6, 4)
+    at = dataclasses.replace(surf, edge_lengths=np.full(surf.n_edges, MIN_EDGE_LENGTH))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, area = at.validate()
+    assert np.allclose(area, np.sqrt(3) / 4 * MIN_EDGE_LENGTH**2, rtol=1e-15, atol=0)
+    below = float(np.nextafter(MIN_EDGE_LENGTH, 0.0))
+    with pytest.raises(InputError, match=rf"^triangle 0 has no side of length 1e-73 or more: "
+                                         rf"the longest is {re.escape(repr(below))}$"):
+        dataclasses.replace(surf, edge_lengths=np.full(surf.n_edges, below)).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,13 @@ def test_sl_model_on_triangulated_complex(square_t):
                                       (cs.genus2_mesh, 6)], ids=["donut", "genus2"])
 def test_sl_mesh_spectrum_does_not_depend_on_the_unit(make, d0):
     # a mesh scaled by s has the eigenvalues / s and the same decisions: the
-    # area floor of validate and the constants' tolerance are relative
+    # area floor of validate, the constants' tolerance and the spectrum's
+    # cluster and residual tolerances are relative, from edges near the
+    # lower limit of validate to edges near its upper one
     surf = make()
     unit = cs.eigendecompose(cs.build_sl_model(cs.build_dec(surf)))
     assert unit.d0() == d0
-    for scale in (1e-3, 1e4):
+    for scale in (1e-72, 1e-3, 1e4, 1e32, 1e74):
         scaled = cs.surface_from_triangles(surf.vertex_positions * scale, surf.triangles)
         spec = cs.eigendecompose(cs.build_sl_model(cs.build_dec(scaled)))
         assert spec.d0() == d0
