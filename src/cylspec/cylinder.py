@@ -18,7 +18,9 @@ march is a Lawson (integrating-factor) RK4: e^{-lam H} acts exactly and only
 the eps-small coupling is stepped.  Its steps grow like e^{-mu_pert t / 5} as
 the coupling decays; their number is predicted from RK4's H^4 error law and
 verified on a pair of levels, until the Richardson estimate is 8e-10 in
-principal angle, so that the frame's error is within 1e-9.
+principal angle, so that the frame's error is within 1e-9.  The frame is
+re-orthonormalized once its columns may have grown apart by 1e4, so each QR
+rounds its span by about 1e4 times the unit round-off, 2e-12.
 """
 
 import math
@@ -251,6 +253,27 @@ def _step_weights(moments: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return sum(moments[:, p, None] * table[:, p] for p in range(4))
 
 
+def _mode_recurrences(ut: np.ndarray, q: np.ndarray, lams: np.ndarray, h: float, nf: int):
+    """Fill ut (nt, dim), zero on entry, with the mode recurrences: the first nf
+    columns forward from u(0) = 0, u_k = e^{lam h} u_{k-1} + q_k, the rest
+    backward from u(T) = 0, u_{k-1} = e^{-lam h} (u_k - q_k).
+
+    Each step writes into a row view of ut in place.  The views live in this
+    frame only, so ut and q are not held past the caller's ``del``."""
+    grow = np.exp(lams[:nf] * h)
+    prev = ut[0, :nf]
+    for cur, qk in zip(ut[1:, :nf], q[1:, :nf]):
+        np.multiply(grow, prev, out=cur)
+        cur += qk
+        prev = cur
+    shrink = np.exp(-lams[nf:] * h)
+    nxt = ut[-1, nf:]
+    for cur, qk in zip(ut[-2::-1, nf:], q[:0:-1, nf:]):
+        np.subtract(nxt, qk, out=cur)
+        cur *= shrink
+        nxt = cur
+
+
 def solve_cylinder(op: CylinderOperator, rhs: np.ndarray, weight: float) -> CylinderSolution:
     """Weighted Green solve of the unperturbed cylinder equation.
 
@@ -294,12 +317,7 @@ def solve_cylinder(op: CylinderOperator, rhs: np.ndarray, weight: float) -> Cyli
     # the eigenvalues ascend: the forward modes are the first nf columns
     nf = int(np.count_nonzero(lams < weight))
     ut = np.zeros((nt, op.dim))
-    grow = np.exp(lams[:nf] * h)
-    for k in range(1, nt):
-        ut[k, :nf] = grow * ut[k - 1, :nf] + q[k, :nf]
-    shrink = np.exp(-lams[nf:] * h)
-    for k in range(nt - 1, 0, -1):
-        ut[k - 1, nf:] = shrink * (ut[k, nf:] - q[k, nf:])
+    _mode_recurrences(ut, q, lams, h, nf)
     del q   # freed before the copy and the residual's temporaries
     u = ut.T.copy()   # C order: the column norms below sum in memory order
     del ut
@@ -467,6 +485,13 @@ _FRAME_TOL = 1e-9
 _FRAME_ACCEPT = 0.8
 _FRAME_H0 = 0.5
 _FRAME_HALVINGS = 7
+# The march re-orthonormalizes its frame once spread * elapsed reaches this,
+# so its columns grow apart by at most 1e4 between QRs.  Householder QR is
+# backward stable: a QR after growth kappa rounds the span by about kappa u
+# (Higham 2002), here 1e4 * 1.1e-16 ~ 2e-12, more than two orders below
+# _FRAME_ACCEPT * _FRAME_TOL.  The march is linear, so a QR changes the
+# frame's basis, never its span.
+_FRAME_QR_LOG_GROWTH = math.log(1e4)
 
 
 def _frame_length(t_final: float, mu_pert: float) -> float:
@@ -508,8 +533,11 @@ def _lawson_march(z: np.ndarray, lams: np.ndarray, g: np.ndarray, pert: Perturba
     The c(t) factors and H are folded into per-step row scalings, computed
     for all steps at once, and the step runs in place on fixed buffers.  The
     frame is re-orthonormalized whenever spread * (time elapsed since the
-    last QR) reaches ln 10, spread being the eigenvalue spread of the marched
-    columns, and at the end."""
+    last QR) reaches _FRAME_QR_LOG_GROWTH = ln 1e4, spread being the
+    eigenvalue spread of the marched columns, and at the end.  Between QRs
+    the columns then grow apart by at most 1e4, so each QR rounds the span
+    by about 1e4 u ~ 2e-12 (u the unit round-off), far below the level
+    tolerance.  spread = inf takes a QR after every step."""
     hs = np.diff(tgrid)
     with np.errstate(over="ignore"):   # mu_pert t at -inf: the coupling e^{mu_pert t} is 0
         c = pert.eps * np.exp(pert.mu_pert * tgrid)
@@ -551,7 +579,7 @@ def _lawson_march(z: np.ndarray, lams: np.ndarray, g: np.ndarray, pert: Perturba
         znew += y3
         z, znew = znew, z
         elapsed += hs[k]
-        if spread * elapsed >= np.log(10.0):
+        if spread * elapsed >= _FRAME_QR_LOG_GROWTH:
             z, _ = np.linalg.qr(z)
             elapsed, qrs = 0.0, qrs + 1
     z, _ = np.linalg.qr(z)

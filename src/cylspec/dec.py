@@ -225,8 +225,12 @@ def laplacian1(cc: CochainComplex) -> SymmetricOperator:
 
 
 def numeric_kernel_dim(eigenvalues: np.ndarray) -> int:
-    """Scale-free count of the numerical kernel: eigenvalues below
-    1e-6 * (first eigenvalue above 1e-6)."""
+    """Count of the numerical kernel: eigenvalues below 1e-6 * (first
+    eigenvalue above 1e-6), all of them when none is above.
+
+    The reference is found against the absolute floor 1e-6, so the count
+    expects a unit-scale Laplacian: on a mesh scaled by 1e4 the smallest
+    nonzero eigenvalues fall below 1e-6 and count as kernel."""
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
     above = ev[ev > 1e-6]
     if above.size == 0:

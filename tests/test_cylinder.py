@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -120,6 +121,62 @@ def test_solve_matches_reference(torus_spec_15, torus_spec_25, data, cutoff, h, 
     err = (np.abs(sol.coeffs - ref).max(axis=0) * wfac).max()
     scale = (np.abs(ref).max(axis=0) * wfac).max()
     assert err <= 1e-14 * scale
+
+
+def reference_mode_march(ut, q, lams, h, nf):
+    """The mode recurrences as two loops over sliced rows: the reference for
+    the in-place row walk of ``cylinder._mode_recurrences``."""
+    nt = ut.shape[0]
+    grow = np.exp(lams[:nf] * h)
+    for k in range(1, nt):
+        ut[k, :nf] = grow * ut[k - 1, :nf] + q[k, :nf]
+    shrink = np.exp(-lams[nf:] * h)
+    for k in range(nt - 1, 0, -1):
+        ut[k - 1, nf:] = shrink * (ut[k, nf:] - q[k, nf:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5, 10.0)),
+       h=st.sampled_from((0.01, 0.05, 0.3)), seed=st.integers(0, 2**32 - 1))
+def test_solve_matches_reference_march(torus_spec_15, torus_spec_25, spec10, data, cutoff,
+                                       h, seed):
+    # solve_cylinder with its row walk against the same solve with the
+    # two-loop recurrences: coefficients, residual and weighted sup bitwise
+    spec = {1.5: torus_spec_15, 2.5: torus_spec_25, 10.0: spec10}[cutoff]
+    steps = data.draw(st.integers(math.ceil(1.0 / h - 1e-9), math.floor(12.0 / h + 1e-9)))
+    radius = spec.completeness_radius
+    # the ends of the range put every mode backward (nf = 0) or forward (nf = dim)
+    weight = data.draw(st.one_of(st.floats(-radius, radius),
+                                 st.sampled_from((-radius - 0.5, radius + 0.5))))
+    assume(np.abs(spec.eigenvalues - weight).min() >= 1e-3)
+    op = CylinderOperator(spec, steps * h, h)
+    f = np.random.default_rng(seed).standard_normal((op.dim, op.tgrid.size))
+    sol = cs.solve_cylinder(op, f, weight)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cs.cylinder, "_mode_recurrences", reference_mode_march)
+        ref = cs.solve_cylinder(op, f, weight)
+    assert np.array_equal(sol.coeffs, ref.coeffs)
+    assert sol.residual == ref.residual
+    assert sol.weighted_sup == ref.weighted_sup
+
+
+@pytest.mark.parametrize("weight", (0.5, -5.0, 5.0))
+def test_solve_peak_memory(spec10, weight):
+    # at the cylinder-end size (dim 148, 3001 nodes) the solve peaks at about
+    # 5.03 arrays of dim x nodes (17.9 MB).  Row views of ut and q left alive
+    # past the solve's ``del q`` keep both arrays through the copy and the
+    # residual: 7.03 arrays
+    op = CylinderOperator(spec10, 30.0, 0.01)
+    nt = op.tgrid.size
+    f = np.random.default_rng(1).standard_normal((op.dim, nt))
+    tracemalloc.start()
+    try:
+        sol = cs.solve_cylinder(op, f, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.coeffs.shape == (148, 3001)
+    assert peak <= 5.5 * op.dim * nt * 8
 
 
 def test_exp_moments_match_quadrature():
@@ -735,6 +792,37 @@ def test_march_level_count(spec10):
                                       negative_modes(spec10))
     assert sum(count.march_levels) <= 200
     assert count.march_estimate <= 1e-9
+    # a QR once the columns may have grown apart by 1e4: 24 QRs over the
+    # three levels; a QR at growth 10 takes 59
+    assert count.march_qr <= 30
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5, 10.0)), eps=st.floats(1e-4, 2e-2),
+       mu_pert=st.floats(-5.0, -0.1), seed=st.integers(0, 2**32 - 1))
+def test_march_qr_cadence_matches_qr_every_step(torus_spec_15, torus_spec_25, spec10, data,
+                                                cutoff, eps, mu_pert, seed):
+    # the march is linear, so its QRs change the frame's basis, not its span:
+    # on one grid, a QR at growth 1e4 and a QR after every step (spread = inf)
+    # give the same span to rounding (below 1e-14 on every draw tried)
+    spec = {1.5: torus_spec_15, 2.5: torus_spec_25, 10.0: spec10}[cutoff]
+    radius = spec.completeness_radius
+    weight = data.draw(st.floats(-radius, radius))
+    gap = np.abs(spec.eigenvalues - weight).min()
+    assume(gap >= 1e-3 and eps < 0.5 * gap)
+    cols = np.flatnonzero(spec.eigenvalues < weight)
+    assume(cols.size)
+    steps = data.draw(st.integers(16, 200))
+    pert = cs.make_perturbation(spec.dim, eps, mu_pert, seed)
+    z0 = np.zeros((spec.dim, cols.size))
+    z0[cols, np.arange(cols.size)] = 1.0
+    g = spec.jmat @ pert.coupling
+    tgrid = _frame_grid(30.0, mu_pert, steps)
+    z, _ = _lawson_march(z0, spec.eigenvalues, g, pert, tgrid,
+                         float(np.ptp(spec.eigenvalues[cols])))
+    every, qrs = _lawson_march(z0, spec.eigenvalues, g, pert, tgrid, np.inf)
+    assert qrs == steps + 1
+    assert np.linalg.norm(z - every @ (every.T @ z), 2) <= 1e-12
 
 
 def test_march_has_no_knife_edge(spec10):
