@@ -271,8 +271,10 @@ def cmd_cylinder_solve(cfg) -> int:
     f = spec.jmat @ g_true   # g = -(J f)  =>  f = -J^{-1} g = J g
     sol = solve_cylinder(op, f, weight)
     wfac = np.exp(-weight * t)
-    err = float((np.abs(sol.coeffs - u_true).max(axis=0) * wfac).max())
     scale = float((np.abs(u_true).max(axis=0) * wfac).max())
+    # the error |u - u_true| is formed in u_true's memory, the last use of it
+    np.subtract(sol.coeffs, u_true, out=u_true)
+    err = float((np.abs(u_true, out=u_true).max(axis=0) * wfac).max())
     rel = err / max(scale, 1e-300)
 
     out = cfg["out"]

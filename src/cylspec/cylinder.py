@@ -36,22 +36,59 @@ from .spectral import Spectrum
 # ---------------------------------------------------------------------------
 # uniform-grid differentiation, 4th order (one-sided at the boundaries)
 
-def differentiate(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dt along the last axis of a uniform grid; 4th-order stencils."""
+# grid points (the last axis) that differentiate and solve_cylinder take per
+# piece: no temporary of theirs is wider than this, whatever the grid's length
+_GRID_CHUNK = 256
+
+
+def _grid_chunks(start: int, stop: int) -> list[tuple[int, int]]:
+    """Spans (a, b) covering [start, stop) in near-equal pieces of at most
+    _GRID_CHUNK points.  No piece is 1 wide unless [start, stop) is: summed
+    over a one-column piece, a column norm would take numpy's pairwise order,
+    not the row-by-row order of the whole array's."""
+    n = stop - start
+    pieces = -(-n // _GRID_CHUNK)
+    return [(start + n * i // pieces, start + n * (i + 1) // pieces) for i in range(pieces)]
+
+
+def differentiate(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d/dt along the last axis of a uniform grid; 4th-order stencils.
+
+    Writes into ``out`` when given: a float array of the values' shape that
+    shares no memory with them (ValueError otherwise).  The interior stencil
+    runs in place, _GRID_CHUNK points at a time, so its one temporary is a
+    piece of that width."""
     u = np.asarray(values, dtype=float)
     n = u.shape[-1]
     if n < 5:
         raise InputError("need at least 5 grid points for the 4th-order stencil")
-    du = np.empty_like(u)
-    du[..., 2:-2] = (u[..., :-4] - 8 * u[..., 1:-3] + 8 * u[..., 3:-1] - u[..., 4:]) / (12 * h)
+    if out is None:
+        du = np.empty_like(u)
+    else:
+        du = out
+        if du.shape != u.shape or du.dtype != float:
+            raise ValueError(f"out is a {du.dtype} array of shape {du.shape}, expected "
+                             f"float of shape {u.shape}")
+        if np.shares_memory(du, u):
+            raise ValueError("out shares memory with the values")
+    scale = 12 * h
+    term = np.empty(u.shape[:-1] + (min(n - 4, _GRID_CHUNK),))
+    for a, b in _grid_chunks(2, n - 2):
+        d, t3 = du[..., a:b], term[..., :b - a]
+        np.multiply(8, u[..., a - 1:b - 1], out=d)
+        np.subtract(u[..., a - 2:b - 2], d, out=d)
+        np.multiply(8, u[..., a + 1:b + 1], out=t3)
+        d += t3
+        d -= u[..., a + 2:b + 2]
+        d /= scale
     du[..., 0] = (-25 * u[..., 0] + 48 * u[..., 1] - 36 * u[..., 2]
-                  + 16 * u[..., 3] - 3 * u[..., 4]) / (12 * h)
+                  + 16 * u[..., 3] - 3 * u[..., 4]) / scale
     du[..., 1] = (-3 * u[..., 0] - 10 * u[..., 1] + 18 * u[..., 2]
-                  - 6 * u[..., 3] + u[..., 4]) / (12 * h)
+                  - 6 * u[..., 3] + u[..., 4]) / scale
     du[..., -2] = (3 * u[..., -1] + 10 * u[..., -2] - 18 * u[..., -3]
-                   + 6 * u[..., -4] - u[..., -5]) / (12 * h)
+                   + 6 * u[..., -4] - u[..., -5]) / scale
     du[..., -1] = (25 * u[..., -1] - 48 * u[..., -2] + 36 * u[..., -3]
-                   - 16 * u[..., -4] + 3 * u[..., -5]) / (12 * h)
+                   - 16 * u[..., -4] + 3 * u[..., -5]) / scale
     return du
 
 
@@ -89,9 +126,9 @@ def make_perturbation(dim: int, eps: float, mu_pert: float, seed: int = 0) -> Pe
     return Perturbation(float(eps), float(mu_pert), int(seed), a0)
 
 
-# largest dim x points of a time grid: the Green solve holds a few dim x points
-# arrays and each level of the perturbed frame march six of dim x steps, 128 MB
-# each at this size (the cylinder-end bench runs 148 x 3001)
+# largest dim x points of a time grid: the Green solve holds three dim x points
+# arrays besides its rhs and each level of the perturbed frame march six of
+# dim x steps, 128 MB each at this size (the cylinder-end bench runs 148 x 3001)
 MAX_GRID_VALUES = 2 ** 24
 
 
@@ -258,8 +295,7 @@ def _mode_recurrences(ut: np.ndarray, q: np.ndarray, lams: np.ndarray, h: float,
     columns forward from u(0) = 0, u_k = e^{lam h} u_{k-1} + q_k, the rest
     backward from u(T) = 0, u_{k-1} = e^{-lam h} (u_k - q_k).
 
-    Each step writes into a row view of ut in place.  The views live in this
-    frame only, so ut and q are not held past the caller's ``del``."""
+    Each step writes into a row view of ut in place."""
     grow = np.exp(lams[:nf] * h)
     prev = ut[0, :nf]
     for cur, qk in zip(ut[1:, :nf], q[1:, :nf]):
@@ -274,6 +310,19 @@ def _mode_recurrences(ut: np.ndarray, q: np.ndarray, lams: np.ndarray, h: float,
         nxt = cur
 
 
+def _column_norms(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=0) of a C-ordered 2-D x, bitwise: the squares
+    are formed in ``scratch`` (at least rows x _GRID_CHUNK values) on pieces
+    of columns, each summed over the rows in memory order."""
+    rows, cols = x.shape
+    norms = np.empty(cols)
+    for a, b in _grid_chunks(0, cols):
+        sq = scratch[:rows * (b - a)].reshape(rows, b - a)
+        np.multiply(x[:, a:b], x[:, a:b], out=sq)
+        np.add.reduce(sq, axis=0, out=norms[a:b])
+    return np.sqrt(norms, out=norms)
+
+
 def solve_cylinder(op: CylinderOperator, rhs: np.ndarray, weight: float) -> CylinderSolution:
     """Weighted Green solve of the unperturbed cylinder equation.
 
@@ -285,6 +334,12 @@ def solve_cylinder(op: CylinderOperator, rhs: np.ndarray, weight: float) -> Cyli
     bounded.  Raises CriticalWeight when the weight hits an eigenvalue and
     InputError when the weight factor e^(-w t) is out of float range on
     [0, T].
+
+    Besides rhs, the solve holds three dim x nt arrays: g; the step
+    integrals q, whose memory then takes the returned coefficients u; and
+    the recurrences' transposed u, whose memory then takes u' and the
+    residual.  Every other temporary holds at most dim x _GRID_CHUNK or
+    nt values.
     """
     if op.perturbation is not None:
         raise ValueError("solve_cylinder handles the unperturbed operator only")
@@ -299,35 +354,44 @@ def solve_cylinder(op: CylinderOperator, rhs: np.ndarray, weight: float) -> Cyli
     if nt < 4:
         raise InputError("grid too short for the cubic interpolant")
 
-    g = -(op.base.jmat @ f)
+    g = op.base.jmat @ f
+    np.negative(g, out=g)
     lams = op.base.eigenvalues
     moments = _exp_moments(lams, h)
     w_int, w_first, w_last = (_step_weights(moments, h * np.array(nodes, dtype=float))
                               for nodes in ((-1, 0, 1, 2), (0, 1, 2, 3), (-2, -1, 0, 1)))
+    scratch = np.empty(op.dim * _GRID_CHUNK)
     # q[k, j]: integral over the step ending at t_k of e^{lam_j (t_k - s)} g_j(s) ds.
-    # Row 0 is unused: at nt rows q has the size of every other grid array, so
-    # the allocator can reuse its block.  The one-sided end steps are per-mode
-    # 4-term dots.
+    # Row 0 is unused: at nt rows q has room for u once the recurrences end.
+    # The one-sided end steps are per-mode 4-term dots; the interior sums its
+    # four terms in order, a piece of rows at a time.
     q = np.empty((nt, op.dim))
     q[1] = np.matmul(w_first[:, None, :], g[:, :4, None])[:, 0, 0]
     q[-1] = np.matmul(w_last[:, None, :], g[:, -4:, None])[:, 0, 0]
     gt = g.T
-    q[2:-1] = (w_int[:, 0] * gt[:-3] + w_int[:, 1] * gt[1:-2]
-               + w_int[:, 2] * gt[2:-1] + w_int[:, 3] * gt[3:])
+    for a, b in _grid_chunks(2, nt - 1):
+        rows, term = q[a:b], scratch[:(b - a) * op.dim].reshape(b - a, op.dim)
+        np.multiply(w_int[:, 0], gt[a - 2:b - 2], out=rows)
+        for p in range(1, 4):
+            np.multiply(w_int[:, p], gt[a - 2 + p:b - 2 + p], out=term)
+            rows += term
     # the eigenvalues ascend: the forward modes are the first nf columns
     nf = int(np.count_nonzero(lams < weight))
     ut = np.zeros((nt, op.dim))
     _mode_recurrences(ut, q, lams, h, nf)
-    del q   # freed before the copy and the residual's temporaries
-    u = ut.T.copy()   # C order: the column norms below sum in memory order
-    del ut
+    u = q.reshape(op.dim, nt)   # C order: the column norms below sum in memory order
+    np.copyto(u, ut.T)
 
+    resid = differentiate(u, h, out=ut.reshape(op.dim, nt))   # du - lams u - g, in place
+    for a, b in _grid_chunks(0, nt):
+        term = scratch[:op.dim * (b - a)].reshape(op.dim, b - a)
+        np.multiply(lams[:, None], u[:, a:b], out=term)
+        resid[:, a:b] -= term
+    resid -= g
     wfac = np.exp(-weight * t)
-    du = differentiate(u, h)
-    resid = du - lams[:, None] * u - g
-    scale = float((np.linalg.norm(g, axis=0) * wfac).max())
-    residual = float((np.linalg.norm(resid, axis=0) * wfac).max()) / max(scale, 1e-300)
-    weighted_sup = float((np.linalg.norm(u, axis=0) * wfac).max())
+    scale = float((_column_norms(g, scratch) * wfac).max())
+    residual = float((_column_norms(resid, scratch) * wfac).max()) / max(scale, 1e-300)
+    weighted_sup = float((_column_norms(u, scratch) * wfac).max())
     return CylinderSolution(u, t, float(weight), residual, weighted_sup, op.base)
 
 
@@ -400,7 +464,6 @@ def asymptotic_limit(sol: CylinderSolution, lam: float, lam1: float) -> Asymptot
         raise InsufficientTail(
             f"grid length {tfinal:.3g} is shorter than 20/|lam-lam1| = {20.0 / sep:.3g}")
     tail = t >= 0.75 * tfinal
-    fitwin = t >= 0.5 * tfinal
     if tail.sum() < 10 or sep * 0.5 * tfinal < np.log(10.0):
         raise InsufficientTail("tail window too short for a stable extraction")
 
@@ -411,9 +474,11 @@ def asymptotic_limit(sol: CylinderSolution, lam: float, lam1: float) -> Asymptot
         damped = sol.coeffs[cluster.start:cluster.stop, :] * np.exp(-lam * t)[None, :]
         coeff[cluster.start:cluster.stop] = damped[:, tail].mean(axis=1)
 
-    remainder = sol.coeffs - coeff[:, None] * np.exp(lam * t)[None, :]
-    rnorm = np.linalg.norm(remainder[:, fitwin], axis=0)
-    tfit = t[fitwin]
+    # the fit window t >= T/2 is a suffix of the ascending grid
+    start = int(np.searchsorted(t, 0.5 * tfinal))
+    tfit = t[start:]
+    remainder = sol.coeffs[:, start:] - coeff[:, None] * np.exp(lam * tfit)[None, :]
+    rnorm = np.linalg.norm(remainder, axis=0)
     floor = 1e-10 * np.linalg.norm(coeff) * np.exp(lam * tfit)
     good = rnorm > np.maximum(floor, 1e-280)
     if good.sum() >= 10:
@@ -475,8 +540,11 @@ class KernelCount:
 # drift reach 1.5e-12 over 40 random draws, 1e-9 kept it at 7.8e-14 on uniform
 # steps and 8.3e-14 on the graded grid.  _FRAME_H0 bounds the first level's step
 # in the graded variable s of _frame_grid; near t = 0 the step in t is about the
-# same.  The finest level, ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps, is
-# four times the finest needed at eps up to 0.2 and cutoffs up to 10 (T = 30).
+# same.  The finest level is ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps.  At
+# cutoff 10 and T = 30, a weight of 3.04 (0.04 above the root 3) with
+# eps = 8e-3, mu_pert = -2 and seed 1 needs 2048 steps (ceil(S / _FRAME_H0) = 5):
+# its levels 16, 32, 128, 512 and 2048 end on an estimate of 6.0e-10, where a
+# finest level of 640 steps (7 halvings) left 1.1e-7 and 1280 (8) left 4.0e-9.
 # A level is accepted once its estimate is _FRAME_ACCEPT * _FRAME_TOL: on the
 # first pair of levels (17 and 34 steps at cutoff 2.5) the H^4 law's next term
 # left an estimate of 9.85e-10 2% under the error against a march at four times
@@ -484,7 +552,7 @@ class KernelCount:
 _FRAME_TOL = 1e-9
 _FRAME_ACCEPT = 0.8
 _FRAME_H0 = 0.5
-_FRAME_HALVINGS = 7
+_FRAME_HALVINGS = 9
 # The march re-orthonormalizes its frame once spread * elapsed reaches this,
 # so its columns grow apart by at most 1e4 between QRs.  Householder QR is
 # backward stable: a QR after growth kappa rounds the span by about kappa u

@@ -147,6 +147,17 @@ def test_kernel_count_unsettled_frame_is_numeric(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "kernel_count.json").exists()
 
 
+def test_kernel_count_near_a_root_reaches_its_level(tmp_path, capsys):
+    # eps a fifth of the weight gap at cutoff 10: the march needs 2048 steps,
+    # where a finest level of 640 or 1280 steps exited 3
+    argv = ["kernel-count", "--cutoff", "10", "--weight", "3.04", "--seed", "1"]
+    assert main(argv + ["--eps", "8e-3", "--mu-pert=-2", "--out", str(tmp_path / "pert")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "free")]) == 0
+    rec, free = (json.loads((tmp_path / d / "kernel_count.json").read_text())
+                 for d in ("pert", "free"))
+    assert rec["dimension"] == free["dimension"] == 60
+
+
 def test_kernel_count_critical_weight(capsys):
     rc = main(["kernel-count", "--torus", SQ, "--cutoff", "1.5", "--weight", "1.0"])
     assert rc == 4

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
-from cylspec.cylinder import (CylinderOperator, CylinderSolution, _exp_moments,
-                              _frame_grid, _frame_length, _lawson_march, _march_frame,
-                              differentiate)
+from cylspec.cylinder import (_FRAME_HALVINGS, CylinderOperator, CylinderSolution,
+                              _exp_moments, _frame_grid, _frame_length, _lawson_march,
+                              _march_frame, differentiate)
 from cylspec.errors import (ConfigError, ConvergenceFailure, CriticalWeight,
                             IllConditionedMatching, InsufficientTail, PerturbationTooLarge)
 
@@ -160,12 +160,77 @@ def test_solve_matches_reference_march(torus_spec_15, torus_spec_25, spec10, dat
     assert sol.weighted_sup == ref.weighted_sup
 
 
+def reference_differentiate(u: np.ndarray, h: float) -> np.ndarray:
+    """The 4th-order stencils out of place: the reference for the in-place
+    interior of ``differentiate``."""
+    du = np.empty_like(u)
+    du[..., 2:-2] = (u[..., :-4] - 8 * u[..., 1:-3] + 8 * u[..., 3:-1] - u[..., 4:]) / (12 * h)
+    du[..., 0] = (-25 * u[..., 0] + 48 * u[..., 1] - 36 * u[..., 2]
+                  + 16 * u[..., 3] - 3 * u[..., 4]) / (12 * h)
+    du[..., 1] = (-3 * u[..., 0] - 10 * u[..., 1] + 18 * u[..., 2]
+                  - 6 * u[..., 3] + u[..., 4]) / (12 * h)
+    du[..., -2] = (3 * u[..., -1] + 10 * u[..., -2] - 18 * u[..., -3]
+                   + 6 * u[..., -4] - u[..., -5]) / (12 * h)
+    du[..., -1] = (25 * u[..., -1] - 48 * u[..., -2] + 36 * u[..., -3]
+                   - 16 * u[..., -4] + 3 * u[..., -5]) / (12 * h)
+    return du
+
+
+def reference_grid_solve(op: CylinderOperator, f: np.ndarray, weight: float):
+    """The Green solve on whole grid arrays, every temporary out of place:
+    (coefficients, residual, weighted sup), the reference for the pieces and
+    reused arrays of ``solve_cylinder``."""
+    g = -(op.base.jmat @ f)
+    lams, h, t = op.base.eigenvalues, op.step, op.tgrid
+    nt = t.size
+    moments = _exp_moments(lams, h)
+    w_int, w_first, w_last = (cs.cylinder._step_weights(moments, h * np.array(nodes, float))
+                              for nodes in ((-1, 0, 1, 2), (0, 1, 2, 3), (-2, -1, 0, 1)))
+    q = np.empty((nt, op.dim))
+    q[1] = np.matmul(w_first[:, None, :], g[:, :4, None])[:, 0, 0]
+    q[-1] = np.matmul(w_last[:, None, :], g[:, -4:, None])[:, 0, 0]
+    gt = g.T
+    q[2:-1] = (w_int[:, 0] * gt[:-3] + w_int[:, 1] * gt[1:-2]
+               + w_int[:, 2] * gt[2:-1] + w_int[:, 3] * gt[3:])
+    ut = np.zeros((nt, op.dim))
+    reference_mode_march(ut, q, lams, h, int(np.count_nonzero(lams < weight)))
+    u = ut.T.copy()
+    wfac = np.exp(-weight * t)
+    resid = reference_differentiate(u, h) - lams[:, None] * u - g
+    scale = float((np.linalg.norm(g, axis=0) * wfac).max())
+    residual = float((np.linalg.norm(resid, axis=0) * wfac).max()) / max(scale, 1e-300)
+    return u, residual, float((np.linalg.norm(u, axis=0) * wfac).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), cutoff=st.sampled_from((1.5, 2.5, 10.0)),
+       h=st.sampled_from((0.01, 0.05, 0.3)), seed=st.integers(0, 2**32 - 1))
+def test_solve_matches_whole_grid_reference(torus_spec_15, torus_spec_25, spec10, data,
+                                            cutoff, h, seed):
+    # grids from 5 points to past 4 pieces of _GRID_CHUNK: bitwise equal
+    spec = {1.5: torus_spec_15, 2.5: torus_spec_25, 10.0: spec10}[cutoff]
+    steps = data.draw(st.integers(4, min(1100, math.floor(12.0 / h + 1e-9))))
+    radius = spec.completeness_radius
+    weight = data.draw(st.one_of(st.floats(-radius, radius),
+                                 st.sampled_from((-radius - 0.5, radius + 0.5))))
+    assume(np.abs(spec.eigenvalues - weight).min() >= 1e-3)
+    op = CylinderOperator(spec, steps * h, h)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((op.dim, op.tgrid.size)) * np.exp(rng.uniform(-20, 20))
+    sol = cs.solve_cylinder(op, f, weight)
+    u, residual, weighted_sup = reference_grid_solve(op, f, weight)
+    assert np.array_equal(sol.coeffs, u)
+    assert sol.residual == residual
+    assert sol.weighted_sup == weighted_sup
+
+
 @pytest.mark.parametrize("weight", (0.5, -5.0, 5.0))
 def test_solve_peak_memory(spec10, weight):
-    # at the cylinder-end size (dim 148, 3001 nodes) the solve peaks at about
-    # 5.03 arrays of dim x nodes (17.9 MB).  Row views of ut and q left alive
-    # past the solve's ``del q`` keep both arrays through the copy and the
-    # residual: 7.03 arrays
+    # at the cylinder-end size (dim 148, 3001 nodes) the solve holds three
+    # arrays of dim x nodes (g, q then u, ut then the residual) and pieces of
+    # dim x 256: a peak of 3.24 arrays (11.5 MB).  One more grid-sized
+    # temporary beside the three (an out-of-place stencil, residual term or
+    # column norm) takes it past 4
     op = CylinderOperator(spec10, 30.0, 0.01)
     nt = op.tgrid.size
     f = np.random.default_rng(1).standard_normal((op.dim, nt))
@@ -176,7 +241,7 @@ def test_solve_peak_memory(spec10, weight):
     finally:
         tracemalloc.stop()
     assert sol.coeffs.shape == (148, 3001)
-    assert peak <= 5.5 * op.dim * nt * 8
+    assert peak <= 3.5 * op.dim * nt * 8
 
 
 def test_exp_moments_match_quadrature():
@@ -196,6 +261,43 @@ def test_differentiate_fourth_order():
     u = np.exp(-t) * np.cos(3 * t)
     du = -np.exp(-t) * np.cos(3 * t) - 3 * np.exp(-t) * np.sin(3 * t)
     assert np.abs(differentiate(u, t[1] - t[0]) - du).max() <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from((None, 1, 3)), n=st.integers(5, 700),
+       step=st.sampled_from((1, 2, 3)), transpose=st.booleans(), strided_out=st.booleans(),
+       h=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_differentiate_out_matches_reference(rows, n, step, transpose, strided_out, h, seed):
+    # 1-D and 2-D values, strided along the grid and across it, past several
+    # pieces of the in-place interior: bitwise the out-of-place stencils
+    rng = np.random.default_rng(seed)
+    shape = (n * step,) if rows is None else (rows, n * step)
+    if rows is not None and transpose:
+        shape = shape[::-1]
+    base = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+    if rows is None:
+        u = base[::step]
+    elif transpose:
+        u = base[::step].T
+    else:
+        u = base[:, ::step]
+    assert u.shape[-1] == n
+    ref = reference_differentiate(u, h)
+    out = np.full(u.shape[:-1] + (2 * n,), np.nan)[..., ::2] if strided_out else np.empty(u.shape)
+    assert differentiate(u, h, out=out) is out
+    assert np.array_equal(out, ref)
+    assert np.array_equal(differentiate(u, h), ref)
+
+
+def test_differentiate_out_must_not_alias_values():
+    grid = np.random.default_rng(3).standard_normal((2, 50))
+    u = grid[:, :40]
+    for out in (u, u[:, ::-1], grid[:, 10:]):
+        with pytest.raises(ValueError, match="shares memory"):
+            differentiate(u, 0.1, out=out)
+    with pytest.raises(ValueError, match="shape"):
+        differentiate(u, 0.1, out=np.empty((2, 41)))
+    differentiate(grid[:, :20], 0.1, out=grid[:, 20:40])   # disjoint pieces of one array
 
 
 def test_reduction_identity(op15):
@@ -327,6 +429,20 @@ def test_asymptotic_limit_rate_above_rounding_floor(torus_spec_15):
     lim = cs.asymptotic_limit(CylinderSolution(u, t, 0.0, 0.0, 0.0, spec), 0.0, -1.0)
     assert np.abs(lim.coefficient - nu0).max() <= 1e-12
     assert abs(lim.fitted_rate + 1.0) <= 1e-6
+
+
+def test_asymptotic_limit_averages_the_final_quarter(op15):
+    # a cluster coefficient that grows linearly in t: its average, and so the
+    # extracted coefficient, names the window it is taken over
+    spec = op15.base
+    t = op15.tgrid
+    c0 = spec.cluster_at(0.0)
+    nu0 = np.zeros(spec.dim)
+    nu0[c0.start:c0.stop] = (1.0, -2.0, 0.5, 3.0)
+    u = nu0[:, None] * (1.0 + t)[None, :]
+    lim = cs.asymptotic_limit(CylinderSolution(u, t, 0.0, 0.0, 0.0, spec), 0.0, -1.0)
+    want = nu0 * (1.0 + t[t >= 0.75 * t[-1]]).mean()
+    assert np.abs(lim.coefficient - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_asymptotic_limit_fast_decay_maps_to_zero(op15):
@@ -856,7 +972,7 @@ def test_frame_march_cap_is_finest_level(torus_spec_15, monkeypatch):
     op = CylinderOperator(torus_spec_15, 5.0, 0.01, pert)
     with pytest.raises(ConvergenceFailure):
         cs.perturbed_kernel_count(op, 0.5, negative_modes(torus_spec_15))
-    assert marched[-1] == math.ceil(_frame_length(5.0, -1.0) / 0.5) * 2**7
+    assert marched[-1] == math.ceil(_frame_length(5.0, -1.0) / 0.5) * 2**_FRAME_HALVINGS
     assert all(n < m <= 4 * n for n, m in zip(marched, marched[1:]))
 
 
