@@ -7,16 +7,15 @@ per-mode solvers for the translation-invariant half-cylinder operator.
 
 from . import errors
 from .cylinder import (CylinderOperator, CylinderSolution, Perturbation,
-                       asymptotic_limit, extend_with_cutoff, homogeneous_apply,
-                       kernel_in_window, make_perturbation,
-                       perturbed_kernel_count, smoothstep, solve_cylinder)
+                       asymptotic_limit, kernel_in_window, make_perturbation,
+                       perturbed_kernel_count, solve_cylinder)
 from .dec import (CochainComplex, SymmetricOperator, build_dec,
                   genus2_quad_complex, laplacian0, laplacian0_dual, laplacian1,
-                  numeric_kernel_dim, quad_torus_complex, smallest_eigenvalues)
+                  quad_torus_complex, smallest_eigenvalues)
 from .index import (EndSystem, IndexReport, SymplecticKernel,
                     fixed_moduli_vdim, fredholm_index, is_critical,
-                    is_lagrangian, stratum_vdim, symplectic_form,
-                    varying_moduli_vdim, wall_crossing)
+                    is_lagrangian, symplectic_form, varying_moduli_vdim,
+                    wall_crossing)
 from .lattice import FlatTorus, dual_lattice_points, square_torus, torus_fourier_spectrum
 from .mesh import (TriangulatedSurface, genus2_mesh, parametric_torus_mesh,
                    read_off, surface_from_triangles, triangulated_torus_mesh,

@@ -92,12 +92,6 @@ def differentiate(values: np.ndarray, h: float, out: np.ndarray | None = None) -
     return du
 
 
-def smoothstep(x):
-    """C^1 cutoff profile: 0 for x <= 0, 1 for x >= 1, 3x^2 - 2x^3 between."""
-    t = np.clip(x, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
 # ---------------------------------------------------------------------------
 # operator
 
@@ -207,51 +201,6 @@ class CylinderSolution:
     residual: float          # weighted relative residual of the mode equations
     weighted_sup: float      # sup_t |e^{-w t} u(t)|
     spectrum: Spectrum
-
-
-# ---------------------------------------------------------------------------
-# identity check for homogeneous sections
-
-@dataclass(frozen=True)
-class HomogeneousApply:
-    identity_residual: float
-    apply_norms: np.ndarray
-    tgrid: np.ndarray
-
-    @property
-    def sup_apply(self) -> float:
-        return float(self.apply_norms.max())
-
-
-def homogeneous_apply(spectrum: Spectrum, lam: float, j: int, nu: np.ndarray,
-                      t_samples: np.ndarray) -> HomogeneousApply:
-    """Apply the cylinder operator to e^{lam t} t^j nu and compare with the
-    product-rule expansion; the time derivative uses the grid stencil, so the
-    residual measures stencil error only (near zero for smooth data).
-
-    nu is a mode-coefficient vector.  For j = 0 and nu in the lam-cluster the
-    section is an exact kernel element; for j >= 1 the polynomial factor
-    obstructs the kernel equation by j e^{lam t} t^{j-1} J nu.
-    """
-    if j < 0:
-        raise ValueError("polynomial degree j must be >= 0")
-    if spectrum.jmat is None:
-        raise ValueError("spectrum carries no jmat")
-    t = np.asarray(t_samples, dtype=float)
-    h = t[1] - t[0]
-    if np.abs(np.diff(t) - h).max() > 1e-12 * max(h, 1.0):
-        raise ValueError("t_samples must be uniform")
-    nu = np.asarray(nu, dtype=float)
-    jmat, lams = spectrum.jmat, spectrum.eigenvalues
-
-    profile = np.exp(lam * t) * t**j
-    u = nu[:, None] * profile[None, :]
-    lhs = jmat @ (differentiate(u, h) - lams[:, None] * u)   # J u' + D u, D = -J A
-    core = (jmat @ (lam * nu - lams * nu))[:, None] * profile[None, :]
-    if j > 0:
-        core = core + (jmat @ nu)[:, None] * (j * np.exp(lam * t) * t**(j - 1))[None, :]
-    residual = float(np.linalg.norm(lhs - core, axis=0).max())
-    return HomogeneousApply(residual, np.linalg.norm(core, axis=0), t)
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +436,6 @@ def asymptotic_limit(sol: CylinderSolution, lam: float, lam1: float) -> Asymptot
     else:
         rate = None
     return AsymptoticLimit(coeff, rate, float(lam))
-
-
-def extend_with_cutoff(limit: AsymptoticLimit, tgrid: np.ndarray, t0: float) -> np.ndarray:
-    """Cutoff extension of a limit coefficient back to the grid:
-    chi(t - t0) e^{lam t} coeff, with the smoothstep profile chi."""
-    t = np.asarray(tgrid, dtype=float)
-    chi = smoothstep(t - t0)
-    return limit.coefficient[:, None] * (chi * np.exp(limit.lam * t))[None, :]
 
 
 # ---------------------------------------------------------------------------

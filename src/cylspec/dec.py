@@ -65,10 +65,6 @@ class SymmetricOperator:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def symmetry_residual(self) -> float:
-        m = sparse.diags(self.mass) @ self.matrix
-        return float(np.abs((m - m.T).toarray()).max())
-
 
 def _incidence_d0(edges, n0: int) -> sparse.csr_matrix:
     """Signed vertex-edge incidence: row e is -1 at the tail and +1 at the head
@@ -222,20 +218,6 @@ def laplacian1(cc: CochainComplex) -> SymmetricOperator:
     up = sparse.diags(1.0 / cc.star1) @ cc.d1.T @ sparse.diags(cc.star2) @ cc.d1
     down = cc.d0 @ sparse.diags(1.0 / cc.star0) @ cc.d0.T @ sparse.diags(cc.star1)
     return SymmetricOperator((up + down).tocsr(), cc.star1)
-
-
-def numeric_kernel_dim(eigenvalues: np.ndarray) -> int:
-    """Count of the numerical kernel: eigenvalues below 1e-6 * (first
-    eigenvalue above 1e-6), all of them when none is above.
-
-    The reference is found against the absolute floor 1e-6, so the count
-    expects a unit-scale Laplacian: on a mesh scaled by 1e4 the smallest
-    nonzero eigenvalues fall below 1e-6 and count as kernel."""
-    ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    above = ev[ev > 1e-6]
-    if above.size == 0:
-        return int(ev.size)
-    return int(np.count_nonzero(ev < 1e-6 * above[0]))
 
 
 def mass_eigh(stiff: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -184,13 +184,6 @@ def varying_moduli_vdim(ends: EndSystem) -> int:
     return sum(_half_d0(spec, f"end {i}: ") for i, spec in enumerate(ends.ends))
 
 
-def stratum_vdim(stratum_dim: int, end: Spectrum) -> int:
-    """Index restricted to a stratum of cross-sections: stratum_dim - d_0/2."""
-    if stratum_dim < 0:
-        raise ValueError("stratum dimension must be >= 0")
-    return int(stratum_dim) - _half_d0(end)
-
-
 # ---------------------------------------------------------------------------
 # symplectic pairing on the zero-rate kernel
 

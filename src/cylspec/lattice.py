@@ -65,7 +65,8 @@ def _reduced_basis(dual: np.ndarray):
 
 
 def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
-    """All dual lattice vectors k with |k|^2 <= cutoff (closed ball), k=0 included.
+    """All dual lattice vectors k with |k|^2 <= cutoff (closed ball, up to a
+    relative 1e-9), k=0 included.
 
     Exactly one representative per antipodal pair is returned, with k=0 first;
     pairs are ordered by |k|^2 then lexicographically, so the output is
@@ -89,7 +90,9 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     # k and |k|^2 by the same matmul calls per point as a loop over k = dual @ n
     k = np.matmul(dual, n.astype(float)[:, :, None])[:, :, 0]
     kk = np.matmul(k[:, None, :], k[:, :, None])[:, 0, 0]
-    inside = kk <= cutoff
+    # a point on the sphere |k|^2 = cutoff is kept whatever the rounding of the
+    # dual basis, to the tolerance torus_fourier_spectrum merges eigenvalues by
+    inside = kk <= cutoff + 1e-9 * max(1.0, cutoff)
     k, kk = k[inside], kk[inside]
     order = np.lexsort((k[:, 1], k[:, 0], kk))
     return np.vstack([np.zeros((1, 2)), k[order]])

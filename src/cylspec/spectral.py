@@ -87,10 +87,6 @@ class Spectrum:
         """Roots (lam, d_lam) with lam strictly inside (lo, hi), ascending."""
         return [(c.lam, c.dim) for c in self.clusters if lo < c.lam < hi and c.dim > 0]
 
-    def multiplicity_between(self, lo: float, hi: float) -> int:
-        """Sum of d_lam over roots lam strictly inside (lo, hi)."""
-        return sum(d for _, d in self.roots_between(lo, hi))
-
     def nearest_root(self, x: float) -> tuple[float, float]:
         """The nearest root and its distance from x; of two equally near
         roots, the lower one."""

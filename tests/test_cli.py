@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -126,6 +127,21 @@ def test_cylinder_solve_command(tmp_path, capsys):
     assert (tmp_path / "cylinder_modes.csv").exists()
 
 
+def test_cylinder_solve_command_memory(tmp_path, capsys):
+    # besides the solve's own 3.24 grid arrays of dim 148 x 3001, the command
+    # holds only the right-hand side: the manufactured profile is one row and
+    # the CSV is written in pieces (it held 6.3 arrays with both as full grids)
+    main(["cylinder-solve", "--cutoff", "1.5", "--out", str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        rc = main(["cylinder-solve", "--cutoff", "10", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 4.75 * 148 * 3001 * 8
+
+
 def test_kernel_count_command(tmp_path, capsys):
     rc = main(["kernel-count", "--torus", SQ, "--cutoff", "1.5", "--weight", "0.5",
                "--eps", "0.001", "--mu-pert", "-1", "--seed", "11",
@@ -172,10 +188,20 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_json_determinism(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["spectrum", "--torus", SQ, "--cutoff", "2.5", "--out", str(out)]) == 0
-    assert (out1 / "spectrum.json").read_bytes() == (out2 / "spectrum.json").read_bytes()
+    # identical configs write byte-identical JSON and CSV; cutoff 10 is the
+    # Green solve at the cylinder-end bench size, dim 148 x 3001 nodes
+    runs = [(["spectrum", "--torus", SQ, "--cutoff", "2.5"], ["spectrum.json"]),
+            (["cylinder-solve", "--cutoff", "1.5", "--weight=-0.5", "--T", "45"],
+             ["cylinder_solve.json", "cylinder_modes.csv"]),
+            (["cylinder-solve", "--cutoff", "10"], ["cylinder_solve.json", "cylinder_modes.csv"]),
+            (["kernel-count", "--cutoff", "1.5", "--weight", "0.5", "--eps", "1e-3",
+              "--mu-pert=-1", "--seed", "11", "--boundary", "negative"], ["kernel_count.json"])]
+    for i, (argv, files) in enumerate(runs):
+        out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+        for out in (out1, out2):
+            assert main(argv + ["--out", str(out)]) == 0
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_reproduce_tori(capsys):
@@ -644,11 +670,11 @@ def test_huge_off_vertex_is_config_error(tmp_path):
 
 
 def test_scaled_off_keeps_its_clusters_or_is_config_error(tmp_path):
-    # the donut scaled by 1e32 has the unscaled cluster multiplicities (d0 = 4
-    # first); scaled by 1e-80 its triangles are below the side-length limit
+    # the donut scaled by 1e4 or 1e32 has the unscaled cluster multiplicities
+    # (d0 = 4 first); scaled by 1e-80 its triangles are below the side-length limit
     surf = cs.parametric_torus_mesh(12, 8)
     dims = {}
-    for scale in (1.0, 1e32, 1e-80):
+    for scale in (1.0, 1e4, 1e32, 1e-80):
         path, out = tmp_path / f"donut_{scale:g}.off", tmp_path / f"out_{scale:g}"
         path.write_text(f"OFF\n{surf.n_vertices} {surf.n_triangles} 0\n"
                         + "".join(" ".join(map(repr, p)) + "\n"
@@ -665,7 +691,7 @@ def test_scaled_off_keeps_its_clusters_or_is_config_error(tmp_path):
         clusters = json.loads((out / "spectrum.json").read_text())["clusters"]
         dims[scale] = [c["d"] for c in clusters]
         assert [c["d"] for c in clusters if c["lambda"] == 0.0] == [4]
-    assert dims[1e32] == dims[1.0]
+    assert dims[1e4] == dims[1e32] == dims[1.0]
 
 
 def test_off_face_index_past_int64_is_config_error(tmp_path):

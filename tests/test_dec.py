@@ -39,12 +39,24 @@ def test_barycentric_star0_partitions_area(square_t):
     assert abs(cc.star0.sum() - square_t.area) <= 1e-9
 
 
+def symmetry_residual(op):
+    """Largest entry of M A - (M A)^T for the operator's diagonal mass M."""
+    m = sparse.diags(op.mass) @ op.matrix
+    return float(np.abs((m - m.T).toarray()).max())
+
+
+def kernel_dim(eigenvalues):
+    """Eigenvalues below 1e-6 times the first eigenvalue above 1e-6."""
+    ev = np.sort(eigenvalues)
+    return int(np.count_nonzero(ev < 1e-6 * ev[ev > 1e-6][0]))
+
+
 def test_laplacian_symmetry_and_kernel(square_t):
     cc = cs.build_dec(cs.triangulated_torus_mesh(square_t, 8))
     l0 = cs.laplacian0(cc)
     l1 = cs.laplacian1(cc)
-    assert l0.symmetry_residual() <= 1e-10
-    assert l1.symmetry_residual() <= 1e-10
+    assert symmetry_residual(l0) <= 1e-10
+    assert symmetry_residual(l1) <= 1e-10
     # constants in the kernel of l0
     const = np.ones(cc.n0)
     assert np.abs(l0.toarray() @ const).max() <= 1e-10
@@ -91,10 +103,10 @@ def test_refinement_monotone(square_t):
 def test_harmonic_kernel_dims(square_t):
     cc1 = cs.build_dec(cs.triangulated_torus_mesh(square_t, 8))
     ev1 = laplace_eigs_dense(cs.laplacian1(cc1), 6)
-    assert cs.numeric_kernel_dim(ev1) == 2
+    assert kernel_dim(ev1) == 2
     cc2 = cs.build_dec(cs.genus2_mesh())
     ev2 = laplace_eigs_dense(cs.laplacian1(cc2), 8)
-    assert cs.numeric_kernel_dim(ev2) == 4
+    assert kernel_dim(ev2) == 4
 
 
 def test_quad_torus_self_dual(square_t):
@@ -112,12 +124,6 @@ def test_quad_rectangular_torus():
     assert abs(ev[0]) <= 1e-8
     assert ev[1] == pytest.approx(0.25, rel=0.02)
     assert ev[2] == pytest.approx(0.25, rel=0.02)
-
-
-def test_numeric_kernel_gap_rule():
-    assert cs.numeric_kernel_dim(np.array([1e-14, 1e-13, 0.5, 1.0])) == 2
-    assert cs.numeric_kernel_dim(np.array([1e-3, 0.5, 1.0])) == 0
-    assert cs.numeric_kernel_dim(np.array([1e-12, 1e-11])) == 2
 
 
 def test_inconsistent_incidence_rejected(square_t):

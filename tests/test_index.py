@@ -183,7 +183,7 @@ def test_fixed_plus_varying_difference(ends1):
     # fixed(mu) + varying = -(sum of multiplicities in (mu, 0))
     for mu in (-0.5, -1.2, -1.45):
         lhs = cs.fixed_moduli_vdim(mu, ends1) + cs.varying_moduli_vdim(ends1)
-        rhs = -ends1.ends[0].multiplicity_between(mu, 0.0)
+        rhs = -sum(d for _, d in ends1.ends[0].roots_between(mu, 0.0))
         assert lhs == rhs
 
 
@@ -195,12 +195,6 @@ def test_signs_always(ends1):
             continue
         assert cs.fixed_moduli_vdim(mu, ends1) <= 0
     assert cs.varying_moduli_vdim(ends1) >= 0
-
-
-def test_stratum_vdim(torus_spec_25, sl16_spec):
-    assert cs.stratum_vdim(4, torus_spec_25) == 2
-    assert cs.stratum_vdim(2, torus_spec_25) == 0
-    assert cs.stratum_vdim(0, sl16_spec) == -2
 
 
 def quaternion_k_pairing():

@@ -97,7 +97,7 @@ def test_spectrum_properties_random_lattices():
 def reference_dual_lattice_points(torus, cutoff):
     """The integer-box loop dual_lattice_points replaced: every n in
     [-nmax, nmax]^2 with n1 > 0 or (n1 = 0, n2 > 0), kept when
-    |dual @ n|^2 <= cutoff, sorted by (|k|^2, k)."""
+    |dual @ n|^2 <= cutoff up to a relative 1e-9, sorted by (|k|^2, k)."""
     dual = torus.dual_basis
     smin = np.linalg.svd(dual, compute_uv=False)[-1]
     nmax = int(np.ceil(np.sqrt(cutoff) / smin)) + 1
@@ -109,7 +109,7 @@ def reference_dual_lattice_points(torus, cutoff):
             if n1 < 0 or (n1 == 0 and n2 < 0):
                 continue
             k = dual @ (n1, n2)
-            if float(k @ k) <= cutoff:
+            if float(k @ k) <= cutoff + 1e-9 * max(1.0, cutoff):
                 reps.append(k)
     reps.sort(key=lambda k: (float(k @ k), k[0], k[1]))
     return np.vstack([np.zeros((1, 2))] + [r.reshape(1, 2) for r in reps])
@@ -137,3 +137,22 @@ def test_dual_lattice_points_reduction_tie(entries):
         want = reference_dual_lattice_points(torus, cutoff)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+
+
+_INTEGER_2X2 = np.stack(np.meshgrid(*[np.arange(-10, 11)] * 4, indexing="ij"),
+                       axis=-1).reshape(-1, 2, 2)
+# the 2024 integer matrices with entries in [-10, 10] and determinant +-1
+UNIMODULAR = list(_INTEGER_2X2[np.abs(np.linalg.det(_INTEGER_2X2).round()) == 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(UNIMODULAR), st.integers(min_value=2, max_value=60))
+def test_unimodular_basis_change_keeps_the_spectrum(u, twice_cutoff):
+    # B U spans the same lattice as B; the dual basis 2 pi inv((B U)^T)
+    # carries rounding, so at an integer cutoff lattice points on the sphere
+    # |k|^2 = cutoff once fell in or out with the basis
+    cutoff = twice_cutoff / 2
+    square = cs.torus_fourier_spectrum(cs.square_torus(), cutoff)
+    changed = cs.torus_fourier_spectrum(cs.FlatTorus(np.diag([TWO_PI, TWO_PI]) @ u), cutoff)
+    assert [d for _, d in changed] == [d for _, d in square]
+    assert np.abs(np.array(changed) - np.array(square)).max() <= 1e-9 * cutoff

@@ -715,6 +715,20 @@ def test_harmonic_block_matches_l1_eigh(make):
     assert cs.check_model(model).passed
 
 
+def test_harmonic_block_is_m1_orthonormal_to_rounding():
+    # the second projection and the second CholeskyQR pass each matter on
+    # genus 2: with one projection the harmonic cochains are M1-orthogonal to
+    # the exact and coexact ones to 3.4e-13 (4.7e-15 with two), with one
+    # pass M1-orthonormal to 1.2e-12 (2.2e-16 with two)
+    cc = cs.build_dec(cs.genus2_mesh())
+    block = cs.build_sl_model(cc).eigenbasis.blocks[2][2]
+    split = block.shape[1] - 2 * cc.genus
+    exact_coexact, harm = block[:, :split], block[:, split:]
+    gram = harm.T @ (cc.star1[:, None] * harm)
+    assert np.abs(gram - np.eye(2 * cc.genus)).max() <= 2e-14
+    assert np.abs(exact_coexact.T @ (cc.star1[:, None] * harm)).max() <= 5e-14
+
+
 def test_genus0_harmonic_block_is_empty():
     cc = cs.build_dec(octahedron())
     assert cc.genus == 0

@@ -113,8 +113,8 @@ def test_symmetric_multiplicities_both_models(torus_spec_25, sl16_spec):
 def test_synthetic_spectrum_roots():
     spec = cs.synthetic_spectrum([(0.0, 4), (1.0, 8), (-1.0, 8)], 2.0)
     assert spec.d0() == 4
-    assert spec.multiplicity_between(-1.5, -0.5) == 8
-    assert spec.multiplicity_between(0.5, 0.9) == 0
+    assert sum(d for _, d in spec.roots_between(-1.5, -0.5)) == 8
+    assert sum(d for _, d in spec.roots_between(0.5, 0.9)) == 0
     assert spec.nearest_root(-0.4) == (0.0, pytest.approx(0.4))
 
 
@@ -141,7 +141,7 @@ def test_roots_between_matches_brute_force(roots, a, b):
     brute = sorted((lam, d) for lam, d in roots.items() if lo < lam < hi and d > 0)
     assert spec.roots_between(lo, hi) == brute
     count = int(np.count_nonzero((spec.eigenvalues > lo) & (spec.eigenvalues < hi)))
-    assert spec.multiplicity_between(lo, hi) == count
+    assert sum(d for _, d in spec.roots_between(lo, hi)) == count
 
 
 def dense_reference(model):
