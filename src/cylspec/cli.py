@@ -259,7 +259,7 @@ def cmd_cylinder_solve(cfg) -> int:
         raise ConfigError("profile_rate must lie below the weight for a fair recovery")
     check_exponential("profile_rate", rate, 1, op.t_final)
 
-    cluster = spec.cluster_at(lam_target, tol=1e-6 * max(spec.spectral_radius, 1.0))
+    cluster = spec.cluster_at(lam_target)
     if cluster is None:
         raise ConfigError(f"mode_lambda {lam_target} is not an eigenvalue of the end")
     jmode = cluster.start
@@ -335,7 +335,7 @@ def cmd_reproduce(cfg) -> int:
         diag = models.check_model(model)
         mirrors = [spec.cluster_at(-c.lam) for c in spec.clusters]
         sym = all(m is not None and m.dim == c.dim for m, c in zip(mirrors, spec.clusters))
-        d_sqrt2_cluster = spec.cluster_at(np.sqrt(2.0), tol=1e-6)
+        d_sqrt2_cluster = spec.cluster_at(np.sqrt(2.0))
         d_sqrt2 = 0 if d_sqrt2_cluster is None else d_sqrt2_cluster.dim
         d0, d1 = spec.d0(), spec.cluster_at(1.0).dim
         ind_minus = index.fredholm_index(-0.5, ends).index

@@ -99,14 +99,10 @@ def _triangle_geometry(sq: np.ndarray, area: np.ndarray):
     return cot, bool(np.all(cot > 1e-12))
 
 
-def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainComplex:
-    """DEC complex of a triangulated surface.
-
-    stars: "auto" picks circumcentric stars when all triangles are acute and
-    falls back to barycentric lumped stars otherwise; "circumcentric" or
-    "barycentric" force the choice (circumcentric on a non-acute mesh may
-    produce non-positive masses and is rejected).
-    """
+def build_dec(surface: TriangulatedSurface) -> CochainComplex:
+    """DEC complex of a triangulated surface: circumcentric stars when every
+    triangle is acute (positive there), barycentric lumped stars otherwise;
+    ``star_mode`` records which."""
     sense, s, area = surface.validate()
     n0, n1 = surface.n_vertices, surface.n_edges
     tris, tedges = surface.triangles, surface.triangle_edges
@@ -116,17 +112,10 @@ def build_dec(surface: TriangulatedSurface, stars: str = "auto") -> CochainCompl
 
     sq = s * s
     cot, acute = _triangle_geometry(sq, area)
-    if stars == "auto":
-        mode = "circumcentric" if acute else "barycentric"
-    elif stars in ("circumcentric", "barycentric"):
-        mode = stars
-    else:
-        raise ValueError(f"unknown star mode {stars!r}")
+    mode = "circumcentric" if acute else "barycentric"
 
     # per-triangle contributions, accumulated in triangle order
-    if mode == "circumcentric":
-        if not acute:
-            raise DegenerateTriangle("circumcentric stars require an acute mesh")
+    if acute:
         # corner dual areas: corner k lies on sides k and k-1
         w = sq * cot
         corner = 0.125 * (w + np.roll(w, 1, axis=1))

@@ -211,12 +211,12 @@ def symplectic_form(basis, pairing, area: float, kernel=None) -> SymplecticKerne
     """
     basis = np.asarray(basis, dtype=float)
     pairing = np.asarray(pairing, dtype=float)
-    if float(np.abs(pairing + pairing.T).max()) > 1e-10 * max(1.0, float(np.abs(pairing).max())):
+    if float(np.abs(pairing + pairing.T).max()) > 1e-10 * float(np.abs(pairing).max()):
         raise ValueError("pairing is not skew")
     if kernel is not None:
         kernel = np.asarray(kernel, dtype=float)
         proj = kernel @ (kernel.T @ basis)
-        if float(np.abs(basis - proj).max()) > 1e-8 * max(1.0, float(np.abs(basis).max())):
+        if float(np.abs(basis - proj).max()) > 1e-8 * float(np.abs(basis).max()):
             raise NotInKernel("basis vectors do not lie in the zero-rate kernel")
     form = float(area) * pairing
     gram = basis.T @ form @ basis
@@ -225,7 +225,8 @@ def symplectic_form(basis, pairing, area: float, kernel=None) -> SymplecticKerne
 
 def is_lagrangian(subspace, sk: SymplecticKernel) -> bool:
     """True iff the subspace is isotropic for Omega (to 1e-9 relative to the
-    area weight) and has half the kernel dimension."""
+    largest entries of Omega = area * pairing and of the subspace basis) and
+    has half the kernel dimension."""
     if sk.kernel_dim % 2 != 0:
         raise OddKernelDimension(f"kernel dimension {sk.kernel_dim} is odd")
     s = np.asarray(subspace, dtype=float)
@@ -236,4 +237,4 @@ def is_lagrangian(subspace, sk: SymplecticKernel) -> bool:
     if s.shape[1] != sk.kernel_dim // 2:
         return False
     restricted = s.T @ sk.form @ s
-    return bool(np.abs(restricted).max() <= 1e-9 * max(1.0, abs(sk.area_weight)))
+    return bool(np.abs(restricted).max() <= 1e-9 * np.abs(sk.form).max() * np.abs(s).max()**2)

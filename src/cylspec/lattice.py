@@ -26,11 +26,14 @@ class FlatTorus:
         b = np.asarray(self.basis, dtype=float).reshape(2, 2)
         if not np.isfinite(b).all():   # a NaN would pass the determinant test below
             raise InputError(f"lattice basis must be finite, got {b.ravel().tolist()}")
-        if np.abs(b).max() > 1e150:   # the determinant test below would overflow
-            raise InputError(f"lattice basis entries must be at most 1e150 in size, "
-                             f"got {b.ravel().tolist()}")
+        size = float(np.abs(b).max())
+        # the determinant test below, relative to the basis's size, would
+        # overflow above this range and underflow below it
+        if not 1e-150 <= size <= 1e150:
+            raise InputError(f"the largest lattice basis entry must lie between 1e-150 "
+                             f"and 1e150 in size, got {b.ravel().tolist()}")
         det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-        if abs(det) < 1e-12 * max(1.0, float(np.abs(b).max()) ** 2):
+        if abs(det) < 1e-12 * size**2:
             raise DegenerateLattice(f"lattice basis is singular (det={det:.3e})")
         dual = TWO_PI * np.linalg.inv(b.T)
         object.__setattr__(self, "basis", b)
@@ -92,7 +95,7 @@ def dual_lattice_points(torus: FlatTorus, cutoff: float) -> np.ndarray:
     kk = np.matmul(k[:, None, :], k[:, :, None])[:, 0, 0]
     # a point on the sphere |k|^2 = cutoff is kept whatever the rounding of the
     # dual basis, to the tolerance torus_fourier_spectrum merges eigenvalues by
-    inside = kk <= cutoff + 1e-9 * max(1.0, cutoff)
+    inside = kk <= cutoff + 1e-9 * cutoff
     k, kk = k[inside], kk[inside]
     order = np.lexsort((k[:, 1], k[:, 0], kk))
     return np.vstack([np.zeros((1, 2)), k[order]])
@@ -107,7 +110,7 @@ def torus_fourier_spectrum(torus: FlatTorus, cutoff: float) -> list[tuple[float,
     pts = dual_lattice_points(torus, cutoff)
     eigs = np.einsum("ij,ij->i", pts, pts)
     out: list[tuple[float, int]] = [(0.0, 1)]
-    tol = 1e-9 * max(1.0, cutoff)
+    tol = 1e-9 * cutoff
     for ev in np.sort(eigs[1:]):
         ev = float(ev)
         if out and out[-1][0] > 0 and abs(ev - out[-1][0]) <= tol:

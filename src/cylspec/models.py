@@ -161,9 +161,9 @@ class DiracModel:
     dirac: sparse.csr_matrix        # (n, n)
     complex_structure: BlockOperator   # (n, n)
     completeness_radius: float
-    area: float | None = None
+    area: float
+    eigenbasis: Eigenbasis
     meta: dict = field(default_factory=dict)
-    eigenbasis: Eigenbasis | None = None   # both builders set it
 
     @property
     def dim(self) -> int:
@@ -273,14 +273,15 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
     dim = values.size
     whole = slice(0, dim)
     order = np.argsort(values, kind="stable")
-    basis = Eigenbasis(values[order],
-                       ((whole, np.arange(dim), vectors.toarray()[:, order] / np.sqrt(area)),),
-                       jeig[order][:, order])
+    # the columns permuted while sparse, so the dense basis is one array
+    dense = vectors.tocsc()[:, order].toarray()
+    dense /= np.sqrt(area)
+    basis = Eigenbasis(values[order], ((whole, np.arange(dim), dense),), jeig[order][:, order])
     j = sparse.kron(sparse.identity(1 + 2 * npairs), I3, format="csr")
 
     return DiracModel("torus", mass, d, BlockOperator(dim, ((whole, whole, (j,)),)),
-                      completeness_radius=float(np.sqrt(cutoff)), area=area,
-                      meta={"modes": modes, "cutoff": float(cutoff)}, eigenbasis=basis)
+                      completeness_radius=float(np.sqrt(cutoff)), area=area, eigenbasis=basis,
+                      meta={"modes": modes, "cutoff": float(cutoff)})
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +406,6 @@ def _grid_eigenpairs(cc: CochainComplex) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs
 
 
-def _constant_last(vecs: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """[vecs[:, 1:] const] written over vecs, whose first column is the
-    constant eigenvector: each row moves left by one column, a few rows at a
-    time, so no second array of that size is formed."""
-    for r in range(0, vecs.shape[0], 128):
-        rows = vecs[r:r + 128]
-        rows[:, :-1] = rows[:, 1:].copy()
-    vecs[:, -1:] = const
-    return vecs
-
-
 def build_sl_model(cc: CochainComplex) -> DiracModel:
     """Block Dirac model on (vertex functions) + (face functions) + (1-cochains).
 
@@ -433,8 +423,8 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     J is stated once, as a table of pairs (x, y) with J x = -y and J y = x:
     vertex functions with exact cochains, face functions with coexact
     cochains, and the two constants kf, kg.  The eigenbasis keeps the
-    eigenvectors as three column blocks, one per row slice ([v0 kf] on the
-    vertex rows, [w0 kg] on the face rows, [e c harm] on the cochain rows;
+    eigenvectors as three column blocks, one per row slice ([kf v0] on the
+    vertex rows, [kg w0] on the face rows, [e c harm] on the cochain rows;
     the first two written over the Laplacian eigenvectors, one array when
     they are bitwise equal, the third assembled in place), and J in that
     basis as one CSR: the table at its sorted positions plus the harmonic
@@ -480,18 +470,18 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     kf = np.full((n0, 1), 1.0 / np.sqrt(area))
     kg = np.full((n2, 1), 1.0 / np.sqrt(float(m2d.sum())))
 
-    # the vertex and face blocks [v0 kf] and [w0 kg] over the eigenvectors
-    # themselves; one array on a grid whose dual masses equal star0 bitwise
-    same_blocks = vecs2 is vecs0 and np.array_equal(m2d, m0)
-    if vecs2 is vecs0 and not same_blocks:
+    # the vertex and face blocks [kf v0] and [kg w0]: the exact constants
+    # over column 0 of the eigenvectors themselves; one array on a grid whose
+    # dual masses equal star0 bitwise
+    if vecs2 is vecs0 and not np.array_equal(m2d, m0):
         vecs2 = vecs0.copy()
-    vblock = _constant_last(vecs0, kf)
-    wblock = vblock if same_blocks else _constant_last(vecs2, kg)
+    vecs0[:, :1] = kf
+    vecs2[:, :1] = kg
 
     # eigenvectors of A = J D:  v, e = d0 v / sqrt(mu); w, c = M1^-1 d1^T w / sqrt(nu),
     # written with the harmonic cochains into one cochain block [e c harm]
     root_mu, root_nu = np.sqrt(vals0[1:]), np.sqrt(vals2[1:])
-    v0, w0 = vblock[:, :-1], wblock[:, :-1]
+    v0, w0 = vecs0[:, 1:], vecs2[:, 1:]
     cblock = np.empty((n1, n1))   # n0 - 1 + n2 - 1 + 2 genus columns
     e_vec = np.divide(d0 @ v0, root_mu[None, :], out=cblock[:, :n0 - 1])
     c_vec = np.divide(cc.d1.T @ w0, m1[:, None], out=cblock[:, n0 - 1:n0 + n2 - 2])
@@ -509,8 +499,8 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     p_v, p_e, p_w, p_c, p_k = np.split(pos, np.cumsum([root_mu.size] * 2 + [root_nu.size] * 2))
 
     # every eigenvector lives on one row slice: one column block per slice
-    blocks = ((s0, np.concatenate([p_v, p_k[:1]]), vblock),
-              (s1, np.concatenate([p_w, p_k[1:2]]), wblock),
+    blocks = ((s0, np.concatenate([p_k[:1], p_v]), vecs0),
+              (s1, np.concatenate([p_k[1:2], p_w]), vecs2),
               (s2, np.concatenate([p_e, p_c, p_k[2:]]), cblock))
     # J pairs x with y, J x = -y and J y = x: vertex / exact, face / coexact
     # and the constants; harmonic cochains carry -J_H
@@ -523,7 +513,7 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
     basis = Eigenbasis(values[order], blocks, jmat)
 
     n0_mat = (v0 / root_mu[None, :]) @ (v0.T * m0[None, :])     # N0 = L0^{-1/2}
-    if same_blocks:
+    if vecs2 is vecs0:
         n2_mat = n0_mat   # the same eigenpairs and masses: the same product
     else:
         n2_mat = (w0 / root_nu[None, :]) @ (w0.T * m2d[None, :])    # N2 = L0_dual^{-1/2}
@@ -535,7 +525,7 @@ def build_sl_model(cc: CochainComplex) -> DiracModel:
 
     radius = float(np.sqrt(max(vals0.max(), vals2.max())))
     return DiracModel("sl-block", mass, d, j, completeness_radius=radius, area=area,
-                      meta={"harmonic_correction": jh_correction}, eigenbasis=basis)
+                      eigenbasis=basis, meta={"harmonic_correction": jh_correction})
 
 
 def sl_laplacian_blocks(cc: CochainComplex) -> sparse.csr_matrix:

@@ -137,13 +137,12 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     """Full spectrum of A = J D with respect to the mass inner product.
 
     The model's own eigenbasis (closed form on the torus, Laplacian eigenpairs
-    on the block model) supplies the eigenpairs and J in that basis; a model
-    without one raises ValueError.  The eigenpairs are checked one column
-    block at a time: for the block B on the rows R at the values Lam, every
-    column of the residual J (D[:, R] B) - B Lam must have an M-norm below
-    1e-8 * spectral radius, and every column of B an M-norm within
-    1e-8 of 1 (a rescaled eigenvector has no larger residual), or
-    ConvergenceFailure is raised.  The residual is formed on row pieces
+    on the block model) supplies the eigenpairs and J in that basis.  The
+    eigenpairs are checked one column block at a time: for the block B on
+    the rows R at the values Lam, every column of the residual
+    J (D[:, R] B) - B Lam must have an M-norm below 1e-8 * spectral radius,
+    and every column of B an M-norm within 1e-8 of 1 (a rescaled
+    eigenvector has no larger residual), or ConvergenceFailure is raised.  The residual is formed on row pieces
     (_residual_norms) of _RESIDUAL_COLUMNS columns of a block at a time, so
     no piece is wider than that; the torus J is a single term over all
     rows.  Clusters merge eigenvalues closer than cluster_tol = 1e-6 *
@@ -151,8 +150,6 @@ def eigendecompose(model: DiracModel) -> Spectrum:
     a model whose D is scaled by 1/s gets the same decisions.
     """
     basis = model.eigenbasis
-    if basis is None:
-        raise ValueError(f"model {model.label!r} carries no eigenbasis")
     vals = basis.values
     radius = float(np.abs(vals).max()) if vals.size else 0.0
 

@@ -472,6 +472,20 @@ def test_input_fault_is_config_error(tmp_path, capsys, argv, detail):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("s", [1.0, 10.0])
+def test_mode_lambda_off_the_spectrum_in_any_unit(tmp_path, capsys, s):
+    # the cutoff-2.5 square torus with side 2 pi s has its roots at 1/s and
+    # sqrt(2)/s; 1.000008/s is off the first by 8e-6 of it, above the
+    # spectrum's cluster tolerance 1e-6 * sqrt(2)/s in every unit
+    side = repr(2 * np.pi * s)
+    out = tmp_path / "out"
+    assert main(["cylinder-solve", "--torus", f"{side},0,0,{side}", "--cutoff", repr(2.5 / s**2),
+                 "--mode-lambda", repr(1.000008 / s), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"ERR CONFIG: mode_lambda {1.000008 / s!r} "
+                                       f"is not an eigenvalue of the end\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("coord", ["nan", "inf"])
 def test_non_finite_off_vertex_is_config_error(tmp_path, capsys, coord):
     # NaN fails every comparison, so the vertex is rejected as it enters,
@@ -782,6 +796,8 @@ def test_config_number_reads_as_its_flag_text(tmp_path, capsys):
 @pytest.mark.parametrize("call", [
     lambda: cs.FlatTorus(np.array([[np.nan, 0], [0, 1.0]])),
     lambda: cs.FlatTorus(np.array([[1e200, 0], [0, 1e200]])),
+    lambda: cs.FlatTorus(np.array([[1e-151, 0], [0, 1e-151]])),
+    lambda: cs.FlatTorus(np.zeros((2, 2))),
     lambda: cs.dual_lattice_points(cs.square_torus(), 0.0),
     lambda: cs.quad_torus_complex(cs.square_torus(), 1),
     lambda: cs.quad_torus_complex(cs.FlatTorus(np.array([[6.0, 1.0], [0.0, 6.0]])), 4),
@@ -791,7 +807,7 @@ def test_config_number_reads_as_its_flag_text(tmp_path, capsys):
     lambda: cs.cylinder.Perturbation(1e-3, 1.0, 0),
     lambda: cs.cylinder.make_perturbation(4, 1e-3, -1.0, seed=-1),
     lambda: cs.cylinder.differentiate(np.zeros(4), 0.1),
-], ids=["lattice-nan", "lattice-huge", "cutoff", "grid", "oblique-grid", "vertex-inf", "rate-count",
+], ids=["lattice-nan", "lattice-huge", "lattice-tiny", "lattice-zero", "cutoff", "grid", "oblique-grid", "vertex-inf", "rate-count",
         "window", "mu-pert", "seed", "stencil"])
 def test_library_input_checks_raise_input_error(call):
     # an InputError is a ValueError for library callers and a ConfigError

@@ -34,9 +34,12 @@ def test_star0_partitions_area(square_t):
     assert abs(cc.star0.sum() - square_t.area) <= 1e-9
 
 
-def test_barycentric_star0_partitions_area(square_t):
-    cc = cs.build_dec(cs.triangulated_torus_mesh(square_t, 8), stars="barycentric")
-    assert abs(cc.star0.sum() - square_t.area) <= 1e-9
+def test_barycentric_star0_partitions_area():
+    # a 4:1 rectangle's offset rows have obtuse apexes: barycentric stars
+    torus = cs.FlatTorus(np.diag([2 * np.pi, 0.5 * np.pi]))
+    cc = cs.build_dec(cs.triangulated_torus_mesh(torus, 8))
+    assert cc.star_mode == "barycentric"
+    assert abs(cc.star0.sum() - torus.area) <= 1e-9
 
 
 def symmetry_residual(op):
@@ -196,27 +199,29 @@ def assert_matches_loops(surf, cc):
 
 
 @settings(max_examples=40, deadline=None)
-@given(lattice_bases(), st.integers(2, 9), st.integers(1, 5),
-       st.sampled_from(["auto", "barycentric"]))
-def test_build_dec_matches_loops_on_torus_meshes(basis, n, half_m, stars):
+@given(lattice_bases(), st.integers(2, 9), st.integers(1, 5))
+def test_build_dec_matches_loops_on_torus_meshes(basis, n, half_m):
+    # about half of these meshes are acute: both star rules occur
     surf = cs.triangulated_torus_mesh(cs.FlatTorus(basis), n, 2 * half_m)
-    assert_matches_loops(surf, cs.build_dec(surf, stars=stars))
+    assert_matches_loops(surf, cs.build_dec(surf))
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(3, 14), st.integers(3, 14), st.sampled_from(["auto", "barycentric"]))
-def test_build_dec_matches_loops_on_donuts(n, m, stars):
+@given(st.integers(3, 14), st.integers(3, 14))
+def test_build_dec_matches_loops_on_donuts(n, m):
     surf = cs.parametric_torus_mesh(n, m)
-    assert_matches_loops(surf, cs.build_dec(surf, stars=stars))
+    cc = cs.build_dec(surf)
+    assert cc.star_mode == "barycentric"   # the donut's triangles are not all acute
+    assert_matches_loops(surf, cc)
 
 
-@pytest.mark.parametrize("n, stars, mode", [(6, "auto", "circumcentric"),
-                                            (2, "auto", "circumcentric"),
-                                            (8, "barycentric", "barycentric")])
-def test_build_dec_matches_loops_on_square_grids(square_t, n, stars, mode):
-    # n = 2 repeats vertex pairs: 12 edges on 4 vertices
-    surf = cs.triangulated_torus_mesh(square_t, n)
-    cc = cs.build_dec(surf, stars=stars)
+@pytest.mark.parametrize("aspect, n, mode", [(1, 6, "circumcentric"), (1, 2, "circumcentric"),
+                                             (4, 8, "barycentric")])
+def test_build_dec_matches_loops_on_grids(aspect, n, mode):
+    # n = 2 repeats vertex pairs: 12 edges on 4 vertices; the square torus's
+    # offset rows are acute, the 4:1 rectangle's are obtuse
+    surf = cs.triangulated_torus_mesh(cs.FlatTorus(np.diag([2 * np.pi, 2 * np.pi / aspect])), n)
+    cc = cs.build_dec(surf)
     assert cc.star_mode == mode
     assert_matches_loops(surf, cc)
 

@@ -233,6 +233,23 @@ def test_is_lagrangian():
     assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]], sk)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=-30, max_value=30))
+def test_symplectic_checks_in_any_unit(k):
+    # area, pairing and basis scaled by 10^k: each check is relative to its
+    # own operand, so every decision is that of scale 1
+    scale = 10.0**k
+    pairing = scale * quaternion_k_pairing()
+    basis = scale * np.eye(4)
+    sk = cs.symplectic_form(basis, pairing, scale * AREA, kernel=np.eye(4))
+    assert cs.is_lagrangian(np.eye(4)[:, :2], sk)
+    assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]], sk)
+    with pytest.raises(NotInKernel):
+        cs.symplectic_form(basis, pairing, scale * AREA, kernel=np.eye(4)[:, :2])
+    with pytest.raises(ValueError, match="not skew"):
+        cs.symplectic_form(basis, pairing + scale * np.eye(4), scale * AREA)
+
+
 def test_wall_crossing_checks_each_rate_once(ends2, monkeypatch):
     calls = []
     real = cs.index.is_critical

@@ -109,7 +109,7 @@ def reference_dual_lattice_points(torus, cutoff):
             if n1 < 0 or (n1 == 0 and n2 < 0):
                 continue
             k = dual @ (n1, n2)
-            if float(k @ k) <= cutoff + 1e-9 * max(1.0, cutoff):
+            if float(k @ k) <= cutoff + 1e-9 * cutoff:
                 reps.append(k)
     reps.sort(key=lambda k: (float(k @ k), k[0], k[1]))
     return np.vstack([np.zeros((1, 2))] + [r.reshape(1, 2) for r in reps])
@@ -156,3 +156,21 @@ def test_unimodular_basis_change_keeps_the_spectrum(u, twice_cutoff):
     changed = cs.torus_fourier_spectrum(cs.FlatTorus(np.diag([TWO_PI, TWO_PI]) @ u), cutoff)
     assert [d for _, d in changed] == [d for _, d in square]
     assert np.abs(np.array(changed) - np.array(square)).max() <= 1e-9 * cutoff
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=-30, max_value=30))
+def test_square_torus_in_another_unit_keeps_its_spectrum(k):
+    # the cutoff-2.5 square torus with side 2 pi s: every test on the basis
+    # and the cutoff is relative, so the spectrum is that of s = 1 over s
+    s = 10.0**k
+    torus = cs.FlatTorus(np.diag([TWO_PI * s, TWO_PI * s]))
+    spec = cs.torus_fourier_spectrum(torus, 2.5 / s**2)
+    assert [d for _, d in spec] == [1, 4, 4]
+    assert np.abs(np.array([lam for lam, _ in spec]) * s**2 - [0, 1, 2]).max() <= 1e-12
+    model = cs.build_torus_model(torus, 2.5 / s**2)
+    assert model.dim == 36
+    clusters = cs.eigendecompose(model).clusters
+    assert [c.dim for c in clusters] == [8, 8, 4, 8, 8]
+    assert np.abs(np.array([c.lam for c in clusters]) * s
+                  - [-np.sqrt(2), -1, 0, 1, np.sqrt(2)]).max() <= 1e-12

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,10 +47,8 @@ def test_torus_model_square_is_laplacian(square_t):
 
 def test_check_model_negative_control(square_t):
     model = cs.build_torus_model(square_t, 1.5)
-    bad = model.dirac.copy()
-    bad[0, 5] += 1e-3
-    broken = cs.DiracModel(model.label, model.mass, bad, model.complex_structure,
-                           model.completeness_radius)
+    error = sparse.csr_matrix(([1e-3], ([0], [5])), shape=model.dirac.shape)
+    broken = replace(model, dirac=model.dirac + error)
     assert not cs.check_model(broken).passed
     assert cs.check_model(model).passed
 
@@ -526,6 +525,21 @@ def test_torus_fill_matches_dense_arrays(basis, cutoff):
     assert np.array_equal(j.toarray(), np.kron(np.eye(model.dim // 4), I3))
 
 
+def test_torus_eigenbasis_peak_memory(square_t):
+    # the sparse columns are permuted before the basis is made dense and
+    # divided in place: one basis array at the peak (about 1.06 at cutoff
+    # 100, dim 1268); densifying, permuting and dividing made three and
+    # peaked at 2.04
+    cs.build_torus_model(square_t, 10)   # a first build, off the count
+    tracemalloc.start()
+    try:
+        model = cs.build_torus_model(square_t, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * model.dim**2
+
+
 def assert_piece_apply_matches_full_apply(cc, width, seed):
     # an operand on one row slice, as D[S, R] B is: the piece apply runs
     # only the terms that read it, and the terms it skips would only have
@@ -597,7 +611,7 @@ def test_grid_with_unequal_masses_forms_n2_apart():
 
 
 def reference_hstack_blocks(cc):
-    """The three column blocks [v0 kf], [w0 kg] and [e c harm] of the block
+    """The three column blocks [kf v0], [kg w0] and [e c harm] of the block
     model as np.hstack assembled them, from eigenvectors formed apart (the
     grid's closed form divided out of place)."""
     m1, m2d = cc.star1, 1.0 / cc.star2
@@ -617,7 +631,7 @@ def reference_hstack_blocks(cc):
     e_vec = (cc.d0 @ v0) / np.sqrt(vals0[1:])[None, :]
     c_vec = (cc.d1.T @ w0) / m1[:, None] / np.sqrt(vals2[1:])[None, :]
     harm = cs.models._harmonic_basis(cc, e_vec, c_vec)
-    return np.hstack([v0, kf]), np.hstack([w0, kg]), np.hstack([e_vec, c_vec, harm])
+    return np.hstack([kf, v0]), np.hstack([kg, w0]), np.hstack([e_vec, c_vec, harm])
 
 
 def assert_blocks_match_hstack(cc):
