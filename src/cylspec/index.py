@@ -224,9 +224,9 @@ def symplectic_form(basis, pairing, area: float, kernel=None) -> SymplecticKerne
 
 
 def is_lagrangian(subspace, sk: SymplecticKernel) -> bool:
-    """True iff the subspace is isotropic for Omega (to 1e-9 relative to the
-    largest entries of Omega = area * pairing and of the subspace basis) and
-    has half the kernel dimension."""
+    """True iff the subspace is isotropic for Omega (each pairing of two basis
+    columns to 1e-9 relative to the largest entry of Omega = area * pairing
+    times the two columns' norms) and has half the kernel dimension."""
     if sk.kernel_dim % 2 != 0:
         raise OddKernelDimension(f"kernel dimension {sk.kernel_dim} is odd")
     s = np.asarray(subspace, dtype=float)
@@ -237,4 +237,5 @@ def is_lagrangian(subspace, sk: SymplecticKernel) -> bool:
     if s.shape[1] != sk.kernel_dim // 2:
         return False
     restricted = s.T @ sk.form @ s
-    return bool(np.abs(restricted).max() <= 1e-9 * np.abs(sk.form).max() * np.abs(s).max()**2)
+    norms = np.linalg.norm(s, axis=0)
+    return bool((np.abs(restricted) <= 1e-9 * np.abs(sk.form).max() * np.outer(norms, norms)).all())

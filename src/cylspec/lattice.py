@@ -36,6 +36,11 @@ class FlatTorus:
         if abs(det) < 1e-12 * size**2:
             raise DegenerateLattice(f"lattice basis is singular (det={det:.3e})")
         dual = TWO_PI * np.linalg.inv(b.T)
+        # a small thin basis passes that test with a dual basis so large that
+        # |k|^2 would overflow
+        if not float(np.abs(dual).max()) <= 1e150:
+            raise InputError(f"lattice basis is too thin for its size: its dual basis "
+                             f"reaches {float(np.abs(dual).max()):.3e}, above 1e150")
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "dual_basis", dual)
 

@@ -76,12 +76,13 @@ class Spectrum:
         """Multiplicity of the root at zero (0 when there is no zero cluster)."""
         return self._d0
 
-    def cluster_at(self, lam: float, tol: float | None = None):
-        """The nearest cluster (of two, the lower) if within tol of lam, else None."""
+    def cluster_at(self, lam: float):
+        """The nearest cluster (of two, the lower) if within cluster_tol of lam,
+        else None."""
         if not self.clusters:
             return None
         c = self.clusters[int(np.argmin(np.abs(self._lams - lam)))]
-        return c if abs(c.lam - lam) <= (self.cluster_tol if tol is None else tol) else None
+        return c if abs(c.lam - lam) <= self.cluster_tol else None
 
     def roots_between(self, lo: float, hi: float) -> list[tuple[float, int]]:
         """Roots (lam, d_lam) with lam strictly inside (lo, hi), ascending."""

@@ -62,7 +62,7 @@ def test_c02_multiplicity_law():
             c.check("d0 == 4", spec.d0() == 4)
             continue
         for sign in (1, -1):
-            cl = spec.cluster_at(sign * np.sqrt(lam), tol=1e-6)
+            cl = spec.cluster_at(sign * np.sqrt(lam))
             c.check(f"d({sign:+d}sqrt{lam:g}) == {2 * mult}",
                     cl is not None and cl.dim == 2 * mult)
     c.finish()

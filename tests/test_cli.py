@@ -454,13 +454,16 @@ def test_non_finite_lattice_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, detail", [
     (["spectrum", "--torus", "1,0,0,0"], "lattice basis is singular (det=0.000e+00)"),
+    # not singular relative to its size, but |k|^2 over its dual would overflow
+    (["spectrum", "--torus", "1e-145,1e-145,0,1e-156", "--cutoff", "1"],
+     "lattice basis is too thin for its size: its dual basis reaches 6.283e+156, above 1e150"),
     (["spectrum", "--model", "sl", "--mesh", "{dup}"], "directed side (0, 1) occurs twice"),
     (["indicial", "--window=-5,5"], "window [-5.0, 5.0] exceeds completeness radius 1.58114"),
     (["index", "--ends", "torus", "--rates=-5"],
      "end 0: |rate| = 5 exceeds completeness radius 1.58114"),
     (["wallcross", "--ends", "torus", "--rate1=0.5", "--rate2=-0.5"],
      "need rate1 < rate2 componentwise"),
-], ids=["singular-lattice", "duplicated-side", "window", "rate", "unordered-rates"])
+], ids=["singular-lattice", "thin-tiny-lattice", "duplicated-side", "window", "rate", "unordered-rates"])
 def test_input_fault_is_config_error(tmp_path, capsys, argv, detail):
     # faults in the input (lattice, mesh, window, rates), not numerical failures
     dup = tmp_path / "dup.off"
@@ -797,6 +800,7 @@ def test_config_number_reads_as_its_flag_text(tmp_path, capsys):
     lambda: cs.FlatTorus(np.array([[np.nan, 0], [0, 1.0]])),
     lambda: cs.FlatTorus(np.array([[1e200, 0], [0, 1e200]])),
     lambda: cs.FlatTorus(np.array([[1e-151, 0], [0, 1e-151]])),
+    lambda: cs.FlatTorus(np.array([[1e-145, 1e-145], [0, 1e-156]])),
     lambda: cs.FlatTorus(np.zeros((2, 2))),
     lambda: cs.dual_lattice_points(cs.square_torus(), 0.0),
     lambda: cs.quad_torus_complex(cs.square_torus(), 1),
@@ -807,7 +811,7 @@ def test_config_number_reads_as_its_flag_text(tmp_path, capsys):
     lambda: cs.cylinder.Perturbation(1e-3, 1.0, 0),
     lambda: cs.cylinder.make_perturbation(4, 1e-3, -1.0, seed=-1),
     lambda: cs.cylinder.differentiate(np.zeros(4), 0.1),
-], ids=["lattice-nan", "lattice-huge", "lattice-tiny", "lattice-zero", "cutoff", "grid", "oblique-grid", "vertex-inf", "rate-count",
+], ids=["lattice-nan", "lattice-huge", "lattice-tiny", "lattice-thin", "lattice-zero", "cutoff", "grid", "oblique-grid", "vertex-inf", "rate-count",
         "window", "mu-pert", "seed", "stencil"])
 def test_library_input_checks_raise_input_error(call):
     # an InputError is a ValueError for library callers and a ConfigError

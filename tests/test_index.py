@@ -233,6 +233,14 @@ def test_is_lagrangian():
     assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]], sk)
 
 
+def test_isotropy_is_relative_to_each_column():
+    # span{1, k} with k scaled by 1e-10 pairs to 1e-10 = 1e-10 |1| |k|: not
+    # isotropic, however short one column is beside the other
+    sk = cs.symplectic_form(np.eye(4), quaternion_k_pairing(), AREA, kernel=np.eye(4))
+    assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]] * [1.0, 1e-10], sk)
+    assert cs.is_lagrangian(np.eye(4)[:, :2] * [1.0, 1e-10], sk)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=-30, max_value=30))
 def test_symplectic_checks_in_any_unit(k):

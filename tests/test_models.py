@@ -106,7 +106,7 @@ def test_sl_nonzero_spectrum_matches_laplacians(sl16):
     spec = cs.eigendecompose(model)
     l0 = cs.smallest_eigenvalues(cs.laplacian0(cc), 6)
     first = np.sqrt(l0[1])
-    cluster = spec.cluster_at(first, tol=1e-6)
+    cluster = spec.cluster_at(first)
     assert cluster is not None
     # d_{sqrt(lam)} = (2 a + b) / 2 with a = mult in L0, b = mult in L1 = 2a here
     a = np.count_nonzero(np.abs(l0 - l0[1]) <= 1e-8)

@@ -67,7 +67,7 @@ def test_multiplicity_law(square_t, torus_spec_25):
             assert torus_spec_25.d0() == 4
         else:
             for sign in (+1, -1):
-                c = torus_spec_25.cluster_at(sign * np.sqrt(lam), tol=1e-6)
+                c = torus_spec_25.cluster_at(sign * np.sqrt(lam))
                 assert c is not None and c.dim == 2 * mult
 
 
@@ -435,11 +435,10 @@ def reference_nearest_root(spec, x):
     return float(lams[i]), float(abs(lams[i] - x))
 
 
-def reference_cluster_at(spec, lam, tol=None):
-    tol = spec.cluster_tol if tol is None else tol
+def reference_cluster_at(spec, lam):
     best = None
     for c in spec.clusters:
-        if abs(c.lam - lam) <= tol and (best is None or abs(c.lam - lam) < abs(best.lam - lam)):
+        if abs(c.lam - lam) <= spec.cluster_tol and (best is None or abs(c.lam - lam) < abs(best.lam - lam)):
             best = c
     return best
 
@@ -453,8 +452,7 @@ def assert_cluster_facts_match(spec, points):
             else:
                 with pytest.raises(ValueError):
                     spec.nearest_root(x)
-            for tol in (None, 0.0, 0.1, 0.25, 0.3, 1e3):
-                assert spec.cluster_at(x, tol) == reference_cluster_at(spec, x, tol)
+            assert spec.cluster_at(x) == reference_cluster_at(spec, x)
 
 
 @settings(max_examples=200, deadline=None)
