@@ -40,6 +40,16 @@ EXIT_MISMATCH = 5
 _CSV_ROWS = 256   # grid points per piece of cylinder_modes.csv
 
 
+def _csv_rows(block: np.ndarray) -> str:
+    """The rows of a 2-D block as np.savetxt(fmt="%.17g", delimiter=",")
+    writes them, from one % format.  A column that is +0.0 on every row (no
+    value nonzero, none with its sign bit set, so -0 and nan are formatted)
+    is the literal 0 that %.17g gives it."""
+    zero = ~(block.any(axis=0) | np.signbit(block).any(axis=0))
+    line = ",".join("0" if z else "%.17g" for z in zero) + "\n"
+    return (line * block.shape[0]) % tuple(block[:, ~zero].ravel().tolist())
+
+
 def _write(out, name, text):
     """Write text and a newline to the file name in the directory out."""
     os.makedirs(out, exist_ok=True)
@@ -278,13 +288,14 @@ def cmd_cylinder_solve(cfg) -> int:
     scale = float((np.abs(u_true) * wfac).max())
     errs = []
     # the CSV rows and the error |u - u_true| are formed _CSV_ROWS grid points
-    # at a time, so no copy of the whole solution is made
+    # at a time, so no copy of the whole solution is made; each piece is one
+    # string, its all-zero mode columns literal 0s
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write("t," + ",".join(f"mode_{j}" for j in range(op.dim)) + "\n")
         for a in range(0, t.size, _CSV_ROWS):
             rows = slice(a, a + _CSV_ROWS)
             piece = sol.coeffs[:, rows]
-            np.savetxt(fh, np.column_stack([t[rows], piece.T]), delimiter=",", fmt="%.17g")
+            fh.write(_csv_rows(np.column_stack([t[rows], piece.T])))
             dev = np.abs(piece)
             dev[jmode] = np.abs(piece[jmode] - u_true[rows])
             errs.append((dev.max(axis=0) * wfac[rows]).max())

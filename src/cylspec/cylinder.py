@@ -479,9 +479,11 @@ class KernelCount:
 # Level control of the perturbed frame (see _march_frame).  At cutoff 1.5,
 # eps <= 2e-2 and T = 30, a tolerance of 1e-8 let the frame's omega-isotropy
 # drift reach 1.5e-12 over 40 random draws, 1e-9 kept it at 7.8e-14 on uniform
-# steps and 8.3e-14 on the graded grid.  _FRAME_H0 bounds the first level's step
-# in the graded variable s of _frame_grid; near t = 0 the step in t is about the
-# same.  The finest level is ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps.  At
+# steps and 8.3e-14 on the graded grid.  _FRAME_H0 / min(1, |mu_pert|) bounds
+# the first level's step in the graded variable s of _frame_grid (near t = 0 the
+# step in t is about the same), so a model stated in a longer unit, with slower
+# rates, takes the same levels.  The finest level is ceil(S / _FRAME_H0) *
+# 2**_FRAME_HALVINGS steps.  At
 # cutoff 10 and T = 30, a weight of 3.04 (0.04 above the root 3) with
 # eps = 8e-3, mu_pert = -2 and seed 1 needs 2048 steps (ceil(S / _FRAME_H0) = 5):
 # its levels 16, 32, 128, 512 and 2048 end on an estimate of 6.0e-10, where a
@@ -605,19 +607,20 @@ def _march_frame(op: CylinderOperator,
     eps = 0).
 
     Each level is a Lawson march on the graded grid of ``_frame_grid``, whose
-    length in s is S.  The first level takes N0 = ceil(S * max(1 / _FRAME_H0,
-    spread)) steps (spread = max lams - min lams, so the coupling's phases
-    e^{(lam_i - lam_j) t} are resolved and the H^4 law holds) and the second
-    2 N0.  A level of m steps is verified against the one before it, of n
-    steps: the estimate of its error is the largest principal-angle sine
-    between the two frames over the Richardson factor (m/n)^4 - 1 (15 for
-    m = 2n).  At most _FRAME_ACCEPT * _FRAME_TOL, the finer frame is
-    returned.  Above it, the next level is the one the H^4 law predicts for
-    _FRAME_TOL / 2, m (2 estimate / _FRAME_TOL)^{1/4} steps, clamped to
-    [m + 1, min(4 m, N_max)].  With N_max = ceil(S / _FRAME_H0) * 2**_FRAME_HALVINGS steps
-    marched and the estimate still above _FRAME_ACCEPT * _FRAME_TOL,
-    ConvergenceFailure is raised.  A level whose dim x (steps + 1) is above
-    MAX_GRID_VALUES raises ConfigError before its grid is formed."""
+    length in s is S.  The first level takes N0 = ceil(S * max(min(1,
+    |mu_pert|) / _FRAME_H0, spread)) steps, at least 1 (spread = max lams -
+    min lams, so the coupling's phases e^{(lam_i - lam_j) t} are resolved and
+    the H^4 law holds), and the second 2 N0.  A level of m steps is verified
+    against the one before it, of n steps: the estimate of its error is the
+    largest principal-angle sine between the two frames over the Richardson
+    factor (m/n)^4 - 1 (15 for m = 2n).  At most _FRAME_ACCEPT * _FRAME_TOL,
+    the finer frame is returned.  Above it, the next level is the one the H^4
+    law predicts for _FRAME_TOL / 2, m (2 estimate / _FRAME_TOL)^{1/4} steps,
+    clamped to [m + 1, min(4 m, N_max)].  With N_max = ceil(S / _FRAME_H0) *
+    2**_FRAME_HALVINGS steps marched and the estimate still above
+    _FRAME_ACCEPT * _FRAME_TOL, ConvergenceFailure is raised.  A level whose
+    dim x (steps + 1) is above MAX_GRID_VALUES raises ConfigError before its
+    grid is formed."""
     z = np.zeros((op.dim, cols.size))
     z[cols, np.arange(cols.size)] = 1.0
     pert = op.perturbation
@@ -627,7 +630,8 @@ def _march_frame(op: CylinderOperator,
     g = op.base.jmat @ pert.coupling
     length = _frame_length(op.t_final, pert.mu_pert)
     n_max = int(np.ceil(length / _FRAME_H0)) * 2 ** _FRAME_HALVINGS
-    n = min(int(np.ceil(length * max(1.0 / _FRAME_H0, float(np.ptp(lams))))), n_max // 2)
+    rate = min(1.0, abs(pert.mu_pert)) / _FRAME_H0
+    n = max(1, min(int(np.ceil(length * max(rate, float(np.ptp(lams))))), n_max // 2))
     spread = float(np.ptp(lams[cols])) if cols.size else 0.0
 
     def grid(steps: int) -> np.ndarray:

@@ -228,6 +228,13 @@ def _check_torus_dim(dim: float, cutoff: float, about: str = ""):
                           f"above the limit {MAX_TORUS_DIM}")
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> sparse.csr_matrix:
+    """The dim x dim CSR matrix of the entries (rows, cols, vals), listed
+    row by row; each row keeps its entries in the order given."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
+    return sparse.csr_matrix((vals, cols, indptr), shape=(dim, dim))
+
+
 def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
     """Quaternionic model on a flat torus, truncated to modes |k|^2 <= cutoff.
 
@@ -255,29 +262,49 @@ def build_torus_model(torus: FlatTorus, cutoff: float) -> DiracModel:
     _check_torus_dim(4 + 8 * npairs, cutoff)
     area = torus.area
 
-    eye, zero = np.eye(4), np.zeros((4, 4))
-    kmats = [k[0] * I1 + k[1] * I2 for k in modes[1:]]
-    norms = np.hypot(modes[1:, 0], modes[1:, 1])
-    smats = [I3 @ kmat / nk for kmat, nk in zip(kmats, norms)]
-    d = sparse.block_diag([zero] + [np.block([[zero, kmat], [-kmat, zero]]) for kmat in kmats],
-                          format="csr")
-    d.eliminate_zeros()
-    mass = np.concatenate([np.full(4, area), np.full(8 * npairs, 0.5 * area)])
-
-    # per pair: the columns at +|k|, then those at -|k|; the eigenbasis is one
-    # block over all rows
-    values = np.concatenate([np.zeros(4), np.repeat(np.stack([norms, -norms], axis=1), 4)])
-    vectors = sparse.block_diag([eye] + [np.block([[eye, eye], [-s, s]]) for s in smats])
-    swap = np.kron([[0.0, 1.0], [1.0, 0.0]], I3)
-    jeig = sparse.block_diag([I3] + [swap] * npairs, format="csr")
-    dim = values.size
+    # every operator is assembled from index arrays of its entries, listed
+    # row by row: the kernel 4-block, then the 8-block of pair p at rows and
+    # columns 4 + 8 p + (0 ... 7)
+    k = modes[1:]
+    kmats = k[:, 0, None, None] * I1 + k[:, 1, None, None] * I2
+    norms = np.hypot(k[:, 0], k[:, 1])
+    smats = np.matmul(I3, kmats) / norms[:, None, None]
+    dim = 4 + 8 * npairs
     whole = slice(0, dim)
+    rows = np.arange(dim)
+    blocks = np.zeros((npairs, 8, 8))
+    blocks[:, :4, 4:], blocks[:, 4:, :4] = kmats, -kmats
+    p, r, c = np.nonzero(blocks)
+    d = _csr(4 + 8 * p + r, 4 + 8 * p + c, blocks[p, r, c], dim)
+    mass = np.concatenate([np.full(4, area), np.full(8 * npairs, 0.5 * area)])
+    r, c = np.nonzero(I3)   # one entry in every row
+    j = _csr(rows, rows - rows % 4 + c[rows % 4], I3[r, c][rows % 4], dim)
+
+    # per pair: the columns at +|k|, then those at -|k|
+    values = np.concatenate([np.zeros(4), np.repeat(np.stack([norms, -norms], axis=1), 4)])
     order = np.argsort(values, kind="stable")
-    # the columns permuted while sparse, so the dense basis is one array
-    dense = vectors.tocsc()[:, order].toarray()
-    dense /= np.sqrt(area)
-    basis = Eigenbasis(values[order], ((whole, np.arange(dim), dense),), jeig[order][:, order])
-    j = sparse.kron(sparse.identity(1 + 2 * npairs), I3, format="csr")
+    sorted_col = np.empty(dim, dtype=np.intp)
+    sorted_col[order] = rows
+    # the eigenvectors, e_a and per pair (e_a, -+S e_a), scattered straight
+    # into the one dense basis at their sorted columns; its zeros are +0.0
+    blocks[:, :4, :4] = blocks[:, :4, 4:] = np.eye(4)
+    blocks[:, 4:, :4], blocks[:, 4:, 4:] = -smats, smats
+    p, r, c = np.nonzero(blocks)
+    dense = np.zeros((dim, dim), order="F")
+    dense[rows[:4], sorted_col[:4]] = 1.0 / np.sqrt(area)
+    dense[4 + 8 * p + r, sorted_col[4 + 8 * p + c]] = blocks[p, r, c] / np.sqrt(area)
+    # J in the eigenbasis, I3 on the kernel and [[0, I3], [I3, 0]] on every
+    # pair: every entry of each block is stored, zeros too, and each row
+    # lists its entries in the order of the unsorted columns
+    swap = np.kron([[0.0, 1.0], [1.0, 0.0]], I3)
+    r, c = np.divmod(np.arange(64), 8)
+    first = 4 + 8 * np.arange(npairs)[:, None]
+    at_row = sorted_col[np.concatenate([np.arange(16) // 4, (first + r).ravel()])]
+    at_col = sorted_col[np.concatenate([np.arange(16) % 4, (first + c).ravel()])]
+    vals = np.concatenate([I3.ravel(), np.tile(swap.ravel(), npairs)])
+    by_row = np.argsort(at_row, kind="stable")
+    jmat = _csr(at_row[by_row], at_col[by_row], vals[by_row], dim)
+    basis = Eigenbasis(values[order], ((whole, rows, dense),), jmat)
 
     return DiracModel("torus", mass, d, BlockOperator(dim, ((whole, whole, (j,)),)),
                       completeness_radius=float(np.sqrt(cutoff)), area=area, eigenbasis=basis,

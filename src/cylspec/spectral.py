@@ -6,7 +6,6 @@ equation exactly when A nu = lam nu.  Clusters of numerically coincident
 eigenvalues carry the multiplicities d_lam that drive all index formulas.
 """
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -232,11 +231,13 @@ def principal_angle_gap(basis_a: np.ndarray, basis_b: np.ndarray,
 
 
 def spectrum_to_csv(spectrum: Spectrum, path):
-    """CSV columns: index, eigenvalue, cluster_id, cluster_lambda, d_lambda."""
+    """CSV columns: index, eigenvalue, cluster_id, cluster_lambda, d_lambda.
+    The bytes are those csv.writer writes: CRLF line ends, and no field
+    needs quotes."""
+    values = spectrum.eigenvalues.tolist()
+    lines = ["index,eigenvalue,cluster_id,cluster_lambda,d_lambda\r\n"]
+    for ci, c in enumerate(spectrum.clusters):
+        tail = f",{ci},{c.lam:.17g},{c.dim}\r\n"
+        lines += [f"{i},{values[i]:.17g}{tail}" for i in range(c.start, c.stop)]
     with open(path, "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "eigenvalue", "cluster_id", "cluster_lambda", "d_lambda"])
-        for ci, c in enumerate(spectrum.clusters):
-            for i in range(c.start, c.stop):
-                w.writerow([i, f"{spectrum.eigenvalues[i]:.17g}", ci,
-                            f"{c.lam:.17g}", c.dim])
+        fh.write("".join(lines))

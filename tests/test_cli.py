@@ -142,6 +142,36 @@ def test_cylinder_solve_command_memory(tmp_path, capsys):
     assert peak <= 4.75 * 148 * 3001 * 8
 
 
+# values a CSV column may hold: signed zeros, subnormals, the ends of the
+# float range and the non-finite ones
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                           np.nan, np.inf, -np.inf, 1.0, -1.0 / 3.0])
+COLUMN_KINDS = ["+0", "-0", "+-0", "one-nonzero", "special", "normal"]
+
+
+def reference_csv_rows(block):
+    """The rows of block as np.savetxt writes them."""
+    fh = io.StringIO()
+    np.savetxt(fh, block, delimiter=",", fmt="%.17g")
+    return fh.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 255, 256, 257]),
+       st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=24),
+       st.integers(0, 2**32 - 1))
+def test_csv_rows_match_savetxt(rows, kinds, seed):
+    rng = np.random.default_rng(seed)
+    cols = {"+0": lambda: np.zeros(rows), "-0": lambda: np.full(rows, -0.0),
+            "+-0": lambda: rng.choice([0.0, -0.0], rows),
+            "one-nonzero": lambda: np.where(np.arange(rows) == rng.integers(rows),
+                                            rng.choice(SPECIAL_VALUES[2:]), 0.0),
+            "special": lambda: rng.choice(SPECIAL_VALUES, rows),
+            "normal": lambda: rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)}
+    block = np.column_stack([cols[kind]() for kind in kinds])
+    assert cli._csv_rows(block) == reference_csv_rows(block)
+
+
 def test_kernel_count_command(tmp_path, capsys):
     rc = main(["kernel-count", "--torus", SQ, "--cutoff", "1.5", "--weight", "0.5",
                "--eps", "0.001", "--mu-pert", "-1", "--seed", "11",
@@ -172,6 +202,32 @@ def test_kernel_count_near_a_root_reaches_its_level(tmp_path, capsys):
     rec, free = (json.loads((tmp_path / d / "kernel_count.json").read_text())
                  for d in ("pert", "free"))
     assert rec["dimension"] == free["dimension"] == 60
+
+
+def test_kernel_count_in_another_unit(tmp_path, monkeypatch, capsys):
+    # the square torus with side 2 pi s and every rate, time and step in the
+    # same unit: the frame's first level is bounded relative to |mu_pert|, so
+    # the levels are those of s = 1 (at s = 1e6 an absolute bound on the first
+    # step asked for a grid of 9975214 points and exited 2)
+    counts = []
+
+    def recording(*args):
+        counts.append(perturbed_kernel_count(*args))
+        return counts[-1]
+
+    perturbed_kernel_count = cli.perturbed_kernel_count
+    monkeypatch.setattr(cli, "perturbed_kernel_count", recording)
+    for s in (1e-7, 1.0, 1e6):
+        side = repr(2 * np.pi * s)
+        rc = main(["kernel-count", "--torus", f"{side},0,0,{side}", "--cutoff", repr(1.5 / s**2),
+                   "--weight", repr(0.5 / s), "--eps", repr(1e-3 / s), f"--mu-pert={-1 / s!r}",
+                   "--T", repr(30 * s), "--h", repr(0.01 * s), "--seed", "11",
+                   "--boundary", "negative", "--out", str(tmp_path / repr(s))])
+        assert rc == 0, capsys.readouterr().err
+    assert [c.dimension for c in counts] == [4, 4, 4]
+    assert counts[0].march_levels == counts[1].march_levels == counts[2].march_levels
+    for c in counts:
+        assert np.abs(c.singular_values - counts[1].singular_values).max() <= 1e-12
 
 
 def test_kernel_count_critical_weight(capsys):

@@ -13,6 +13,7 @@ from cylspec.dec import mass_eigh
 from cylspec.errors import ConfigError
 from cylspec.models import _AXIOM_TOL, I1, I2, I3
 from tests.conftest import apply_without_skip, lattice_bases
+from tests.test_lattice import UNIMODULAR
 
 
 def test_quaternion_algebra():
@@ -523,6 +524,73 @@ def test_torus_fill_matches_dense_arrays(basis, cutoff):
     [(_, _, (factor,))] = j.terms
     assert factor.format == "csr"
     assert np.array_equal(j.toarray(), np.kron(np.eye(model.dim // 4), I3))
+
+
+def every_entry(block):
+    """A dense block as a COO matrix storing every entry, zeros included, in
+    row-major order, as scipy 1.17's block_diag stores a dense block; so the
+    reference below keeps jmat's stored zeros whatever the scipy version."""
+    rows, cols = np.divmod(np.arange(block.size), block.shape[1])
+    return sparse.coo_matrix((block.ravel(), (rows, cols)), shape=block.shape)
+
+
+def reference_block_diag_torus(torus, cutoff):
+    """(D, J, jmat, dense eigenbasis) as build_torus_model made them with
+    block_diag, kron and fancy indexing, one block per mode pair."""
+    modes = cs.dual_lattice_points(torus, cutoff)
+    npairs = modes.shape[0] - 1
+    area = torus.area
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    kmats = [k[0] * I1 + k[1] * I2 for k in modes[1:]]
+    norms = np.hypot(modes[1:, 0], modes[1:, 1])
+    smats = [I3 @ kmat / nk for kmat, nk in zip(kmats, norms)]
+    d = sparse.block_diag([zero] + [np.block([[zero, kmat], [-kmat, zero]]) for kmat in kmats],
+                          format="csr")
+    d.eliminate_zeros()
+    values = np.concatenate([np.zeros(4), np.repeat(np.stack([norms, -norms], axis=1), 4)])
+    vectors = sparse.block_diag([every_entry(eye)] + [every_entry(np.block([[eye, eye], [-s, s]]))
+                                                       for s in smats])
+    swap = np.kron([[0.0, 1.0], [1.0, 0.0]], I3)
+    jeig = sparse.block_diag([every_entry(I3)] + [every_entry(swap)] * npairs, format="csr")
+    order = np.argsort(values, kind="stable")
+    dense = vectors.tocsc()[:, order].toarray()
+    dense /= np.sqrt(area)
+    j = sparse.kron(sparse.identity(1 + 2 * npairs), I3, format="csr")
+    return d, j, jeig[order][:, order], dense
+
+
+def assert_same_csr(a, b):
+    assert a.format == b.format == "csr" and a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_bases(), st.sampled_from(UNIMODULAR), st.integers(-3, 3),
+       st.floats(min_value=0.5, max_value=100.0))
+def test_torus_builder_matches_block_diag_reference(basis, u, k, cutoff):
+    # the same lattice in another basis and another unit; the CSR arrays and
+    # the basis are bitwise equal, zero signs and jmat's stored zeros included
+    s = 10.0**k
+    torus = cs.FlatTorus(s * basis @ u)
+    area = torus.area / s**2
+    cutoff = min(cutoff, 2000 * np.pi / area)   # dim about cutoff area / pi, at most 2000
+    model = cs.build_torus_model(torus, cutoff / s**2)
+    d, j, jmat, dense = reference_block_diag_torus(torus, cutoff / s**2)
+    [(_, _, (factor,))] = model.complex_structure.terms
+    assert_same_csr(model.dirac, d)
+    assert_same_csr(factor, j)
+    assert_same_csr(model.eigenbasis.jmat, jmat)
+    [(_, _, got)] = model.eigenbasis.blocks
+    assert got.flags.f_contiguous == dense.flags.f_contiguous
+    assert got.tobytes() == dense.tobytes()
+
+
+def test_torus_jmat_keeps_its_stored_zeros(square_t):
+    # J in the eigenbasis stores every entry of its 4- and 8-blocks
+    jmat = cs.build_torus_model(square_t, 2.5).eigenbasis.jmat
+    assert (jmat.nnz, jmat.count_nonzero()) == (272, 36)
 
 
 def test_torus_eigenbasis_peak_memory(square_t):

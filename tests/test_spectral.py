@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import tracemalloc
 
@@ -124,6 +125,38 @@ def test_csv_export(tmp_path, torus_spec_15):
     rows = path.read_text().strip().split("\n")
     assert rows[0] == "index,eigenvalue,cluster_id,cluster_lambda,d_lambda"
     assert len(rows) == 1 + torus_spec_15.dim
+
+
+def reference_spectrum_to_csv(spectrum, path):
+    """spectrum_to_csv row by row through csv.writer."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "eigenvalue", "cluster_id", "cluster_lambda", "d_lambda"])
+        for ci, c in enumerate(spectrum.clusters):
+            for i in range(c.start, c.stop):
+                w.writerow([i, f"{spectrum.eigenvalues[i]:.17g}", ci,
+                            f"{c.lam:.17g}", c.dim])
+
+
+# signed zeros, subnormals, the ends of the float range and nan
+csv_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+                                        float("nan")]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(csv_floats, st.integers(1, 40)), max_size=12), st.data())
+def test_csv_export_matches_csv_writer(tmp_path_factory, roots, data):
+    dim = sum(d for _, d in roots)
+    eigs = np.array(data.draw(st.lists(csv_floats, min_size=dim, max_size=dim)))
+    starts = np.cumsum([0] + [d for _, d in roots])
+    clusters = tuple(spectral.Cluster(lam, d, int(a), int(a) + d)
+                     for (lam, d), a in zip(roots, starts))
+    spec = spectral.Spectrum(eigs, clusters, 1.0, 1e-6)
+    path = tmp_path_factory.mktemp("csv")
+    cs.spectrum_to_csv(spec, path / "got.csv")
+    reference_spectrum_to_csv(spec, path / "want.csv")
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
 
 def test_sl_zero_window(sl16_spec):
