@@ -159,6 +159,10 @@ class CylinderOperator:
     def __post_init__(self):
         if self.base.jmat is None:
             raise ValueError("cylinder operators need a spectrum with jmat attached")
+        pert = self.perturbation
+        if pert is not None and (not isinstance(pert.coupling, np.ndarray)
+                                 or pert.coupling.shape != (self.dim, self.dim)):
+            raise InputError(f"a perturbation's coupling must be a {self.dim} x {self.dim} array")
         if not 0 < self.step <= self.t_final < np.inf:
             raise InputError("need 0 < h <= T")
         steps = self.t_final / self.step
@@ -442,37 +446,38 @@ def asymptotic_limit(sol: CylinderSolution, lam: float, lam1: float) -> Asymptot
 # perturbed kernel counting
 
 @dataclass(frozen=True)
+class FrameMarch:
+    """The perturbed frame at t = 0 (see _march_frame) and how it was marched."""
+
+    frame: np.ndarray   # orthonormal, one column per decaying mode
+    levels: tuple       # the step counts of every level marched, in order
+    estimate: float     # principal-angle estimate from the last pair of levels
+    qrs: int            # QRs taken over all levels
+
+
+@dataclass(frozen=True)
 class KernelCount:
     dimension: int
     decaying_dim: int            # dim of the subspace decaying at the far end
     singular_values: np.ndarray  # of the boundary-matching block
     boundary_set: tuple
     weight: float
-    eps: float
-    mu_pert: float
-    seed: int | None
-    # the frame march (0.0, () and 0 when no frame was marched); not in to_json
-    march_estimate: float        # principal-angle estimate from the last pair of levels
-    march_levels: tuple          # the step counts of every level marched, in order
-    march_qr: int                # QRs taken over all levels
-
-    @property
-    def march_steps(self) -> int:
-        """Final step count of the graded grid over [0, T] (0 when no frame was marched)."""
-        return self.march_levels[-1] if self.march_levels else 0
+    perturbation: Perturbation | None
+    march: FrameMarch | None     # None when no frame was needed; not in to_json
 
     def to_json(self) -> str:
         import json
 
+        pert = self.perturbation
         return json.dumps({
             "dimension": self.dimension,
             "decaying_dim": self.decaying_dim,
-            "singular_values": [float(f"{s:.17g}") for s in self.singular_values],
+            "singular_values": self.singular_values.tolist(),
             "boundary_set": list(self.boundary_set),
             "weight": self.weight,
-            "eps": self.eps,
-            "mu_pert": self.mu_pert,
-            "seed": self.seed,
+            "eps": 0.0 if pert is None else pert.eps,
+            "mu_pert": 0.0 if pert is None else pert.mu_pert,
+            "seed": None if pert is None else pert.seed,
         }, sort_keys=True)
 
 
@@ -482,13 +487,13 @@ class KernelCount:
 # steps and 8.3e-14 on the graded grid.  _FRAME_H0 / min(1, |mu_pert|) bounds
 # the first level's step in the graded variable s of _frame_grid (near t = 0 the
 # step in t is about the same), so a model stated in a longer unit, with slower
-# rates, takes the same levels.  The finest level is ceil(S / _FRAME_H0) *
-# 2**_FRAME_HALVINGS steps.  At
-# cutoff 10 and T = 30, a weight of 3.04 (0.04 above the root 3) with
-# eps = 8e-3, mu_pert = -2 and seed 1 needs 2048 steps (ceil(S / _FRAME_H0) = 5):
-# its levels 16, 32, 128, 512 and 2048 end on an estimate of 6.0e-10, where a
-# finest level of 640 steps (7 halvings) left 1.1e-7 and 1280 (8) left 4.0e-9.
-# A level is accepted once its estimate is _FRAME_ACCEPT * _FRAME_TOL: on the
+# rates, takes the same levels.  The finest level, ceil(S max(1, |mu_pert|) /
+# _FRAME_H0) * 2**_FRAME_HALVINGS steps, is the same in a shorter unit, with
+# faster rates.  At cutoff 10 and T = 30, a weight of 3.04 (0.04 above the root
+# 3) with eps = 8e-3, mu_pert = -2 and seed 1 needs 2048 steps: its levels 16,
+# 32, 128, 512 and 2048 end on an estimate of 6.0e-10, where a finest level of
+# 640 steps (5 * 2**7) left 1.1e-7 and 1280 (5 * 2**8) left 4.0e-9.  A level
+# is accepted once its estimate is _FRAME_ACCEPT * _FRAME_TOL: on the
 # first pair of levels (17 and 34 steps at cutoff 2.5) the H^4 law's next term
 # left an estimate of 9.85e-10 2% under the error against a march at four times
 # the steps; over 400 random draws the accepted errors stayed below 7.8e-10.
@@ -597,14 +602,12 @@ def _lawson_march(z: np.ndarray, lams: np.ndarray, g: np.ndarray, pert: Perturba
     return z, qrs + 1
 
 
-def _march_frame(op: CylinderOperator,
-                 cols: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], float, int]:
+def _march_frame(op: CylinderOperator, cols: np.ndarray) -> FrameMarch:
     """Orthonormal frame at t = 0 of the solutions that start at t = T on the
     mode columns cols, marched backward by a Lawson (integrating-factor) RK4
-    on a grid graded to the coupling's decay; with it, the step counts of the
-    levels marched, in order, the final level's estimate and the number of
-    QRs over all levels (the mode frame itself, no levels, 0.0 and 0 when
-    eps = 0).
+    on a grid graded to the coupling's decay, as a FrameMarch with its levels'
+    step counts, the final estimate and the QRs over all levels (the mode
+    frame itself, no levels, 0.0 and 0 when eps = 0).
 
     Each level is a Lawson march on the graded grid of ``_frame_grid``, whose
     length in s is S.  The first level takes N0 = ceil(S * max(min(1,
@@ -616,21 +619,22 @@ def _march_frame(op: CylinderOperator,
     factor (m/n)^4 - 1 (15 for m = 2n).  At most _FRAME_ACCEPT * _FRAME_TOL,
     the finer frame is returned.  Above it, the next level is the one the H^4
     law predicts for _FRAME_TOL / 2, m (2 estimate / _FRAME_TOL)^{1/4} steps,
-    clamped to [m + 1, min(4 m, N_max)].  With N_max = ceil(S / _FRAME_H0) *
-    2**_FRAME_HALVINGS steps marched and the estimate still above
-    _FRAME_ACCEPT * _FRAME_TOL, ConvergenceFailure is raised.  A level whose
-    dim x (steps + 1) is above MAX_GRID_VALUES raises ConfigError before its
-    grid is formed."""
+    clamped to [m + 1, min(4 m, N_max)].  With N_max = ceil(S max(1,
+    |mu_pert|) / _FRAME_H0) * 2**_FRAME_HALVINGS steps marched and the
+    estimate still above _FRAME_ACCEPT * _FRAME_TOL, ConvergenceFailure is
+    raised.  A level whose dim x (steps + 1) is above MAX_GRID_VALUES raises
+    ConfigError before its grid is formed."""
     z = np.zeros((op.dim, cols.size))
     z[cols, np.arange(cols.size)] = 1.0
     pert = op.perturbation
     if pert is None:
-        return z, (), 0.0, 0   # for eps = 0 the subspace is invariant: the mode frame itself
+        return FrameMarch(z, (), 0.0, 0)   # for eps = 0 the subspace is invariant
     lams = op.base.eigenvalues
     g = op.base.jmat @ pert.coupling
     length = _frame_length(op.t_final, pert.mu_pert)
-    n_max = int(np.ceil(length / _FRAME_H0)) * 2 ** _FRAME_HALVINGS
-    rate = min(1.0, abs(pert.mu_pert)) / _FRAME_H0
+    decay = abs(pert.mu_pert)
+    n_max = int(np.ceil(length * max(1.0, decay) / _FRAME_H0)) * 2 ** _FRAME_HALVINGS
+    rate = min(1.0, decay) / _FRAME_H0
     n = max(1, min(int(np.ceil(length * max(rate, float(np.ptp(lams))))), n_max // 2))
     spread = float(np.ptp(lams[cols])) if cols.size else 0.0
 
@@ -648,7 +652,7 @@ def _march_frame(op: CylinderOperator,
         levels.append(m)
         n, coarse = m, fine
         if estimate <= _FRAME_ACCEPT * _FRAME_TOL:
-            return fine, tuple(levels), estimate, qrs
+            return FrameMarch(fine, tuple(levels), estimate, qrs)
         if n >= n_max:
             raise ConvergenceFailure(
                 f"perturbed frame estimate {estimate:.3e} at {n} steps, the finest level, "
@@ -672,7 +676,7 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
     the grid step h plays no part.  The count is (subspace dim) - rank(rows of
     the boundary set), with singular values judged against 1e-6 * sigma_max.
     For eps = 0 this reduces to #{j not in S : lam_j < weight}.  The result
-    carries the march's levels, final step count, estimate and QR count.
+    carries the perturbation and the FrameMarch (None if p = 0 or S = {}).
     """
     gap = op.check_weight(weight)
     s_idx = sorted(int(i) for i in boundary_set)
@@ -684,17 +688,14 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
     p = int(cols.size)
 
     pert = op.perturbation
-    eps = 0.0 if pert is None else pert.eps
     if pert is not None and pert.eps >= 0.5 * gap:
         raise PerturbationTooLarge(
             f"eps = {pert.eps:.3g} is not small against the weight gap {gap:.3g}")
 
-    rank = 0
-    svals = np.zeros(0)
-    levels, estimate, qrs = (), 0.0, 0
+    rank, svals, march = 0, np.zeros(0), None
     if p and s_idx.size:
-        frame, levels, estimate, qrs = _march_frame(op, cols)
-        block = frame[s_idx, :]
+        march = _march_frame(op, cols)
+        block = march.frame[s_idx, :]
         svals = np.linalg.svd(block, compute_uv=False)
         smax = float(svals.max(initial=0.0))
         if smax > 0.0:
@@ -705,6 +706,4 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
                 raise IllConditionedMatching(
                     f"smallest kept singular value {kept.min():.3e} is within 10x of "
                     f"the rank threshold {thr:.3e}")
-    return KernelCount(p - rank, p, svals, tuple(s_idx.tolist()), float(weight),
-                       eps, 0.0 if pert is None else pert.mu_pert,
-                       None if pert is None else pert.seed, estimate, levels, qrs)
+    return KernelCount(p - rank, p, svals, tuple(s_idx.tolist()), float(weight), pert, march)

@@ -204,11 +204,9 @@ def test_kernel_count_near_a_root_reaches_its_level(tmp_path, capsys):
     assert rec["dimension"] == free["dimension"] == 60
 
 
-def test_kernel_count_in_another_unit(tmp_path, monkeypatch, capsys):
-    # the square torus with side 2 pi s and every rate, time and step in the
-    # same unit: the frame's first level is bounded relative to |mu_pert|, so
-    # the levels are those of s = 1 (at s = 1e6 an absolute bound on the first
-    # step asked for a grid of 9975214 points and exited 2)
+@pytest.fixture
+def recorded_counts(monkeypatch):
+    """The KernelCount of every perturbed_kernel_count call that main makes."""
     counts = []
 
     def recording(*args):
@@ -217,6 +215,31 @@ def test_kernel_count_in_another_unit(tmp_path, monkeypatch, capsys):
 
     perturbed_kernel_count = cli.perturbed_kernel_count
     monkeypatch.setattr(cli, "perturbed_kernel_count", recording)
+    return counts
+
+
+@pytest.mark.parametrize("s", [1e-7, 1.0])
+def test_kernel_count_near_a_root_in_another_unit(tmp_path, recorded_counts, capsys, s):
+    # the near-root command with every length, rate and time in the unit s:
+    # the finest level is bounded relative to |mu_pert|, as the first is, so
+    # s = 1e-7 marches the levels of s = 1 (an absolute finest level of 512
+    # steps exited 3 there)
+    side = repr(2 * np.pi * s)
+    rc = main(["kernel-count", "--torus", f"{side},0,0,{side}", "--cutoff", repr(10 / s**2),
+               "--weight", repr(3.04 / s), "--eps", repr(8e-3 / s), f"--mu-pert={-2 / s!r}",
+               "--T", repr(30 * s), "--h", repr(0.01 * s), "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    [count] = recorded_counts
+    assert count.dimension == 60
+    assert count.march.levels == (16, 32, 128, 512, 2048)
+
+
+def test_kernel_count_in_another_unit(tmp_path, recorded_counts, capsys):
+    # the square torus with side 2 pi s and every rate, time and step in the
+    # same unit: the frame's first level is bounded relative to |mu_pert|, so
+    # the levels are those of s = 1 (at s = 1e6 an absolute bound on the first
+    # step asked for a grid of 9975214 points and exited 2)
+    counts = recorded_counts
     for s in (1e-7, 1.0, 1e6):
         side = repr(2 * np.pi * s)
         rc = main(["kernel-count", "--torus", f"{side},0,0,{side}", "--cutoff", repr(1.5 / s**2),
@@ -225,7 +248,7 @@ def test_kernel_count_in_another_unit(tmp_path, monkeypatch, capsys):
                    "--boundary", "negative", "--out", str(tmp_path / repr(s))])
         assert rc == 0, capsys.readouterr().err
     assert [c.dimension for c in counts] == [4, 4, 4]
-    assert counts[0].march_levels == counts[1].march_levels == counts[2].march_levels
+    assert counts[0].march.levels == counts[1].march.levels == counts[2].march.levels
     for c in counts:
         assert np.abs(c.singular_values - counts[1].singular_values).max() <= 1e-12
 
@@ -852,6 +875,10 @@ def test_config_number_reads_as_its_flag_text(tmp_path, capsys):
     assert "boundary set S = [0]" in capsys.readouterr().out
 
 
+def torus_15():
+    return cs.eigendecompose(cs.build_torus_model(cs.square_torus(), 1.5))
+
+
 @pytest.mark.parametrize("call", [
     lambda: cs.FlatTorus(np.array([[np.nan, 0], [0, 1.0]])),
     lambda: cs.FlatTorus(np.array([[1e200, 0], [0, 1e200]])),
@@ -866,9 +893,11 @@ def test_config_number_reads_as_its_flag_text(tmp_path, capsys):
     lambda: cs.indicial_roots(cs.synthetic_spectrum([], 2.0), (1.0, 0.0)),
     lambda: cs.cylinder.Perturbation(1e-3, 1.0, 0),
     lambda: cs.cylinder.make_perturbation(4, 1e-3, -1.0, seed=-1),
+    lambda: cs.CylinderOperator(torus_15(), 30.0, 0.01, cs.cylinder.Perturbation(1e-3, -1.0, 0)),
+    lambda: cs.CylinderOperator(torus_15(), 30.0, 0.01, cs.make_perturbation(3, 1e-3, -1.0)),
     lambda: cs.cylinder.differentiate(np.zeros(4), 0.1),
 ], ids=["lattice-nan", "lattice-huge", "lattice-tiny", "lattice-thin", "lattice-zero", "cutoff", "grid", "oblique-grid", "vertex-inf", "rate-count",
-        "window", "mu-pert", "seed", "stencil"])
+        "window", "mu-pert", "seed", "no-coupling", "coupling-3x3", "stencil"])
 def test_library_input_checks_raise_input_error(call):
     # an InputError is a ValueError for library callers and a ConfigError
     # for the command line

@@ -1,16 +1,17 @@
+import json
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
-from cylspec.cylinder import (_FRAME_HALVINGS, CylinderOperator, CylinderSolution,
-                              _exp_moments, _frame_grid, _frame_length, _lawson_march,
-                              _march_frame, differentiate)
+from cylspec.cylinder import (_FRAME_HALVINGS, CylinderOperator, CylinderSolution, FrameMarch,
+                              KernelCount, _exp_moments, _frame_grid, _frame_length,
+                              _lawson_march, _march_frame, differentiate)
 from cylspec.errors import (ConfigError, ConvergenceFailure, CriticalWeight,
                             IllConditionedMatching, InsufficientTail, PerturbationTooLarge)
 
@@ -503,8 +504,11 @@ def test_perturbed_count_eps0(torus_spec_15):
     s = negative_modes(torus_spec_15)
     assert cs.perturbed_kernel_count(op, 0.5, s).dimension == 4
     assert cs.perturbed_kernel_count(op, -0.5, s).dimension == 0
-    # without boundary conditions the count is the full decaying dimension
-    assert cs.perturbed_kernel_count(op, 0.5, []).dimension == 12
+    # without boundary conditions the count is the full decaying dimension,
+    # and no frame is marched; nor is one where no mode decays
+    free = cs.perturbed_kernel_count(op, 0.5, [])
+    assert free.dimension == 12 and free.march is None
+    assert cs.perturbed_kernel_count(op, -1.1, s).march is None
 
 
 def test_perturbed_count_stability(torus_spec_15):
@@ -541,7 +545,7 @@ def test_rank_near_the_threshold_is_ill_conditioned(torus_spec_15, monkeypatch, 
     def planted_frame(op, cols):
         frame = np.zeros((op.dim, cols.size))
         frame[0, 0], frame[1, 1] = 1.0, small
-        return frame, (), 0.0, 0
+        return FrameMarch(frame, (), 0.0, 0)
 
     monkeypatch.setattr(cs.cylinder, "_march_frame", planted_frame)
     p = int(np.count_nonzero(torus_spec_15.eigenvalues < 0.5))
@@ -560,6 +564,47 @@ def test_boundary_set_recorded(torus_spec_15):
     count = cs.perturbed_kernel_count(op, 0.5, s)
     assert list(count.boundary_set) == s
     assert '"boundary_set"' in count.to_json()
+
+
+def field_by_field_json(count, eps, mu_pert, seed):
+    """KernelCount.to_json as it read when the count held its own copies of
+    eps, mu_pert and seed, and wrote each singular value through %.17g."""
+    return json.dumps({
+        "dimension": count.dimension,
+        "decaying_dim": count.decaying_dim,
+        "singular_values": [float(f"{s:.17g}") for s in count.singular_values],
+        "boundary_set": list(count.boundary_set),
+        "weight": count.weight,
+        "eps": eps,
+        "mu_pert": mu_pert,
+        "seed": seed,
+    }, sort_keys=True)
+
+
+# signed zeros, subnormals, the smallest normal and non-finite values
+ODD_FLOATS = (-0.0, 0.0, 5e-324, -2.5e-320, 1.1125369292536007e-308, 2.2250738585072014e-308,
+              float("nan"), float("inf"), -float("inf"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(svals=st.lists(st.one_of(st.sampled_from(ODD_FLOATS), st.floats()), max_size=8),
+       pert=st.one_of(st.none(), st.builds(cs.make_perturbation, st.just(4),
+                                            st.one_of(st.just(0.0), st.floats(0.0, 1e-2)),
+                                            st.floats(-50.0, -1e-3), st.integers(0, 2**32 - 1))),
+       dims=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+       boundary=st.lists(st.integers(0, 39), unique=True), weight=st.floats())
+@example(svals=list(ODD_FLOATS), pert=None, dims=(3, 5), boundary=[0, 1], weight=0.5)
+@example(svals=[1.0, -0.0, 5e-324], pert=cs.make_perturbation(4, 0.0, -1.0, 11), dims=(2, 3),
+         boundary=[2], weight=-0.5)
+def test_kernel_count_json_matches_field_by_field(svals, pert, dims, boundary, weight):
+    # to_json derives eps, mu_pert and seed from the perturbation (0.0, 0.0
+    # and null without one) and writes singular_values by tolist(): the same
+    # bytes as the copied fields and the %.17g round trip
+    march = None if pert is None else FrameMarch(np.eye(4, 2), (16, 32), 1e-10, 3)
+    count = KernelCount(dims[0], dims[1], np.array(svals, dtype=float), tuple(sorted(boundary)),
+                        weight, pert, march)
+    fields = (0.0, 0.0, None) if pert is None else (pert.eps, pert.mu_pert, pert.seed)
+    assert count.to_json() == field_by_field_json(count, *fields)
 
 
 def test_manufactured_recovery_many_weights(op15):
@@ -683,7 +728,7 @@ def test_decaying_frame_is_isotropic(torus_spec_15, eps, seed, weight):
     assume(np.abs(spec.eigenvalues - weight).min() >= 1e-3)
     pert = cs.make_perturbation(spec.dim, eps, -1.0, seed) if eps > 0 else None
     op = CylinderOperator(spec, 30.0, 0.01, pert)
-    z = _march_frame(op, np.flatnonzero(spec.eigenvalues < weight))[0]
+    z = _march_frame(op, np.flatnonzero(spec.eigenvalues < weight)).frame
     assert np.abs(z.T @ spec.jmat @ z).max(initial=0.0) <= 1e-12
 
 
@@ -693,7 +738,7 @@ def test_decaying_frame_sees_kernel_pairing(torus_spec_15):
     spec = torus_spec_15
     cols = np.flatnonzero(spec.eigenvalues < 0.5)
     for pert in (None, cs.make_perturbation(spec.dim, 1e-3, -1.0, seed=11)):
-        z = _march_frame(CylinderOperator(spec, 30.0, 0.01, pert), cols)[0]
+        z = _march_frame(CylinderOperator(spec, 30.0, 0.01, pert), cols).frame
         assert np.linalg.matrix_rank(z.T @ spec.jmat @ z, tol=1e-8) == spec.d0() == 4
 
 
@@ -740,7 +785,7 @@ def assert_frame_matches_reference(spec, data, eps, mu_pert, seed):
     pert = cs.make_perturbation(spec.dim, eps, mu_pert, seed) if eps > 0 else None
     op = CylinderOperator(spec, 30.0, 0.01, pert)
     s = negative_modes(spec)
-    z, ref = _march_frame(op, cols)[0], reference_frame(op, cols)
+    z, ref = _march_frame(op, cols).frame, reference_frame(op, cols)
     # largest principal-angle sine between the two frames
     assert np.linalg.norm(z - ref @ (ref.T @ z), 2) <= 1e-8
     sv, sv_ref = (np.linalg.svd(f[s], compute_uv=False) for f in (z, ref))
@@ -748,8 +793,8 @@ def assert_frame_matches_reference(spec, data, eps, mu_pert, seed):
     count = cs.perturbed_kernel_count(op, weight, s)
     assert count.dimension == cols.size - np.count_nonzero(sv_ref >= 1e-6 * sv_ref.max())
     # the march's step count and estimate ride along but stay out of the JSON
-    assert count.march_estimate <= 1e-9
-    assert (count.march_steps > 0) == (pert is not None)
+    assert count.march.estimate <= 1e-9
+    assert bool(count.march.levels) == (pert is not None)
     assert "march" not in count.to_json()
 
 
@@ -805,8 +850,8 @@ def test_graded_march_step_count():
     op = CylinderOperator(spec, 30.0, 0.01, pert)
     count = cs.perturbed_kernel_count(op, 0.5, negative_modes(spec))
     assert count.dimension == spec.d0()
-    assert count.march_steps <= 160
-    assert count.march_estimate <= 1e-9
+    assert count.march.levels[-1] <= 160
+    assert count.march.estimate <= 1e-9
 
 
 @pytest.mark.parametrize("mu_pert", (-50.0, -1e300))
@@ -816,7 +861,7 @@ def test_fast_decaying_coupling_settles_early(torus_spec_25, mu_pert):
     op = CylinderOperator(torus_spec_25, 30.0, 0.01, pert)
     count = cs.perturbed_kernel_count(op, 0.5, negative_modes(torus_spec_25))
     assert count.dimension == torus_spec_25.d0()
-    assert count.march_steps <= 32 and count.march_estimate <= 1e-9
+    assert count.march.levels[-1] <= 32 and count.march.estimate <= 1e-9
 
 
 @pytest.mark.parametrize("eps", (1e-3, 5e-4))
@@ -835,7 +880,7 @@ def test_lagrangian_boundary_halves_kernel(torus_spec_15, eps):
     op = CylinderOperator(spec, 30.0, 0.01, pert)
     count = cs.perturbed_kernel_count(op, 0.5, s)
     assert count.dimension == spec.d0() // 2 == 2
-    z = _march_frame(op, np.flatnonzero(spec.eigenvalues < 0.5))[0]
+    z = _march_frame(op, np.flatnonzero(spec.eigenvalues < 0.5)).frame
     # kernel elements at t = 0: the frame combinations that vanish on s
     _, sv, vt = np.linalg.svd(z[s])
     kernel = z @ vt[sv.size:].T
@@ -866,7 +911,7 @@ def angle_to_finer_march(op, cols, steps):
     """Largest principal angle between the frame _march_frame accepts for the
     modes cols and a march from the same start at four times its final level."""
     spec, pert = op.base, op.perturbation
-    z = _march_frame(op, cols)[0]
+    z = _march_frame(op, cols).frame
     z0 = np.zeros((spec.dim, cols.size))
     z0[cols, np.arange(cols.size)] = 1.0
     fine, _ = _lawson_march(z0, spec.eigenvalues, spec.jmat @ pert.coupling, pert,
@@ -893,15 +938,15 @@ def test_march_estimate_matches_finer_march(torus_spec_15, torus_spec_25, data, 
     pert = cs.make_perturbation(spec.dim, eps, mu_pert, seed)
     op = CylinderOperator(spec, 30.0, 0.01, pert)
     count = cs.perturbed_kernel_count(op, weight, negative_modes(spec))
-    levels = count.march_levels
-    assert count.march_steps == levels[-1] and len(levels) >= 2
+    levels = count.march.levels
+    assert len(levels) >= 2
     assert all(n < m <= 4 * n for n, m in zip(levels, levels[1:]))
-    assert count.march_qr >= len(levels)   # each level ends on a QR
+    assert count.march.qrs >= len(levels)   # each level ends on a QR
     assert "march" not in count.to_json()
     angle = angle_to_finer_march(op, cols, levels[-1])
     assert angle <= cs.cylinder._FRAME_TOL
     # sines between orthonormal frames are known to rounding, about 1e-15 here
-    estimate = count.march_estimate
+    estimate = count.march.estimate
     assert angle / 2 - 1e-14 <= estimate <= 2 * angle + 1e-14
 
 
@@ -914,7 +959,7 @@ def test_march_at_the_replayed_point_is_within_tolerance(torus_spec_25):
     op = CylinderOperator(spec, 30.0, 0.01, pert)
     count = cs.perturbed_kernel_count(op, 0.5, negative_modes(spec))
     angle = angle_to_finer_march(op, np.flatnonzero(spec.eigenvalues < 0.5),
-                                 count.march_levels[-1])
+                                 count.march.levels[-1])
     assert angle <= cs.cylinder._FRAME_TOL
 
 
@@ -924,11 +969,11 @@ def test_march_level_count(spec10):
     pert = cs.make_perturbation(spec10.dim, 1e-3, -1.0, seed=4)
     count = cs.perturbed_kernel_count(CylinderOperator(spec10, 30.0, 0.01, pert), 0.5,
                                       negative_modes(spec10))
-    assert sum(count.march_levels) <= 200
-    assert count.march_estimate <= 1e-9
+    assert sum(count.march.levels) <= 200
+    assert count.march.estimate <= 1e-9
     # a QR once the columns may have grown apart by 1e4: 24 QRs over the
     # three levels; a QR at growth 10 takes 59
-    assert count.march_qr <= 30
+    assert count.march.qrs <= 30
 
 
 @settings(max_examples=15, deadline=None)
@@ -968,7 +1013,7 @@ def test_march_has_no_knife_edge(spec10):
         pert = cs.make_perturbation(spec10.dim, 1e-3, -1.0, seed)
         count = cs.perturbed_kernel_count(CylinderOperator(spec10, 30.0, 0.01, pert), 0.5,
                                           negative_modes(spec10))
-        levels.append(count.march_levels)
+        levels.append(count.march.levels)
     assert len({lv[:-1] for lv in levels}) == 1
     final = [lv[-1] for lv in levels]
     assert max(final) <= 1.1 * min(final)
@@ -997,5 +1042,5 @@ def test_frame_march_cap_is_finest_level(torus_spec_15, monkeypatch):
 def test_decaying_frame_of_no_columns(torus_spec_15):
     pert = cs.make_perturbation(torus_spec_15.dim, 1e-3, -1.0, seed=11)
     z = _march_frame(CylinderOperator(torus_spec_15, 30.0, 0.01, pert),
-                     np.zeros(0, dtype=int))[0]
+                     np.zeros(0, dtype=int)).frame
     assert z.shape == (torus_spec_15.dim, 0)
