@@ -12,10 +12,9 @@ from .cylinder import (CylinderOperator, CylinderSolution, Perturbation,
 from .dec import (CochainComplex, SymmetricOperator, build_dec,
                   genus2_quad_complex, laplacian0, laplacian0_dual, laplacian1,
                   quad_torus_complex, smallest_eigenvalues)
-from .index import (EndSystem, IndexReport, SymplecticKernel,
-                    fixed_moduli_vdim, fredholm_index, is_critical,
-                    is_lagrangian, symplectic_form, varying_moduli_vdim,
-                    wall_crossing)
+from .index import (EndSystem, IndexReport, fixed_moduli_vdim, fredholm_index,
+                    is_critical, is_lagrangian, symplectic_form,
+                    varying_moduli_vdim, wall_crossing)
 from .lattice import FlatTorus, dual_lattice_points, square_torus, torus_fourier_spectrum
 from .mesh import (TriangulatedSurface, genus2_mesh, parametric_torus_mesh,
                    read_off, surface_from_triangles, triangulated_torus_mesh,

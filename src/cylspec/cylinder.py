@@ -24,6 +24,7 @@ rounds its span by about 1e4 times the unit round-off, 2e-12.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,9 @@ class Perturbation:
     def __post_init__(self):
         if not self.mu_pert < 0:   # also rejects NaN
             raise InputError("mu_pert must be negative (decaying coupling)")
+        if not (-math.inf < self.mu_pert and 0 <= self.eps < math.inf):
+            raise InputError(f"eps must be finite and >= 0 and mu_pert finite, got "
+                             f"eps = {self.eps}, mu_pert = {self.mu_pert}")
 
 
 def make_perturbation(dim: int, eps: float, mu_pert: float, seed: int = 0) -> Perturbation:
@@ -674,12 +678,16 @@ def perturbed_kernel_count(op: CylinderOperator, weight: float, boundary_set) ->
     H^4 error law and verified on a pair of levels, until the frame's
     principal-angle estimate is at most 8e-10 (ConvergenceFailure otherwise);
     the grid step h plays no part.  The count is (subspace dim) - rank(rows of
-    the boundary set), with singular values judged against 1e-6 * sigma_max.
+    the boundary set, each index once), with singular values judged against
+    1e-6 * sigma_max.
     For eps = 0 this reduces to #{j not in S : lam_j < weight}.  The result
     carries the perturbation and the FrameMarch (None if p = 0 or S = {}).
     """
     gap = op.check_weight(weight)
-    s_idx = sorted(int(i) for i in boundary_set)
+    s_idx = list(boundary_set)
+    if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in s_idx):
+        raise InputError(f"boundary set entries must be integers, got {s_idx}")
+    s_idx = sorted(set(map(int, s_idx)))
     if s_idx and (s_idx[0] < 0 or s_idx[-1] >= op.dim):   # before an index can overflow int64
         raise InputError("boundary set indices out of range")
     s_idx = np.asarray(s_idx, dtype=int)

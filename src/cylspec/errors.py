@@ -56,10 +56,6 @@ class OddKernelDimension(CylspecError):
     """A kernel multiplicity d_0 is odd; half-integer dimensions are rejected."""
 
 
-class NotInKernel(CylspecError):
-    """Supplied vectors do not lie in the zero-rate kernel."""
-
-
 class CriticalWeight(CylspecError):
     """A cylinder weight coincides with an eigenvalue; the model operator is not invertible."""
 

@@ -9,9 +9,9 @@ its end.  Within that complement the index is the integer
 
 and crossing a root z changes it by exactly d_z.  The two virtual-dimension
 conventions are the all-negative-rate index (fixed cross-section, always
-<= 0) and sum d_{0,i}/2 (varying cross-section, always >= 0).  The kernel at
-rate zero carries a symplectic pairing; subspaces produced by asymptotic
-limits are tested against it for the Lagrangian property.
+<= 0) and sum d_{0,i}/2 (varying cross-section, always >= 0).  J makes the
+kernel at rate zero symplectic, omega(u, v) = <J u, v>_M; subspaces of it,
+such as those of asymptotic limits, are tested for the Lagrangian property.
 """
 
 import json
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CriticalRate, InputError, NonNegativeRate, NotInKernel, NotOrdered,
-                     OddKernelDimension, WindowExceedsCutoff)
+from .errors import (CriticalRate, InputError, NonNegativeRate, NotOrdered, OddKernelDimension,
+                     WindowExceedsCutoff)
 from .spectral import Spectrum
 
 FIXED_TAG = "fixed-cross-section-index"
@@ -185,57 +185,51 @@ def varying_moduli_vdim(ends: EndSystem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symplectic pairing on the zero-rate kernel
+# the symplectic form on the zero-rate kernel
 
-@dataclass(frozen=True)
-class SymplecticKernel:
-    """Kernel basis with the integrated skew pairing Omega = area * fiber form."""
-
-    basis: np.ndarray        # (f, K) columns: constant-section fiber vectors
-    gram: np.ndarray         # (K, K) skew
-    area_weight: float
-    form: np.ndarray         # (f, f) = area * pointwise pairing
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.basis.shape[1]
-
-
-def symplectic_form(basis, pairing, area: float, kernel=None) -> SymplecticKernel:
-    """Integrate a pointwise skew pairing over constant sections.
-
-    For constant sections the integral over the surface collapses to
-    area * pairing(xi_a, xi_b).  When ``kernel`` (an orthonormal basis of the
-    admissible fiber subspace) is supplied, every column of ``basis`` must lie
-    in its span, to 1e-8 relative, or NotInKernel is raised.
-    """
-    basis = np.asarray(basis, dtype=float)
-    pairing = np.asarray(pairing, dtype=float)
-    if float(np.abs(pairing + pairing.T).max()) > 1e-10 * float(np.abs(pairing).max()):
-        raise ValueError("pairing is not skew")
-    if kernel is not None:
-        kernel = np.asarray(kernel, dtype=float)
-        proj = kernel @ (kernel.T @ basis)
-        if float(np.abs(basis - proj).max()) > 1e-8 * float(np.abs(basis).max()):
-            raise NotInKernel("basis vectors do not lie in the zero-rate kernel")
-    form = float(area) * pairing
-    gram = basis.T @ form @ basis
-    return SymplecticKernel(basis, gram, float(area), form)
+def symplectic_form(spectrum: Spectrum) -> np.ndarray:
+    """Omega[a, b] = omega(e_a, e_b) = <J e_a, e_b>_M on the zero cluster, in
+    its M-orthonormal eigencoordinates: the transpose of the cluster's block
+    of ``spectrum.jmat``.  InputError without a jmat (a synthetic spectrum)
+    or a zero cluster, when J joins a zero mode to another cluster, or when
+    Omega is not skew and orthogonal to 1e-12; an odd d_0 raises
+    OddKernelDimension."""
+    jmat = spectrum.jmat
+    if jmat is None:
+        raise InputError("the spectrum carries no J (a synthetic spectrum)")
+    if not _half_d0(spectrum):
+        raise InputError("the spectrum has no zero cluster")
+    c = spectrum.cluster_at(0.0)
+    j = jmat.tocoo()
+    in_row, in_col = (c.start <= j.row) & (j.row < c.stop), (c.start <= j.col) & (j.col < c.stop)
+    if ((in_row != in_col) & (j.data != 0)).any():
+        raise InputError("J joins a zero mode to another cluster")
+    omega = jmat[c.start:c.stop, c.start:c.stop].toarray().T
+    if not (np.abs(omega + omega.T).max() <= 1e-12
+            and np.abs(omega @ omega.T - np.eye(c.dim)).max() <= 1e-12):
+        raise InputError("J on the zero cluster is not skew and orthogonal to 1e-12")
+    return omega
 
 
-def is_lagrangian(subspace, sk: SymplecticKernel) -> bool:
-    """True iff the subspace is isotropic for Omega (each pairing of two basis
-    columns to 1e-9 relative to the largest entry of Omega = area * pairing
-    times the two columns' norms) and has half the kernel dimension."""
-    if sk.kernel_dim % 2 != 0:
-        raise OddKernelDimension(f"kernel dimension {sk.kernel_dim} is odd")
+def is_lagrangian(subspace, spectrum: Spectrum) -> bool:
+    """True iff the span of ``subspace``, a (d0, k) or (d0,) array in the
+    zero cluster's eigencoordinates, has dimension d0/2 and is isotropic for
+    Omega = symplectic_form(spectrum): each pairing of two columns within
+    1e-9 of the largest entry of Omega times the two columns' norms.  A
+    wrong row count, a non-finite entry or a dependent basis is an
+    InputError."""
+    omega = symplectic_form(spectrum)
     s = np.asarray(subspace, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
+    if s.ndim != 2 or s.shape[0] != omega.shape[0]:
+        raise InputError(f"subspace of shape {s.shape} needs {omega.shape[0]} rows")
+    if not np.isfinite(s).all():
+        raise InputError("subspace entries must be finite")
     if np.linalg.matrix_rank(s) != s.shape[1]:
-        raise ValueError("subspace basis is linearly dependent")
-    if s.shape[1] != sk.kernel_dim // 2:
+        raise InputError("subspace basis is linearly dependent")
+    if s.shape[1] != omega.shape[0] // 2:
         return False
-    restricted = s.T @ sk.form @ s
     norms = np.linalg.norm(s, axis=0)
-    return bool((np.abs(restricted) <= 1e-9 * np.abs(sk.form).max() * np.outer(norms, norms)).all())
+    return bool((np.abs(s.T @ omega @ s) <= 1e-9 * np.abs(omega).max()
+                 * np.outer(norms, norms)).all())

@@ -279,16 +279,22 @@ def test_c11_perturbed_kernel_stability():
 
 def test_c12_symplectic_lagrangian():
     c = Criterion("C12 Omega = area * k-pairing; Lagrangian tests", 1.0)
+    spec = cs.eigendecompose(cs.build_torus_model(cs.square_torus(), 1.5))
+    omega = cs.symplectic_form(spec)
     area = 4 * np.pi**2
     pairing = I3.T      # <I3 e_a, e_b>
-    sk = cs.symplectic_form(np.eye(4), pairing, area, kernel=np.eye(4))
+    # Omega pulled back to constant-section fiber coordinates: the section
+    # with fiber value xi has eigencoordinates v0^T M xi = sqrt(area) xi
+    c0 = spec.cluster_at(0.0)
+    xi = spec.basis.columns(c0.start, c0.stop)[:4, :].T * spec.mass[:4]
+    gram = xi.T @ omega @ xi
     c.check("Omega entrywise = 4pi^2 * pairing to 1e-9",
-            np.abs(sk.gram - area * pairing).max() <= 1e-9)
-    c.check("Omega skew", np.abs(sk.gram + sk.gram.T).max() <= 1e-10)
-    c.check("span{1, i} accepted", cs.is_lagrangian(np.eye(4)[:, :2], sk))
-    c.check("full kernel rejected", not cs.is_lagrangian(np.eye(4), sk))
+            np.abs(gram - area * pairing).max() <= 1e-9)
+    c.check("Omega skew", np.abs(gram + gram.T).max() <= 1e-10)
+    c.check("span{1, i} accepted", cs.is_lagrangian(np.eye(4)[:, :2], spec))
+    c.check("full kernel rejected", not cs.is_lagrangian(np.eye(4), spec))
     ok_1dim = True
     for a in range(4):
-        ok_1dim &= not cs.is_lagrangian(np.eye(4)[:, [a]], sk)
+        ok_1dim &= not cs.is_lagrangian(np.eye(4)[:, [a]], spec)
     c.check("every 1-dim subspace rejected", ok_1dim)
     c.finish()

@@ -645,6 +645,19 @@ def test_kernel_count_explicit_boundary(tmp_path, capsys, boundary, dimension, b
     assert f"boundary set S = {boundary_set}" in capsys.readouterr().out
 
 
+def test_kernel_count_repeated_boundary_index(tmp_path, capsys):
+    # S is a set: a repeated index writes the bytes of the index given once
+    outputs = []
+    for boundary in ("0", "0,0"):
+        out = tmp_path / boundary
+        assert main(["kernel-count", "--cutoff", "1.5", "--eps", "1e-3", "--boundary", boundary,
+                     "--out", str(out)]) == 0
+        outputs.append(((out / "kernel_count.json").read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    count = json.loads(outputs[0][0])
+    assert count["boundary_set"] == [0] and len(count["singular_values"]) == 1
+
+
 def test_cli_import_leaves_out_the_sparse_solvers():
     # scipy.sparse.linalg is imported only by the shift-invert eigsh path
     probe = "import sys, {}; print('scipy.sparse.linalg' in sys.modules)"
@@ -896,8 +909,15 @@ def torus_15():
     lambda: cs.CylinderOperator(torus_15(), 30.0, 0.01, cs.cylinder.Perturbation(1e-3, -1.0, 0)),
     lambda: cs.CylinderOperator(torus_15(), 30.0, 0.01, cs.make_perturbation(3, 1e-3, -1.0)),
     lambda: cs.cylinder.differentiate(np.zeros(4), 0.1),
+    lambda: cs.make_perturbation(4, 1e-3, -np.inf),
+    lambda: cs.make_perturbation(4, np.nan, -1.0),
+    lambda: cs.make_perturbation(4, -1e-3, -1.0),
+    *[lambda s=s: cs.perturbed_kernel_count(cs.CylinderOperator(torus_15(), 30.0, 0.01), 0.5, s)
+      for s in ([1.5], [True], [0, 1.0], [np.bool_(True)], ["1"])],
 ], ids=["lattice-nan", "lattice-huge", "lattice-tiny", "lattice-thin", "lattice-zero", "cutoff", "grid", "oblique-grid", "vertex-inf", "rate-count",
-        "window", "mu-pert", "seed", "no-coupling", "coupling-3x3", "stencil"])
+        "window", "mu-pert", "seed", "no-coupling", "coupling-3x3", "stencil", "mu-pert-inf",
+        "eps-nan", "eps-negative", "boundary-float", "boundary-bool", "boundary-integral-float",
+        "boundary-numpy-bool", "boundary-text"])
 def test_library_input_checks_raise_input_error(call):
     # an InputError is a ValueError for library callers and a ConfigError
     # for the command line

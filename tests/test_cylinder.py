@@ -566,6 +566,19 @@ def test_boundary_set_recorded(torus_spec_15):
     assert '"boundary_set"' in count.to_json()
 
 
+def test_boundary_set_is_a_set(torus_spec_15):
+    # S restated with repeats or in another order is the same condition: the
+    # same count, singular values and recorded set
+    pert = cs.make_perturbation(torus_spec_15.dim, 1e-3, -1.0, seed=11)
+    op = CylinderOperator(torus_spec_15, 30.0, 0.01, pert)
+    once = cs.perturbed_kernel_count(op, 0.5, [0, 3])
+    assert once.singular_values.size == 2
+    for restated in ([0, 0, 3], [3, 0], [3, 0, 3, 0], np.array([3, 0, 0])):
+        count = cs.perturbed_kernel_count(op, 0.5, restated)
+        assert count.to_json() == once.to_json()
+        assert count.singular_values.tobytes() == once.singular_values.tobytes()
+
+
 def field_by_field_json(count, eps, mu_pert, seed):
     """KernelCount.to_json as it read when the count held its own copies of
     eps, mu_pert and seed, and wrote each singular value through %.17g."""
@@ -641,12 +654,9 @@ def test_kernel_element_asymptotics(op15):
 
 
 def test_kernel_limits_feed_symplectic_verifier(op15):
-    # close the loop: extract asymptotic limits of zero-rate kernel elements,
-    # map them to constant-section fiber vectors, and run the Lagrangian test
-    from cylspec.models import I3, build_torus_model
-
+    # close the loop: extract asymptotic limits of zero-rate kernel elements
+    # and run the Lagrangian test on their zero-cluster coefficients
     spec = op15.base
-    model = build_torus_model(cs.square_torus(), 1.5)
     t = op15.tgrid
     kw = cs.kernel_in_window(op15, (-0.5, 0.5))
     assert kw.dimension == 4
@@ -656,19 +666,15 @@ def test_kernel_limits_feed_symplectic_verifier(op15):
         lim = cs.asymptotic_limit(sol, 0.0, -1.0)
         coeffs.append(lim.coefficient)
     c0 = spec.cluster_at(0.0)
-    # eigencoordinate coefficients -> constant-section fiber components
-    v0 = spec.basis.columns(c0.start, c0.stop)
-    fiber = (v0[:4, :] @ np.array(coeffs).T[c0.start:c0.stop, :]) * np.sqrt(model.area)
-    sk = cs.symplectic_form(np.eye(4), I3.T, model.area, kernel=np.eye(4))
+    limits = np.array(coeffs).T[c0.start:c0.stop, :]
     # the span of all four limits is the whole kernel: not Lagrangian
-    assert not cs.is_lagrangian(fiber, sk)
+    assert not cs.is_lagrangian(limits, spec)
     # a half-dimensional isotropic slice of it is
-    gram = fiber.T @ sk.form @ fiber
-    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)
-             if abs(gram[a, b]) <= 1e-9 * model.area]
+    gram = limits.T @ cs.symplectic_form(spec) @ limits
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4) if abs(gram[a, b]) <= 1e-9]
     assert pairs, "some isotropic pair of limits must exist"
     a, b = pairs[0]
-    assert cs.is_lagrangian(fiber[:, [a, b]], sk)
+    assert cs.is_lagrangian(limits[:, [a, b]], spec)
 
 
 def test_perturbed_count_no_decaying_modes(torus_spec_15):

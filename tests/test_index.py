@@ -1,12 +1,19 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cylspec as cs
-from cylspec.errors import (CriticalRate, NonNegativeRate, NotInKernel,
-                            NotOrdered, OddKernelDimension, WindowExceedsCutoff)
+from cylspec.errors import (CriticalRate, InputError, NonNegativeRate, NotOrdered,
+                            OddKernelDimension, WindowExceedsCutoff)
 from cylspec.models import I3
+from cylspec.spectral import Cluster
+from tests.conftest import lattice_bases
+from tests.test_lattice import UNIMODULAR
 
 AREA = 4 * np.pi**2
 
@@ -202,60 +209,155 @@ def quaternion_k_pairing():
     return I3.T
 
 
-def test_symplectic_form_constant_sections():
-    sk = cs.symplectic_form(np.eye(4), quaternion_k_pairing(), AREA, kernel=np.eye(4))
-    assert np.abs(sk.gram + sk.gram.T).max() <= 1e-10
-    assert np.abs(sk.gram - AREA * quaternion_k_pairing()).max() <= 1e-9
-    assert abs(np.linalg.det(sk.gram)) == pytest.approx(AREA**4, rel=1e-12)
+def with_jmat(spec, jmat):
+    """The spectrum with J in its eigenbasis replaced by ``jmat``."""
+    return replace(spec, basis=replace(spec.basis, jmat=sparse.csr_matrix(jmat)))
 
 
-def test_symplectic_not_in_kernel():
-    kernel = np.eye(4)[:, :2]
-    with pytest.raises(NotInKernel):
-        cs.symplectic_form(np.eye(4), quaternion_k_pairing(), AREA, kernel=kernel)
+def test_symplectic_form_constant_sections(torus_spec_15):
+    # Omega is read from J; pulled back to fiber coordinates it is the area
+    # times the pointwise k pairing
+    omega = cs.symplectic_form(torus_spec_15)
+    assert omega.tobytes() == quaternion_k_pairing().tobytes()
+    # the constant section with fiber value xi has eigencoordinates
+    # v0^T M xi = sqrt(area) xi
+    c0 = torus_spec_15.cluster_at(0.0)
+    xi = torus_spec_15.basis.columns(c0.start, c0.stop)[:4, :].T * torus_spec_15.mass[:4]
+    gram = xi.T @ omega @ xi
+    assert np.abs(gram + gram.T).max() <= 1e-10
+    assert np.abs(gram - AREA * quaternion_k_pairing()).max() <= 1e-9
+    assert abs(np.linalg.det(gram)) == pytest.approx(AREA**4, rel=1e-12)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_symplectic_gram_always_skew(seed):
-    rng = np.random.default_rng(seed)
-    basis = rng.standard_normal((4, 3))
-    sk = cs.symplectic_form(basis, quaternion_k_pairing(), AREA)
-    assert np.abs(sk.gram + sk.gram.T).max() <= 1e-9 * AREA
+def test_symplectic_form_needs_the_model_j(torus_spec_15):
+    # a spectrum built from roots alone carries no J, so no form
+    synthetic = cs.synthetic_spectrum([(0.0, 4), (1.0, 2), (-1.0, 2)], 2.0)
+    with pytest.raises(InputError, match="no J"):
+        cs.symplectic_form(synthetic)
+    with pytest.raises(InputError, match="no J"):
+        cs.is_lagrangian(np.eye(4)[:, :2], synthetic)
+    # the zero cluster cut to 3 modes: its d_0 is odd
+    c0 = torus_spec_15.cluster_at(0.0)
+    clusters = tuple(c for c in torus_spec_15.clusters if c is not c0)
+    odd = replace(torus_spec_15, clusters=clusters + (Cluster(0.0, 3, c0.start, c0.stop - 1),))
+    with pytest.raises(OddKernelDimension):
+        cs.symplectic_form(odd)
+    # the zero cluster moved off zero: no kernel to carry a form
+    moved = replace(torus_spec_15, clusters=clusters + (Cluster(1e-3, 4, c0.start, c0.stop),))
+    with pytest.raises(InputError, match="no zero cluster"):
+        cs.symplectic_form(moved)
 
 
-def test_is_lagrangian():
-    sk = cs.symplectic_form(np.eye(4), quaternion_k_pairing(), AREA, kernel=np.eye(4))
-    assert cs.is_lagrangian(np.eye(4)[:, :2], sk)          # span{1, i}
-    assert not cs.is_lagrangian(np.eye(4), sk)             # full kernel
-    assert not cs.is_lagrangian(np.eye(4)[:, :1], sk)      # dim 1 != 2
+def test_is_lagrangian(torus_spec_15):
+    spec = torus_spec_15
+    assert cs.is_lagrangian(np.eye(4)[:, :2], spec)          # span{1, i}
+    assert not cs.is_lagrangian(np.eye(4), spec)             # full kernel
+    assert not cs.is_lagrangian(np.eye(4)[:, :1], spec)      # dim 1 != 2
     # span{1, k} pairs to <k*1, k> = |k|^2 = 1: not isotropic
-    assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]], sk)
+    assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]], spec)
 
 
-def test_isotropy_is_relative_to_each_column():
+def test_is_lagrangian_checks_its_subspace(torus_spec_15):
+    for subspace in (np.eye(3)[:, :2], np.eye(5)[:, :2], np.zeros((4, 2, 1)),
+                     np.array([[1.0, 2.0], [0, 0], [0, 0], [np.nan, 0]])):
+        with pytest.raises(InputError):
+            cs.is_lagrangian(subspace, torus_spec_15)
+    with pytest.raises(InputError, match="dependent"):
+        cs.is_lagrangian(np.eye(4)[:, [0, 0]], torus_spec_15)
+
+
+def test_isotropy_is_relative_to_each_column(torus_spec_15):
     # span{1, k} with k scaled by 1e-10 pairs to 1e-10 = 1e-10 |1| |k|: not
     # isotropic, however short one column is beside the other
-    sk = cs.symplectic_form(np.eye(4), quaternion_k_pairing(), AREA, kernel=np.eye(4))
-    assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]] * [1.0, 1e-10], sk)
-    assert cs.is_lagrangian(np.eye(4)[:, :2] * [1.0, 1e-10], sk)
+    assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]] * [1.0, 1e-10], torus_spec_15)
+    assert cs.is_lagrangian(np.eye(4)[:, :2] * [1.0, 1e-10], torus_spec_15)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=-30, max_value=30))
-def test_symplectic_checks_in_any_unit(k):
-    # area, pairing and basis scaled by 10^k: each check is relative to its
-    # own operand, so every decision is that of scale 1
-    scale = 10.0**k
-    pairing = scale * quaternion_k_pairing()
-    basis = scale * np.eye(4)
-    sk = cs.symplectic_form(basis, pairing, scale * AREA, kernel=np.eye(4))
-    assert cs.is_lagrangian(np.eye(4)[:, :2], sk)
-    assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]], sk)
-    with pytest.raises(NotInKernel):
-        cs.symplectic_form(basis, pairing, scale * AREA, kernel=np.eye(4)[:, :2])
-    with pytest.raises(ValueError, match="not skew"):
-        cs.symplectic_form(basis, pairing + scale * np.eye(4), scale * AREA)
+def test_symplectic_checks_in_any_unit(torus_spec_15, k):
+    # the cutoff-1.5 torus with side 2 pi s: the eigencoordinates are
+    # M-orthonormal in any unit, so Omega and every decision are those of s = 1
+    s = 10.0**k
+    torus = cs.FlatTorus(np.diag([2 * np.pi * s, 2 * np.pi * s]))
+    spec = cs.eigendecompose(cs.build_torus_model(torus, 1.5 / s**2))
+    omega = cs.symplectic_form(spec)
+    assert omega.tobytes() == cs.symplectic_form(torus_spec_15).tobytes()
+    assert cs.is_lagrangian(np.eye(4)[:, :2], spec)
+    assert not cs.is_lagrangian(np.eye(4)[:, [0, 3]], spec)
+    # J joining a zero mode to a mode of another cluster
+    c0 = spec.cluster_at(0.0)
+    leak = spec.jmat.tolil()
+    leak[c0.start - 1, c0.start] = 0.5
+    with pytest.raises(InputError, match="another cluster"):
+        cs.symplectic_form(with_jmat(spec, leak))
+    # a zero block that is not skew
+    zero = sparse.diags(np.isin(np.arange(spec.dim), range(c0.start, c0.stop)).astype(float))
+    with pytest.raises(InputError, match="not skew"):
+        cs.symplectic_form(with_jmat(spec, spec.jmat + zero))
+
+
+SL_COMPLEXES = {
+    "sl-grid-4": lambda: cs.quad_torus_complex(cs.square_torus(), 4),
+    "sl-grid-6": lambda: cs.quad_torus_complex(cs.square_torus(), 6),
+    "sl-grid-8": lambda: cs.quad_torus_complex(cs.square_torus(), 8),
+    "genus2-quads": cs.genus2_quad_complex,
+    "donut-12x8": lambda: cs.build_dec(cs.parametric_torus_mesh(12, 8)),
+    "genus2-mesh": lambda: cs.build_dec(cs.genus2_mesh()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def sl_spectrum(name):
+    return cs.eigendecompose(cs.build_sl_model(SL_COMPLEXES[name]()))
+
+
+@st.composite
+def model_spectra(draw):
+    """A torus (cutoff in [1, 20], a drawn basis times a unimodular U, in
+    the unit 10^k) or one of the sl models of SL_COMPLEXES."""
+    name = draw(st.sampled_from(["torus", *SL_COMPLEXES]))
+    if name != "torus":
+        return sl_spectrum(name)
+    s = 10.0**draw(st.integers(-6, 6))
+    basis = s * draw(lattice_bases()) @ draw(st.sampled_from(UNIMODULAR))
+    cutoff = draw(st.floats(min_value=1.0, max_value=20.0))
+    return cs.eigendecompose(cs.build_torus_model(cs.FlatTorus(basis), cutoff / s**2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_spectra(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_symplectic_form_over_models(spec, seed):
+    # J keeps the zero cluster and is an exact symplectic form on it
+    omega = cs.symplectic_form(spec)
+    d0, c0 = spec.d0(), spec.cluster_at(0.0)
+    assert omega.shape == (d0, d0) and d0 in (4, 6)
+    assert np.abs(omega + omega.T).max() <= 1e-12
+    assert np.abs(omega @ omega.T - np.eye(d0)).max() <= 1e-12
+    zero, jmat = slice(c0.start, c0.stop), spec.jmat.toarray()
+    assert not jmat[zero, :c0.start].any() and not jmat[zero, c0.stop:].any()
+    assert not jmat[:c0.start, zero].any() and not jmat[c0.stop:, zero].any()
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((d0, 3))
+    gram = basis.T @ omega @ basis
+    assert np.abs(gram + gram.T).max() <= 1e-12 * np.linalg.norm(basis)**2
+    # a greedy Lagrangian: each next x off every earlier x_i and Omega x_i
+    xs = []
+    for _ in range(d0 // 2):
+        x = rng.standard_normal(d0)
+        if xs:
+            q = np.linalg.qr(np.column_stack(xs + [omega @ v for v in xs]))[0]
+            x -= q @ (q.T @ x)
+        xs.append(x)
+    assert cs.is_lagrangian(np.column_stack(xs), spec)
+    # omega(x, Omega x) = -|x|^2: span{x, Omega x}, filled up to d0/2 from
+    # the Lagrangian, is not isotropic
+    assert not cs.is_lagrangian(np.column_stack([xs[0], omega @ xs[0]] + xs[2:]), spec)
+    # any other dimension: an isotropic part of the Lagrangian, or more
+    for k in range(1, d0 + 1):
+        if k != d0 // 2:
+            sub = np.column_stack(xs[:k]) if k < d0 // 2 else rng.standard_normal((d0, k))
+            assert not cs.is_lagrangian(sub, spec)
 
 
 def test_wall_crossing_checks_each_rate_once(ends2, monkeypatch):
